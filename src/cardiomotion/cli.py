@@ -110,9 +110,14 @@ def _load_manifest(dataset_dir: str) -> dict:
             manifest = json.load(fh)
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror}") from e
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path}: manifest must be a JSON object")
     for split in ("train", "validation", "test"):
         if split not in manifest:
             raise ConfigError(f"{path}: manifest missing split {split!r}")
+        names = manifest[split]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ConfigError(f"{path}: manifest split {split!r} must be a list of file names")
     return manifest
 
 

@@ -150,104 +150,120 @@ def identity_map(grid: Grid2) -> MapField:
 # ---------------------------------------------------------------------------
 
 
-def bilinear_prepare(shape: tuple[int, int], mx: np.ndarray, my: np.ndarray):
-    """Clamp sample coordinates and precompute corner indices and weights.
+def bilinear_prepare(shape: tuple[int, ...], mx: np.ndarray, my: np.ndarray):
+    """Clamp sample coordinates and precompute flat corner indices and weights.
 
-    Returns (x0, y0, tx, ty, inx, iny) where inx/iny flag coordinates that
-    were strictly inside the domain (their clamp derivative is 1, else 0).
+    ``shape`` is the sampled array's shape ``(..., H, W)``.  With no
+    leading axes the coordinates may have any shape; otherwise their
+    leading axes match the field's, and each sample reads its own slice.
+    Returns (idx, tx, ty, inx, iny): ``idx`` indexes the top-left corner
+    in the flattened field, and inx/iny flag coordinates that were
+    strictly inside the domain (their clamp derivative is 1, else 0).
     """
-    h, w = shape
+    *lead, h, w = shape
     cx = np.clip(mx, 0.0, w - 1.0)
     cy = np.clip(my, 0.0, h - 1.0)
     x0 = np.minimum(np.floor(cx), w - 2).astype(np.intp)
     y0 = np.minimum(np.floor(cy), h - 2).astype(np.intp)
     tx = cx - x0
     ty = cy - y0
+    idx = y0 * w + x0
+    if lead:
+        if idx.shape[: len(lead)] != tuple(lead):
+            raise ValueError(f"coordinates of shape {idx.shape} do not match field shape {shape}")
+        offsets = np.arange(0, int(np.prod(lead)) * h * w, h * w)
+        idx += offsets.reshape(tuple(lead) + (1,) * (idx.ndim - len(lead)))
     inx = (mx > 0.0) & (mx < w - 1.0)
     iny = (my > 0.0) & (my < h - 1.0)
-    return x0, y0, tx, ty, inx, iny
+    return idx, tx, ty, inx, iny
 
 
-def bilinear_apply(values: np.ndarray, x0, y0, tx, ty) -> np.ndarray:
-    v00 = values[y0, x0]
-    v01 = values[y0, x0 + 1]
-    v10 = values[y0 + 1, x0]
-    v11 = values[y0 + 1, x0 + 1]
+def _corners(values: np.ndarray, idx):
+    flat = values.reshape(-1)
+    w = values.shape[-1]
+    return flat[idx], flat[idx + 1], flat[idx + w], flat[idx + (w + 1)]
+
+
+def bilinear_apply(values: np.ndarray, idx, tx, ty) -> np.ndarray:
+    v00, v01, v10, v11 = _corners(values, idx)
     return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * ((1 - tx) * v10 + tx * v11)
 
 
 def bilinear_sample(values: np.ndarray, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
     """Sample ``values`` at coordinates (mx, my) with clamped bilinear interpolation."""
-    x0, y0, tx, ty, _, _ = bilinear_prepare(values.shape, mx, my)
-    return bilinear_apply(values, x0, y0, tx, ty)
+    idx, tx, ty, _, _ = bilinear_prepare(values.shape, mx, my)
+    return bilinear_apply(values, idx, tx, ty)
 
 
-def bilinear_adjoint_field(shape, x0, y0, tx, ty, g: np.ndarray) -> np.ndarray:
+def bilinear_adjoint_field(shape, idx, tx, ty, g: np.ndarray) -> np.ndarray:
     """Adjoint of bilinear sampling with respect to the sampled field."""
-    out = np.zeros(shape)
-    np.add.at(out, (y0, x0), g * (1 - ty) * (1 - tx))
-    np.add.at(out, (y0, x0 + 1), g * (1 - ty) * tx)
-    np.add.at(out, (y0 + 1, x0), g * ty * (1 - tx))
-    np.add.at(out, (y0 + 1, x0 + 1), g * ty * tx)
-    return out
+    n = int(np.prod(shape))
+    w = shape[-1]
+    idx = idx.reshape(-1)
+    top = (g * (1 - ty)).reshape(-1)
+    bottom = (g * ty).reshape(-1)
+    tx = tx.reshape(-1)
+    out = np.bincount(idx, top * (1 - tx), n)
+    out += np.bincount(idx + 1, top * tx, n)
+    out += np.bincount(idx + w, bottom * (1 - tx), n)
+    out += np.bincount(idx + (w + 1), bottom * tx, n)
+    return out.reshape(shape)
 
 
-def bilinear_coord_derivatives(values: np.ndarray, x0, y0, tx, ty, inx, iny):
+def bilinear_coord_derivatives(values: np.ndarray, idx, tx, ty, inx, iny):
     """Partials of the sampled value with respect to the sample coordinates.
 
     Zero where the coordinate was clamped (the clamp is locally constant).
     """
-    v00 = values[y0, x0]
-    v01 = values[y0, x0 + 1]
-    v10 = values[y0 + 1, x0]
-    v11 = values[y0 + 1, x0 + 1]
+    v00, v01, v10, v11 = _corners(values, idx)
     dx = ((1 - ty) * (v01 - v00) + ty * (v11 - v10)) * inx
     dy = ((1 - tx) * (v10 - v00) + tx * (v11 - v01)) * iny
     return dx, dy
 
 
 # ---------------------------------------------------------------------------
-# finite differences (pixel units), with adjoints for reverse-mode gradients
+# finite differences (pixel units) on the two trailing axes, with adjoints
+# for reverse-mode gradients
 # ---------------------------------------------------------------------------
 
 
 def ddx(a: np.ndarray) -> np.ndarray:
     """d/dx (along columns): central interior, one-sided at the edges."""
     out = np.empty_like(a)
-    out[:, 1:-1] = 0.5 * (a[:, 2:] - a[:, :-2])
-    out[:, 0] = a[:, 1] - a[:, 0]
-    out[:, -1] = a[:, -1] - a[:, -2]
+    out[..., 1:-1] = 0.5 * (a[..., 2:] - a[..., :-2])
+    out[..., 0] = a[..., 1] - a[..., 0]
+    out[..., -1] = a[..., -1] - a[..., -2]
     return out
 
 
 def ddy(a: np.ndarray) -> np.ndarray:
     """d/dy (along rows): central interior, one-sided at the edges."""
     out = np.empty_like(a)
-    out[1:-1, :] = 0.5 * (a[2:, :] - a[:-2, :])
-    out[0, :] = a[1, :] - a[0, :]
-    out[-1, :] = a[-1, :] - a[-2, :]
+    out[..., 1:-1, :] = 0.5 * (a[..., 2:, :] - a[..., :-2, :])
+    out[..., 0, :] = a[..., 1, :] - a[..., 0, :]
+    out[..., -1, :] = a[..., -1, :] - a[..., -2, :]
     return out
 
 
 def ddx_adjoint(g: np.ndarray) -> np.ndarray:
     out = np.zeros_like(g)
-    out[:, 2:] += 0.5 * g[:, 1:-1]
-    out[:, :-2] -= 0.5 * g[:, 1:-1]
-    out[:, 1] += g[:, 0]
-    out[:, 0] -= g[:, 0]
-    out[:, -1] += g[:, -1]
-    out[:, -2] -= g[:, -1]
+    out[..., 2:] += 0.5 * g[..., 1:-1]
+    out[..., :-2] -= 0.5 * g[..., 1:-1]
+    out[..., 1] += g[..., 0]
+    out[..., 0] -= g[..., 0]
+    out[..., -1] += g[..., -1]
+    out[..., -2] -= g[..., -1]
     return out
 
 
 def ddy_adjoint(g: np.ndarray) -> np.ndarray:
     out = np.zeros_like(g)
-    out[2:, :] += 0.5 * g[1:-1, :]
-    out[:-2, :] -= 0.5 * g[1:-1, :]
-    out[1, :] += g[0, :]
-    out[0, :] -= g[0, :]
-    out[-1, :] += g[-1, :]
-    out[-2, :] -= g[-1, :]
+    out[..., 2:, :] += 0.5 * g[..., 1:-1, :]
+    out[..., :-2, :] -= 0.5 * g[..., 1:-1, :]
+    out[..., 1, :] += g[..., 0, :]
+    out[..., 0, :] -= g[..., 0, :]
+    out[..., -1, :] += g[..., -1, :]
+    out[..., -2, :] -= g[..., -1, :]
     return out
 
 
@@ -270,11 +286,11 @@ def interpolate(field: ScalarField, mapping: MapField) -> ScalarField:
 def warp_vector(field: VectorField, mapping: MapField) -> VectorField:
     """Per-component bilinear sampling of a vector field at map coordinates."""
     _check_same_grid(field.grid, mapping.grid)
-    x0, y0, tx, ty, _, _ = bilinear_prepare(field.grid.shape, mapping.x, mapping.y)
+    idx, tx, ty, _, _ = bilinear_prepare(field.grid.shape, mapping.x, mapping.y)
     return VectorField(
         field.grid,
-        bilinear_apply(field.x_component, x0, y0, tx, ty),
-        bilinear_apply(field.y_component, x0, y0, tx, ty),
+        bilinear_apply(field.x_component, idx, tx, ty),
+        bilinear_apply(field.y_component, idx, tx, ty),
     )
 
 

@@ -25,7 +25,7 @@ from .tensor import Tensor, _as_tensor, _make
 
 
 def spectral_multiply(op: MetricOperator, x, inverse: bool = False) -> Tensor:
-    """Apply the metric multiplier (or its inverse) to an (H, W) tensor.
+    """Apply the metric multiplier (or its inverse) to an (..., H, W) tensor.
 
     The operator is real and self-adjoint, so the backward pass is the
     same multiplication applied to the incoming gradient.
@@ -48,7 +48,11 @@ def fd_dy(x) -> Tensor:
 
 
 def bilinear_warp(values, mx, my) -> Tensor:
-    """Sample ``values`` at absolute coordinates (mx, my), all (H, W).
+    """Sample ``values`` at absolute coordinates (mx, my).
+
+    ``values`` is (..., H, W).  The coordinates are (..., H, W) with the
+    same leading axes, or any shape when ``values`` is a single (H, W)
+    field.
 
     Differentiable with respect to both the sampled field and the sample
     coordinates.  Coordinate gradients vanish where the lookup clamps to
@@ -57,13 +61,13 @@ def bilinear_warp(values, mx, my) -> Tensor:
     """
     values, mx, my = _as_tensor(values), _as_tensor(mx), _as_tensor(my)
     shape = values.values.shape
-    x0, y0, tx, ty, inx, iny = bilinear_prepare(shape, mx.values, my.values)
-    out = bilinear_apply(values.values, x0, y0, tx, ty)
+    idx, tx, ty, inx, iny = bilinear_prepare(shape, mx.values, my.values)
+    out = bilinear_apply(values.values, idx, tx, ty)
 
     def vjp(g):
-        gv = bilinear_adjoint_field(shape, x0, y0, tx, ty, g) if values.requires_grad else None
+        gv = bilinear_adjoint_field(shape, idx, tx, ty, g) if values.requires_grad else None
         if mx.requires_grad or my.requires_grad:
-            dx, dy = bilinear_coord_derivatives(values.values, x0, y0, tx, ty, inx, iny)
+            dx, dy = bilinear_coord_derivatives(values.values, idx, tx, ty, inx, iny)
             return (gv, g * dx, g * dy)
         return (gv, None, None)
 

@@ -183,8 +183,12 @@ def reshape(a, shape) -> Tensor:
     return _make(a.values.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def take_index(a, index: int) -> Tensor:
-    """Select one slice along axis 0."""
+def take_index(a, index) -> Tensor:
+    """Select a basic index of ``a``: an int, a slice, or a tuple of them.
+
+    ``take_index(a, 1)`` is ``a[1]``; ``take_index(a, (slice(None), 0))``
+    is ``a[:, 0]``.
+    """
     a = _as_tensor(a)
     shape = a.values.shape
 
@@ -213,6 +217,11 @@ def concat_channels(tensors) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _pad1(a: np.ndarray) -> np.ndarray:
+    """Zero-pad the two trailing axes of an (N, C, H, W) batch by one pixel."""
+    return np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
+
+
 def _im2col3(xp: np.ndarray, h: int, w: int) -> np.ndarray:
     """Unfold 3x3 patches of a zero-padded (N, C, H+2, W+2) batch.
 
@@ -235,8 +244,7 @@ def conv2d(x, w, b=None) -> Tensor:
     o = w.values.shape[0]
     if w.values.shape != (o, c, 3, 3):
         raise ValueError(f"kernel shape {w.values.shape} incompatible with input {x.values.shape}")
-    xp = np.pad(x.values, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = _im2col3(xp, h, wd)
+    cols = _im2col3(_pad1(x.values), h, wd)
     w2 = w.values.reshape(o, c * 9)
     y = np.matmul(w2, cols).reshape(n, o, h, wd)
     if b is not None:
@@ -244,13 +252,13 @@ def conv2d(x, w, b=None) -> Tensor:
 
     def vjp(g):
         g2 = g.reshape(n, o, h * wd)
-        dw = np.einsum("noh,nch->oc", g2, cols).reshape(o, c, 3, 3)
-        dcols = np.matmul(w2.T, g2).reshape(n, c, 3, 3, h, wd)
-        dxp = np.zeros_like(xp)
-        for di in range(3):
-            for dj in range(3):
-                dxp[:, :, di : di + h, dj : dj + wd] += dcols[:, :, di, dj]
-        dx = dxp[:, :, 1:-1, 1:-1]
+        dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, 3, 3)
+        dx = None
+        if x.requires_grad:
+            # the input gradient is the 3x3 convolution of the gradient with
+            # the flipped, channel-transposed kernel
+            wt = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
+            dx = np.matmul(wt, _im2col3(_pad1(g), h, wd)).reshape(n, c, h, wd)
         if b is not None:
             return (dx, dw, g.sum(axis=(0, 2, 3)))
         return (dx, dw)

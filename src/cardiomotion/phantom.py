@@ -226,21 +226,54 @@ def save_sample(path, sample: PhantomSample) -> None:
     write_container(path, records)
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    kinds = int if integer else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _meta_field(meta: dict, key: str, integers=False):
+    """A meta value: a number, or a list of numbers when ``integers`` is a tuple.
+
+    ``integers`` flags which values must be integers.
+    """
+    if key not in meta:
+        raise ValueError(f"sample meta lacks field {key!r}")
+    value = meta[key]
+    if isinstance(integers, tuple):
+        if (not isinstance(value, list) or len(value) != len(integers)
+                or not all(_is_number(v, i) for v, i in zip(value, integers))):
+            raise ValueError(f"sample meta field {key!r} must be a list of {len(integers)} "
+                             f"numbers, got {value!r}")
+    elif not _is_number(value, integers):
+        kind = "an integer" if integers else "a number"
+        raise ValueError(f"sample meta field {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def load_sample(path) -> PhantomSample:
     records = read_container(path)
     for need in ("images", "motions", "mask", "meta"):
         if need not in records:
             raise ValueError(f"sample container missing record {need!r}")
     meta = json.loads(records["meta"].tobytes().decode("utf-8"))
-    gh, gw, spacing = meta["grid"]
-    grid = Grid2(int(gh), int(gw), float(spacing))
-    cfg = PhantomConfig(grid=grid, num_frames=int(meta["num_frames"]),
-                        r_inner=meta["r_inner"], r_outer=meta["r_outer"],
-                        contraction_amp=meta["contraction_amp"], twist_amp=meta["twist_amp"],
-                        center_jitter=meta["center_jitter"], smoothing_std=meta["smoothing_std"],
-                        seed=int(meta["seed"]))
+    if not isinstance(meta, dict):
+        raise ValueError("sample meta must be a JSON object")
+    gh, gw, spacing = _meta_field(meta, "grid", (True, True, False))
+    grid = Grid2(gh, gw, float(spacing))
+    cfg = PhantomConfig(grid=grid, num_frames=_meta_field(meta, "num_frames", True),
+                        **{key: _meta_field(meta, key) for key in (
+                            "r_inner", "r_outer", "contraction_amp", "twist_amp",
+                            "center_jitter", "smoothing_std")},
+                        seed=_meta_field(meta, "seed", True))
+    angle = _meta_field(meta, "insertion_angle")
+    cx, cy = _meta_field(meta, "center", (False, False))
+    t = cfg.num_frames
+    for name, shape in (("images", (t + 1,) + grid.shape), ("motions", (t, 2) + grid.shape),
+                        ("mask", grid.shape)):
+        if records[name].shape != shape:
+            raise ValueError(f"sample record {name!r} has shape {records[name].shape}, "
+                             f"expected {shape}")
     images = FieldSequence([ScalarField(grid, v) for v in records["images"]])
     motions = FieldSequence([VectorField(grid, m[0], m[1]) for m in records["motions"]])
     mask = Mask(grid, records["mask"].astype(bool))
-    return PhantomSample(images, motions, mask, float(meta["insertion_angle"]),
-                         (float(meta["center"][0]), float(meta["center"][1])), cfg)
+    return PhantomSample(images, motions, mask, float(angle), (float(cx), float(cy)), cfg)

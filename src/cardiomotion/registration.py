@@ -26,7 +26,7 @@ from .grid import FieldSequence, ScalarField, VectorField, coordinate_arrays
 from .metric import MetricOperator
 from .nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from .nn.params import ParameterStore, adam_step
-from .nn.tensor import Tensor, add, add_n, constant, mul, neg, no_grad, smul, sub, sum_all
+from .nn.tensor import Tensor, add, constant, mul, neg, no_grad, smul, sub, sum_all, take_index
 
 
 @dataclass
@@ -75,7 +75,11 @@ def _epdiff_rhs_graph(op: MetricOperator, vx: Tensor, vy: Tensor) -> tuple[Tenso
 
 def _energy_terms(shooting: ShootingConfig, sigma: float, v0x: Tensor, v0y: Tensor,
                   source_values: np.ndarray, target_values: np.ndarray):
-    """Build the energy graph; returns (total, dist, reg, warped) tensors."""
+    """Build the energy graph; returns (total, dist, reg, warped) tensors.
+
+    The velocity components and images are (H, W) for one pair, or
+    (T, H, W) for T pairs, whose energies then add up in ``total``.
+    """
     op = shooting.operator
     n = shooting.num_steps
     dt = 1.0 / n
@@ -95,7 +99,8 @@ def _energy_terms(shooting: ShootingConfig, sigma: float, v0x: Tensor, v0y: Tens
         velocities.append((vx, vy))
 
     xs, ys = coordinate_arrays(op.grid)
-    xs_c, ys_c = constant(xs), constant(ys)
+    xs_c = constant(np.broadcast_to(xs, v0x.shape))
+    ys_c = constant(np.broadcast_to(ys, v0y.shape))
     px, py = xs_c, ys_c
     for wx, wy in velocities:
         qx = sub(xs_c, smul(wx, dt))
@@ -219,12 +224,13 @@ def pair_stack(seq: FieldSequence) -> np.ndarray:
 def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch) -> Tensor:
     """Mean per-pair energy over a batch; a scalar graph node.
 
+    All pairs share one energy graph over (T, H, W) arrays, whose total
+    is the sum of the per-pair energies.
+
     v0_batch: (T, 2, H, W) tensor (typically a decoder output, so the
     loss is differentiable with respect to the network parameters).
     pair_batch: matching (T, 2, H, W) array, channel 0 = source, 1 = target.
     """
-    from .nn.tensor import take_index
-
     v0_t = v0_batch if isinstance(v0_batch, Tensor) else constant(np.asarray(v0_batch, dtype=np.float64))
     if isinstance(pair_batch, np.ndarray):
         pairs = pair_batch.astype(np.float64, copy=False)
@@ -237,15 +243,10 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch) -> 
     grid = cfg.shooting.operator.grid
     if pairs.shape[2:] != grid.shape:
         raise GridMismatchError("pair batch grid does not match the registration operator")
-    terms = []
-    for t in range(pairs.shape[0]):
-        vt = take_index(v0_t, t)
-        total, _, _, _ = _energy_terms(
-            cfg.shooting, cfg.sigma, take_index(vt, 0), take_index(vt, 1),
-            pairs[t, 0], pairs[t, 1],
-        )
-        terms.append(total)
-    return smul(add_n(terms), 1.0 / len(terms))
+    vx = take_index(v0_t, (slice(None), 0))
+    vy = take_index(v0_t, (slice(None), 1))
+    total, _, _, _ = _energy_terms(cfg.shooting, cfg.sigma, vx, vy, pairs[:, 0], pairs[:, 1])
+    return smul(total, 1.0 / pairs.shape[0])
 
 
 def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epochs: int,

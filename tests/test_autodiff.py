@@ -85,6 +85,12 @@ def test_take_index_routes_gradient_to_slice():
     t = Tensor(a, requires_grad=True)
     sum_all(take_index(t, 2)).backward()
     assert np.allclose(t.grad[2], 1.0) and np.allclose(t.grad[:2], 0.0)
+    # a basic index tuple: a[:, 1]
+    _probe(lambda ts: sum_all(mul(take_index(ts[0], (slice(None), 1)),
+                                  take_index(ts[0], (slice(None), 2)))), [a], 44)
+    t = Tensor(a, requires_grad=True)
+    sum_all(take_index(t, (slice(None), 1))).backward()
+    assert np.allclose(t.grad[:, 1], 1.0) and np.allclose(t.grad[:, [0, 2, 3]], 0.0)
 
 
 def test_concat_channels_splits_gradient():
@@ -105,6 +111,41 @@ def test_conv2d_gradients():
     b = rng.standard_normal(4)
     _probe(lambda ts: sum_all(mul(conv2d(*ts), conv2d(*ts))), [x, w, b], 17)
     _probe(lambda ts: sum_all(conv2d(ts[0], ts[1])), [x, w], 18)
+
+
+def _central_difference_gradient(f, a, eps=1e-6):
+    grad = np.zeros_like(a)
+    for i in np.ndindex(a.shape):
+        step = np.zeros_like(a)
+        step[i] = eps
+        grad[i] = (f(a + step) - f(a - step)) / (2.0 * eps)
+    return grad
+
+
+def test_conv2d_input_and_kernel_gradients_match_central_differences():
+    rng = np.random.default_rng(46)
+    x = rng.standard_normal((2, 2, 5, 4))
+    w = rng.standard_normal((3, 2, 3, 3))
+    r = rng.standard_normal((2, 3, 5, 4))
+    loss = lambda xv, wv: float(np.sum(conv2d(Tensor(xv), Tensor(wv)).values * r))
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    sum_all(mul(conv2d(xt, wt), constant(r))).backward()
+    assert np.allclose(xt.grad, _central_difference_gradient(lambda a: loss(a, w), x),
+                       rtol=1e-7, atol=1e-8)
+    assert np.allclose(wt.grad, _central_difference_gradient(lambda a: loss(x, a), w),
+                       rtol=1e-7, atol=1e-8)
+
+
+def test_conv2d_constant_input_gets_no_gradient():
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((2, 2, 4, 4))
+    w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    g = rng.standard_normal((2, 3, 4, 4))
+    dx, dw, db = conv2d(constant(x), w, b)._vjp(g)
+    assert dx is None
+    _, dw_ref, db_ref = conv2d(Tensor(x, requires_grad=True), w, b)._vjp(g)
+    assert np.array_equal(dw, dw_ref) and np.array_equal(db, db_ref)
 
 
 def test_conv2d_rejects_mismatched_kernel():
@@ -171,6 +212,15 @@ def test_bilinear_warp_gradients():
     mx = keep_off_lattice(rng.uniform(1.3, 6.3, (8, 8)))
     my = keep_off_lattice(rng.uniform(1.3, 6.3, (8, 8)))
     _probe(lambda ts: sum_all(mul(bilinear_warp(*ts), bilinear_warp(*ts))), [values, mx, my], 35)
+
+
+def test_field_primitives_on_a_stack_of_fields():
+    rng = np.random.default_rng(48)
+    values = rng.standard_normal((2, 8, 8))
+    mx = keep_off_lattice(rng.uniform(1.3, 6.3, (2, 8, 8)))
+    my = keep_off_lattice(rng.uniform(1.3, 6.3, (2, 8, 8)))
+    _probe(lambda ts: sum_all(mul(bilinear_warp(*ts), fd_dx(fd_dy(ts[0])))), [values, mx, my],
+           49)
 
 
 def test_bilinear_warp_field_only_gradient():

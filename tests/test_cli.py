@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -208,6 +209,43 @@ def test_cli_error_paths(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "e.csv")]) == 1
     err = capsys.readouterr().err
     assert "byte offset" in err
+
+
+def _rewrite_meta(src, dst, edit):
+    records = read_container(src)
+    meta = json.loads(records["meta"].tobytes().decode("utf-8"))
+    edit(meta)
+    records["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    write_container(dst, records)
+
+
+def _single_error_line(err: str, needle: str):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and needle in lines[0], err
+
+
+_META_EDITS = {
+    "grid": lambda meta: meta.pop("grid"),
+    "num_frames": lambda meta: meta.update(num_frames=None),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_META_EDITS))
+def test_strain_on_malformed_sample_meta_is_one_error_line(pipeline, tmp_path, capsys, field):
+    bad = str(tmp_path / "bad.lmf1")
+    _rewrite_meta(pipeline["sample"], bad, _META_EDITS[field])
+    assert main(["strain", "--sample", bad, "--out-prefix", str(tmp_path / "x")]) == 1
+    _single_error_line(capsys.readouterr().err, repr(field))
+    assert not list(tmp_path.glob("x_*"))
+
+
+def test_register_on_list_manifest_is_one_error_line(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "manifest.json").write_text(json.dumps(["train", "validation", "test"]))
+    assert main(["register", "--dataset", str(data), "--mode", "direct",
+                 "--out", str(tmp_path / "o")]) == 1
+    _single_error_line(capsys.readouterr().err, "manifest")
 
 
 def test_unknown_subcommand_exits_2():

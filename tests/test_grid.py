@@ -5,6 +5,7 @@ import pytest
 
 from cardiomotion.errors import GridMismatchError
 from cardiomotion.grid import (Grid2, MapField, ScalarField, VectorField, FieldSequence,
+                               bilinear_adjoint_field, bilinear_apply, bilinear_prepare,
                                bilinear_sample, compose, coordinate_arrays, ddx, ddx_adjoint,
                                ddy, ddy_adjoint, displacement_to_map, divergence, identity_map,
                                interpolate, jacobian, jacobian_determinant, map_to_displacement,
@@ -77,6 +78,42 @@ def test_bilinear_sample_clamps_at_borders():
     assert out[0, 0] == vals[0, 0]
     out = bilinear_sample(vals, np.array([[10.0]]), np.array([[10.0]]))
     assert out[0, 0] == vals[3, 3]
+
+
+def test_bilinear_sample_on_a_stack_equals_per_slice_loop():
+    rng = np.random.default_rng(40)
+    vals = rng.standard_normal((3, 9, 7))
+    ys, xs = np.mgrid[0:9, 0:7].astype(np.float64)
+    mx = xs + rng.uniform(-3.0, 3.0, vals.shape)  # reaches past every edge
+    my = ys + rng.uniform(-3.0, 3.0, vals.shape)
+    stacked = bilinear_sample(vals, mx, my)
+    looped = np.stack([bilinear_sample(vals[k], mx[k], my[k]) for k in range(3)])
+    assert np.array_equal(stacked, looped)
+    with pytest.raises(ValueError):
+        bilinear_sample(vals, xs, ys)  # a stack needs per-slice coordinates
+
+
+def test_finite_differences_on_a_stack_equal_per_slice_loop():
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((3, 9, 7))
+    for op in (ddx, ddy, ddx_adjoint, ddy_adjoint):
+        assert np.array_equal(op(a), np.stack([op(a[k]) for k in range(3)])), op.__name__
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_bilinear_adjoint_identity(lead):
+    # <A x, y> == <x, A^T y>, with coordinates clamped on every side
+    rng = np.random.default_rng(42)
+    shape = lead + (9, 7)
+    mx = rng.uniform(-2.0, 9.0, lead + (5, 6))
+    my = rng.uniform(-2.0, 11.0, lead + (5, 6))
+    idx, tx, ty, _, _ = bilinear_prepare(shape, mx, my)
+    for _ in range(3):
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(mx.shape)
+        lhs = np.sum(bilinear_apply(x, idx, tx, ty) * y)
+        rhs = np.sum(x * bilinear_adjoint_field(shape, idx, tx, ty, y))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_ddx_ddy_central_difference():

@@ -198,6 +198,22 @@ def test_network_loss_is_mean_of_pair_energies():
     assert loss.item() == pytest.approx(float(np.mean(per_pair)), rel=1e-12)
 
 
+def test_network_loss_gradient_is_mean_of_pair_gradients():
+    grid = Grid2(8, 8)
+    cfg = _cfg(grid, num_steps=3, sigma=0.1)
+    rng = np.random.default_rng(10)
+    frames = [_blob(grid, 3.0 + 0.4 * t, 4.0 - 0.2 * t) for t in range(4)]
+    stack = pair_stack(FieldSequence(frames))
+    v0 = Tensor(0.05 * rng.standard_normal(stack.shape), requires_grad=True)
+    registration_network_loss(cfg, v0, stack).backward()
+    expected = np.zeros(stack.shape)
+    for t in range(stack.shape[0]):
+        g = energy_gradient(cfg, VectorField(grid, v0.values[t, 0], v0.values[t, 1]),
+                            ScalarField(grid, stack[t, 0]), ScalarField(grid, stack[t, 1]))
+        expected[t] = np.stack([g.x_component, g.y_component]) / stack.shape[0]
+    assert np.allclose(v0.grad, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
+
+
 def test_network_loss_validates_shapes():
     grid = Grid2(8, 8)
     cfg = _cfg(grid)
