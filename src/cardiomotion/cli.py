@@ -22,12 +22,11 @@ import argparse
 import csv
 import io
 import json
-import tempfile
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict, load_config, write_reference
-from .container import read_container, write_container
+from .config import RunConfig, load_config, write_reference
+from .container import atomic_write, read_container, write_container
 from .diffusion import DiffusionConfig, infer as diffusion_infer, make_schedule, train as diffusion_train
 from .errors import ConfigError, ContainerFormatError, GridMismatchError, IntegrationDivergedError
 from .geodesic import ShootingConfig
@@ -38,24 +37,12 @@ from .nn import (MotionDecoder, NoisePredictor, ParameterStore, RegistrationNet,
 from .phantom import DatasetRanges, PhantomConfig, load_sample, make_dataset, save_sample
 from .registration import (RegistrationConfig, build_pairs, energy, pair_stack, register_pair,
                            train_registration_network)
-from .strain import (Mask, epe, segment_mask, segmental_strain, segmental_strain_error,
+from .strain import (epe, segment_mask, segmental_strain, segmental_strain_error,
                      strain_from_displacement, write_pgm)
 
 
 def _atomic_text(path, text: str) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".out-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, text.encode("utf-8"))
 
 
 def _csv_text(rows) -> str:
@@ -284,11 +271,9 @@ def cmd_infer(args) -> int:
     eps_net = NoisePredictor(ucfg, num_frames, store, seed=cfg.seed + 1)
     mot_net = MotionDecoder(ucfg, num_frames, grid.height, grid.width, store, seed=cfg.seed + 2)
     load_checkpoint(store, args.model)
-    d = cfg.diffusion
-    schedule = make_schedule(d.num_steps, d.beta_start, d.beta_end)
+    dcfg = _diffusion_parts(cfg)
     rng = np.random.default_rng(cfg.seed if args.seed is None else args.seed)
-    motions = diffusion_infer(sample.images, reg, eps_net, mot_net, schedule,
-                              SmoothingKernel(d.kernel_std), rng)
+    motions = diffusion_infer(sample.images, reg, eps_net, mot_net, dcfg.schedule, dcfg.kernel, rng)
     arr = np.stack([np.stack([m.x_component, m.y_component]) for m in motions.frames])
     write_container(args.out, {"motions": arr})
     print(f"wrote {arr.shape[0]}-frame displacement sequence to {args.out}")

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
+from .container import atomic_write
 from .errors import ConfigError
 
 
@@ -166,16 +165,4 @@ def load_config(path) -> RunConfig:
 def write_reference(path) -> None:
     """Write the default configuration document (the tunables reference)."""
     text = json.dumps(config_to_dict(RunConfig()), indent=2, sort_keys=False) + "\n"
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".cfg-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, text.encode("utf-8"))

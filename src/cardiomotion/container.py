@@ -42,6 +42,22 @@ def _code_for(arr: np.ndarray) -> int:
     raise ValueError(f"unsupported array dtype {arr.dtype}; use float64 or uint8")
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file renamed into place."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_container(path, records) -> None:
     """Serialize an ordered name -> array mapping to ``path`` atomically."""
     parts = [MAGIC, struct.pack("<I", len(records))]
@@ -58,21 +74,7 @@ def write_container(path, records) -> None:
             parts.append(struct.pack("<I", dim))
         parts.append(struct.pack("<B", code))
         parts.append(arr.astype(_DTYPE_CODES[code], copy=False).tobytes(order="C"))
-    blob = b"".join(parts)
-
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".lmf1-", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, b"".join(parts))
 
 
 def _need(buf: bytes, offset: int, nbytes: int, what: str) -> None:

@@ -39,7 +39,7 @@ from .nn.networks import (
     RegistrationNet,
     encoder_forward,
 )
-from .nn.params import ParameterStore, adam_step
+from .nn.params import adam_step
 from .nn.tensor import Tensor, add_n, constant, mul, no_grad, smul, sqrt, sub, sum_all
 from .registration import pair_stack
 

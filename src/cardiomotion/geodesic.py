@@ -11,8 +11,10 @@ from the per-step velocities:
     forward:  phi_{k+1} = phi_k + dt * (v_k o phi_k)
     inverse:  phi_{k+1}^-1 (x) = phi_k^-1 (x - dt * v_k(x))
 
-Both updates are compositions of grid primitives, so the registration
-module can differentiate the same computation in reverse mode.
+The step and both flows are written once, as ``nn`` Tensor computations
+over (H, W) fields or (T, H, W) stacks of fields.  ``shoot`` evaluates
+them under ``no_grad``; the registration energy records the same
+computation as a graph and differentiates it in reverse mode.
 """
 
 from __future__ import annotations
@@ -22,20 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .grid import (
-    MapField,
-    VectorField,
-    bilinear_sample,
-    compose,
-    coordinate_arrays,
-    ddx,
-    ddy,
-    identity_map,
-    jacobian_determinant,
-    map_to_displacement,
-    warp_vector,
-)
-from .metric import MetricOperator, apply_L, apply_K
+from .grid import MapField, VectorField, coordinate_arrays
+from .metric import MetricOperator
+from .nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
+from .nn.tensor import Tensor, add, constant, mul, neg, no_grad, smul, sub
 
 
 @dataclass
@@ -59,84 +51,91 @@ class GeodesicPath:
     forward_map: MapField
 
 
-def epdiff_rhs(op: MetricOperator, v: VectorField) -> VectorField:
-    """Right-hand side of the geodesic velocity evolution."""
-    vx, vy = v.x_component, v.y_component
-    mx = op.multiply(vx)
-    my = op.multiply(vy)
+def epdiff_rhs(op: MetricOperator, vx: Tensor, vy: Tensor) -> tuple[Tensor, Tensor]:
+    """Right-hand side of the geodesic velocity evolution, per component."""
+    mx = spectral_multiply(op, vx)
+    my = spectral_multiply(op, vy)
+    dvx_dx, dvx_dy = fd_dx(vx), fd_dy(vx)
+    dvy_dx, dvy_dy = fd_dx(vy), fd_dy(vy)
     # (Dv)^T m : row r is sum_c dv_c/dx_r * m_c
-    ax = ddx(vx) * mx + ddx(vy) * my
-    ay = ddy(vx) * mx + ddy(vy) * my
+    ax = add(mul(dvx_dx, mx), mul(dvy_dx, my))
+    ay = add(mul(dvx_dy, mx), mul(dvy_dy, my))
     # (Dm) v : row r is sum_c dm_r/dx_c * v_c
-    bx = ddx(mx) * vx + ddy(mx) * vy
-    by = ddx(my) * vx + ddy(my) * vy
+    bx = add(mul(fd_dx(mx), vx), mul(fd_dy(mx), vy))
+    by = add(mul(fd_dx(my), vx), mul(fd_dy(my), vy))
     # m div v
-    div = ddx(vx) + ddy(vy)
-    cx = mx * div
-    cy = my * div
-    return VectorField(
-        v.grid,
-        -op.multiply(ax + bx + cx, inverse=True),
-        -op.multiply(ay + by + cy, inverse=True),
-    )
+    div = add(dvx_dx, dvy_dy)
+    cx = mul(mx, div)
+    cy = mul(my, div)
+    rx = neg(spectral_multiply(op, add(add(ax, bx), cx), inverse=True))
+    ry = neg(spectral_multiply(op, add(add(ay, by), cy), inverse=True))
+    return rx, ry
 
 
-def integrate_epdiff(cfg: ShootingConfig, v0: VectorField) -> list:
-    """Forward-Euler velocity sequence [v_0 .. v_{N-1}]."""
-    cfg.operator._check(v0)
+def integrate_epdiff(cfg: ShootingConfig, vx: Tensor, vy: Tensor) -> list:
+    """Forward-Euler velocity sequence [(vx_0, vy_0) .. (vx_{N-1}, vy_{N-1})]."""
     dt = 1.0 / cfg.num_steps
-    velocities = [v0]
-    v = v0
+    velocities = [(vx, vy)]
     for k in range(cfg.num_steps - 1):
-        rhs = epdiff_rhs(cfg.operator, v)
-        vx = v.x_component + dt * rhs.x_component
-        vy = v.y_component + dt * rhs.y_component
-        if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))):
+        rx, ry = epdiff_rhs(cfg.operator, vx, vy)
+        vx = add(vx, smul(rx, dt))
+        vy = add(vy, smul(ry, dt))
+        if not (np.all(np.isfinite(vx.values)) and np.all(np.isfinite(vy.values))):
             raise IntegrationDivergedError(k + 1, "EPDiff integration")
-        v = VectorField(v.grid, vx, vy)
-        velocities.append(v)
+        velocities.append((vx, vy))
     return velocities
 
 
-def integrate_inverse_flow(cfg: ShootingConfig, velocities: list) -> MapField:
-    """phi_1^-1 accumulated by semi-Lagrangian pullback."""
+def _identity(cfg: ShootingConfig, velocities: list) -> tuple[Tensor, Tensor]:
+    """Identity map coordinates shaped like the velocities, after checking their count."""
     if len(velocities) != cfg.num_steps:
         raise ValueError(f"expected {cfg.num_steps} velocities, got {len(velocities)}")
-    grid = velocities[0].grid
+    shape = velocities[0][0].shape
+    xs, ys = coordinate_arrays(cfg.operator.grid)
+    return constant(np.broadcast_to(xs, shape)), constant(np.broadcast_to(ys, shape))
+
+
+def integrate_inverse_flow(cfg: ShootingConfig, velocities: list) -> tuple[Tensor, Tensor]:
+    """phi_1^-1 accumulated by semi-Lagrangian pullback, as (x, y) coordinates."""
+    xs, ys = _identity(cfg, velocities)
     dt = 1.0 / cfg.num_steps
-    xs, ys = coordinate_arrays(grid)
-    px, py = xs.copy(), ys.copy()
-    for v in velocities:
-        qx = xs - dt * v.x_component
-        qy = ys - dt * v.y_component
-        px = bilinear_sample(px, qx, qy)
-        py = bilinear_sample(py, qx, qy)
-    return MapField(grid, VectorField(grid, px, py))
+    px, py = xs, ys
+    for wx, wy in velocities:
+        qx = sub(xs, smul(wx, dt))
+        qy = sub(ys, smul(wy, dt))
+        px = bilinear_warp(px, qx, qy)
+        py = bilinear_warp(py, qx, qy)
+    return px, py
 
 
-def integrate_forward_flow(cfg: ShootingConfig, velocities: list) -> MapField:
+def integrate_forward_flow(cfg: ShootingConfig, velocities: list) -> tuple[Tensor, Tensor]:
     """phi_1 accumulated by Euler steps along the velocity at the mapped point."""
-    if len(velocities) != cfg.num_steps:
-        raise ValueError(f"expected {cfg.num_steps} velocities, got {len(velocities)}")
-    grid = velocities[0].grid
+    px, py = _identity(cfg, velocities)
     dt = 1.0 / cfg.num_steps
-    phi = identity_map(grid)
-    for v in velocities:
-        moved = warp_vector(v, phi)
-        phi = MapField(
-            grid,
-            VectorField(grid, phi.x + dt * moved.x_component, phi.y + dt * moved.y_component),
-        )
-    return phi
+    for wx, wy in velocities:
+        mx = bilinear_warp(wx, px, py)
+        my = bilinear_warp(wy, px, py)
+        px = add(px, smul(mx, dt))
+        py = add(py, smul(my, dt))
+    return px, py
 
 
 def shoot(cfg: ShootingConfig, v0: VectorField) -> GeodesicPath:
     """Integrate EPDiff from v0 and accumulate both endpoint maps."""
-    velocities = integrate_epdiff(cfg, v0)
+    cfg.operator._check(v0)
+    grid = v0.grid
+    with no_grad():
+        velocities = integrate_epdiff(cfg, constant(v0.x_component), constant(v0.y_component))
+        inverse = integrate_inverse_flow(cfg, velocities)
+        forward = integrate_forward_flow(cfg, velocities)
+
+    def field(x: Tensor, y: Tensor) -> VectorField:
+        return VectorField(grid, x.values, y.values)
+
     return GeodesicPath(
-        velocities=velocities,
-        inverse_map=integrate_inverse_flow(cfg, velocities),
-        forward_map=integrate_forward_flow(cfg, velocities),
+        velocities=[field(vx, vy) for vx, vy in velocities],
+        inverse_map=MapField(grid, field(*inverse)),
+        forward_map=MapField(grid, field(*forward)),
     )
 
 

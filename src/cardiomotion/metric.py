@@ -43,7 +43,7 @@ class MetricOperator:
         self._inv_half = 1.0 / self._mult_half
 
     def multiply(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Apply the multiplier (or its reciprocal) to one (H, W) array."""
+        """Apply the multiplier (or its reciprocal) to an (..., H, W) array."""
         h, w = self.grid.shape
         mult = self._inv_half if inverse else self._mult_half
         return np.fft.irfft2(np.fft.rfft2(a) * mult, s=(h, w))

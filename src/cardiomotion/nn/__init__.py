@@ -8,10 +8,7 @@ from .networks import (
     RegistrationNet,
     UNetConfig,
     encoder_forward,
-    epsilon_forward,
-    motion_decoder_forward,
     sinusoidal_embedding,
-    velocity_decoder_forward,
 )
 from .params import (
     ParameterStore,
@@ -52,6 +49,5 @@ __all__ = [
     "save_checkpoint", "load_checkpoint",
     "UNetConfig", "LatentFeatures", "sinusoidal_embedding",
     "RegistrationNet", "NoisePredictor", "MotionDecoder",
-    "encoder_forward", "velocity_decoder_forward",
-    "epsilon_forward", "motion_decoder_forward",
+    "encoder_forward",
 ]

@@ -1,14 +1,12 @@
 """Differentiable field primitives.
 
-Thin Tensor wrappers over the same kernels the plain-numpy pipeline uses
+Thin Tensor wrappers over the numpy kernels of ``grid`` and ``metric``
 (spectral multipliers, bilinear interpolation, centred finite differences),
 each paired with its hand-derived adjoint so registration energies and
 motion losses can be differentiated exactly through flow integration.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..grid import (
     bilinear_adjoint_field,

@@ -123,20 +123,31 @@ class _Net:
         b = self._get(f"{name}.b") if biased else None
         return conv2d(x, w, b)
 
+    def _add_film(self, rng, name: str, d: int, ch: int) -> None:
+        """Parameters mapping a (N, d) conditioning vector to per-channel scale and shift."""
+        self._add(f"{name}.sw", _kaiming_linear(rng, d, ch))
+        self._add(f"{name}.sb", np.zeros(ch))
+        self._add(f"{name}.tw", _kaiming_linear(rng, d, ch))
+        self._add(f"{name}.tb", np.zeros(ch))
+
+    def _film(self, x, name: str, cond: Tensor) -> Tensor:
+        s = linear(cond, self._get(f"{name}.sw"), self._get(f"{name}.sb"))
+        t = linear(cond, self._get(f"{name}.tw"), self._get(f"{name}.tb"))
+        return scale_shift(x, s, t)
+
 
 class RegistrationNet(_Net):
     """Encoder/decoder pair mapping image pairs to initial velocities.
 
     The encoder runs per frame: input (T, 2, H, W) where channel 0 is the
-    source frame and channel 1 the target frame.  Skip activations from
-    the last encode are kept for the decoder.
+    source frame and channel 1 the target frame.  ``encode`` returns the
+    skip activations that ``decode`` takes with the latents.
     """
 
     def __init__(self, config: UNetConfig, store: ParameterStore | None = None,
                  prefix: str = "reg", seed: int = 0):
         super().__init__(store, prefix)
         self.config = config
-        self.last_skips: list[Tensor] | None = None
         rng = np.random.default_rng(seed)
         b, c, k = config.base_channels, config.latent_channels, config.num_down
 
@@ -178,15 +189,10 @@ class RegistrationNet(_Net):
             x = avgpool2(x)
             x = relu(self._conv(x, f"enc.down{i}"))
         z = self._conv(x, "enc.latent")
-        self.last_skips = skips
         return z, skips
 
-    def decode(self, z, skips: list[Tensor] | None = None) -> Tensor:
+    def decode(self, z, skips: list[Tensor]) -> Tensor:
         z = z if isinstance(z, Tensor) else constant(z)
-        if skips is None:
-            skips = self.last_skips
-        if skips is None:
-            raise ValueError("no stored encoder skips; run encode first")
         if len(skips) != self.config.num_down:
             raise ValueError(f"expected {self.config.num_down} skip tensors, got {len(skips)}")
         x = relu(self._conv(z, "dec.in"))
@@ -196,7 +202,7 @@ class RegistrationNet(_Net):
             skip = skips[i]
             if skip.values.shape[2:] != x.values.shape[2:] or skip.values.shape[0] != x.values.shape[0]:
                 raise ValueError(
-                    f"stored skip shape {skip.values.shape} incompatible with "
+                    f"skip shape {skip.values.shape} incompatible with "
                     f"decoder activation {x.values.shape}"
                 )
             x = concat_channels([x, skip])
@@ -236,17 +242,6 @@ class NoisePredictor(_Net):
             self._add(f"up{i}.w", _kaiming_conv(rng, ch, 2 * ch))
             self._add(f"up{i}.b", np.zeros(ch))
         self._add("out.w", np.zeros((tc, hid, 3, 3)))
-
-    def _add_film(self, rng, name: str, d: int, ch: int) -> None:
-        self._add(f"{name}.sw", _kaiming_linear(rng, d, ch))
-        self._add(f"{name}.sb", np.zeros(ch))
-        self._add(f"{name}.tw", _kaiming_linear(rng, d, ch))
-        self._add(f"{name}.tb", np.zeros(ch))
-
-    def _film(self, x, name: str, emb: Tensor) -> Tensor:
-        s = linear(emb, self._get(f"{name}.sw"), self._get(f"{name}.sb"))
-        t = linear(emb, self._get(f"{name}.tw"), self._get(f"{name}.tb"))
-        return scale_shift(x, s, t)
 
     def forward(self, z_noisy, step: int) -> Tensor:
         if step < 1:
@@ -320,17 +315,6 @@ class MotionDecoder(_Net):
         )[None]
         self._coords = coords
 
-    def _add_film(self, rng, name: str, d: int, ch: int) -> None:
-        self._add(f"{name}.sw", _kaiming_linear(rng, d, ch))
-        self._add(f"{name}.sb", np.zeros(ch))
-        self._add(f"{name}.tw", _kaiming_linear(rng, d, ch))
-        self._add(f"{name}.tb", np.zeros(ch))
-
-    def _film(self, x, name: str, pooled: Tensor) -> Tensor:
-        s = linear(pooled, self._get(f"{name}.sw"), self._get(f"{name}.sb"))
-        t = linear(pooled, self._get(f"{name}.tw"), self._get(f"{name}.tb"))
-        return scale_shift(x, s, t)
-
     def forward(self, z) -> Tensor:
         values = z.values if isinstance(z, (Tensor, LatentFeatures)) else np.asarray(z)
         z = z if isinstance(z, Tensor) else constant(values)
@@ -364,29 +348,9 @@ class MotionDecoder(_Net):
 
 
 def encoder_forward(net: RegistrationNet, image_pairs: np.ndarray) -> LatentFeatures:
-    """Frozen encoder pass: (T, 2, H, W) image pairs -> latent features.
-
-    Stores the skip activations on the network for a following decoder
-    pass over the same input.
-    """
+    """Frozen encoder pass: (T, 2, H, W) image pairs -> latent features."""
     pairs = np.asarray(image_pairs, dtype=np.float64)
     with no_grad():
         z, _ = net.encode(pairs)
     return LatentFeatures(z.values, pairs.shape[2], pairs.shape[3], net.config.num_down)
 
-
-def velocity_decoder_forward(net: RegistrationNet, z: LatentFeatures) -> np.ndarray:
-    """Frozen decoder pass using the skips stored by encoder_forward."""
-    if net.last_skips is None:
-        raise ValueError("no stored encoder skips; run encoder_forward first")
-    with no_grad():
-        v = net.decode(constant(z.values), net.last_skips)
-    return v.values
-
-
-def epsilon_forward(net: NoisePredictor, z_noisy, step: int) -> Tensor:
-    return net.forward(z_noisy, step)
-
-
-def motion_decoder_forward(net: MotionDecoder, z) -> Tensor:
-    return net.forward(z)

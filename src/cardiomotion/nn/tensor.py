@@ -117,21 +117,35 @@ def _as_tensor(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return g.sum(axis=axes).reshape(shape)
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(a.values + b.values, (a, b), lambda g: (g, g))
+    sa, sb = a.values.shape, b.values.shape
+    return _make(a.values + b.values, (a, b),
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(a.values - b.values, (a, b), lambda g: (g, -g))
+    sa, sb = a.values.shape, b.values.shape
+    return _make(a.values - b.values, (a, b),
+                 lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product of same-shape tensors."""
+    """Elementwise product; operands broadcast as in numpy."""
     a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.values, b.values
-    return _make(av * bv, (a, b), lambda g: (g * bv, g * av))
+    return _make(av * bv, (a, b),
+                 lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
 
 
 def smul(a, s: float) -> Tensor:

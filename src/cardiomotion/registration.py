@@ -8,25 +8,25 @@ image pair is
             endpoint inverse map and the target,
 
 where the endpoint map comes from Euler EPDiff integration of v0.  The
-energy is evaluated as a computation graph over the same kernels the
-plain integrators use, so its reverse-mode gradient is the exact
-derivative of the discrete objective (discretize-then-optimize), and
-plain and differentiable evaluations agree to round-off.
+energy graph calls the shooting functions of ``geodesic`` (the EPDiff
+step and the inverse flow) with recording on, so its reverse-mode
+gradient is the exact derivative of the discrete objective
+(discretize-then-optimize), and ``shoot`` computes the same values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatchError, IntegrationDivergedError
-from .geodesic import GeodesicPath, ShootingConfig, shoot
-from .grid import FieldSequence, ScalarField, VectorField, coordinate_arrays
-from .metric import MetricOperator
-from .nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
+from .geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff, integrate_inverse_flow,
+                       shoot)
+from .grid import FieldSequence, ScalarField, VectorField
+from .nn.fieldops import bilinear_warp, spectral_multiply
 from .nn.params import ParameterStore, adam_step
-from .nn.tensor import Tensor, add, constant, mul, neg, no_grad, smul, sub, sum_all, take_index
+from .nn.tensor import Tensor, add, constant, mul, no_grad, smul, sub, sum_all, take_index
 
 
 @dataclass
@@ -56,23 +56,6 @@ class RegistrationResult:
     warped_source: ScalarField
 
 
-def _epdiff_rhs_graph(op: MetricOperator, vx: Tensor, vy: Tensor) -> tuple[Tensor, Tensor]:
-    mx = spectral_multiply(op, vx)
-    my = spectral_multiply(op, vy)
-    dvx_dx, dvx_dy = fd_dx(vx), fd_dy(vx)
-    dvy_dx, dvy_dy = fd_dx(vy), fd_dy(vy)
-    ax = add(mul(dvx_dx, mx), mul(dvy_dx, my))
-    ay = add(mul(dvx_dy, mx), mul(dvy_dy, my))
-    bx = add(mul(fd_dx(mx), vx), mul(fd_dy(mx), vy))
-    by = add(mul(fd_dx(my), vx), mul(fd_dy(my), vy))
-    div = add(dvx_dx, dvy_dy)
-    cx = mul(mx, div)
-    cy = mul(my, div)
-    rx = neg(spectral_multiply(op, add(add(ax, bx), cx), inverse=True))
-    ry = neg(spectral_multiply(op, add(add(ay, by), cy), inverse=True))
-    return rx, ry
-
-
 def _energy_terms(shooting: ShootingConfig, sigma: float, v0x: Tensor, v0y: Tensor,
                   source_values: np.ndarray, target_values: np.ndarray):
     """Build the energy graph; returns (total, dist, reg, warped) tensors.
@@ -81,33 +64,11 @@ def _energy_terms(shooting: ShootingConfig, sigma: float, v0x: Tensor, v0y: Tens
     (T, H, W) for T pairs, whose energies then add up in ``total``.
     """
     op = shooting.operator
-    n = shooting.num_steps
-    dt = 1.0 / n
-
     lx = spectral_multiply(op, v0x)
     ly = spectral_multiply(op, v0y)
     reg = add(sum_all(mul(lx, v0x)), sum_all(mul(ly, v0y)))
 
-    vx, vy = v0x, v0y
-    velocities = [(vx, vy)]
-    for k in range(n - 1):
-        rx, ry = _epdiff_rhs_graph(op, vx, vy)
-        vx = add(vx, smul(rx, dt))
-        vy = add(vy, smul(ry, dt))
-        if not (np.all(np.isfinite(vx.values)) and np.all(np.isfinite(vy.values))):
-            raise IntegrationDivergedError(k + 1, "EPDiff integration")
-        velocities.append((vx, vy))
-
-    xs, ys = coordinate_arrays(op.grid)
-    xs_c = constant(np.broadcast_to(xs, v0x.shape))
-    ys_c = constant(np.broadcast_to(ys, v0y.shape))
-    px, py = xs_c, ys_c
-    for wx, wy in velocities:
-        qx = sub(xs_c, smul(wx, dt))
-        qy = sub(ys_c, smul(wy, dt))
-        px = bilinear_warp(px, qx, qy)
-        py = bilinear_warp(py, qx, qy)
-
+    px, py = integrate_inverse_flow(shooting, integrate_epdiff(shooting, v0x, v0y))
     warped = bilinear_warp(constant(source_values), px, py)
     diff = sub(warped, constant(target_values))
     dist = sum_all(mul(diff, diff))

@@ -11,12 +11,11 @@ over the standard six-segment partition.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import atomic_write
 from .errors import GridMismatchError
 from .grid import Grid2, VectorField, jacobian
 
@@ -182,17 +181,4 @@ def write_pgm(path, values: np.ndarray, window: tuple[float, float] = (-0.25, 0.
     scaled = np.where(np.isfinite(scaled), scaled, 0.0)
     data = np.rint(scaled).astype(np.uint8)
     h, w = data.shape
-    blob = f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes()
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".pgm-", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes())

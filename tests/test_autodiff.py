@@ -27,6 +27,18 @@ def test_add_sub_mul_gradients():
     _probe(lambda ts: sum_all(mul(add(ts[0], ts[1]), sub(ts[0], ts[1]))), [a, b], 1)
 
 
+def test_broadcast_operands_get_gradients_of_their_own_shape():
+    rng = np.random.default_rng(6)
+    a, b, c = rng.standard_normal(2), rng.standard_normal((3, 2)), rng.standard_normal((3, 1))
+    ts = [Tensor(x, requires_grad=True) for x in (a, b, c)]
+    sum_all(add(mul(sub(ts[1], ts[0]), ts[2]), ts[0])).backward()
+    # f = sum_ij (b_ij - a_j) c_i + a_j
+    assert np.allclose(ts[0].grad, 3.0 - c.sum(), rtol=0, atol=1e-12)
+    assert np.allclose(ts[1].grad, np.broadcast_to(c, (3, 2)), rtol=0, atol=1e-12)
+    assert np.allclose(ts[2].grad, (b - a).sum(axis=1, keepdims=True), rtol=0, atol=1e-12)
+    assert [t.grad.shape for t in ts] == [(2,), (3, 2), (3, 1)]
+
+
 def test_smul_neg_gradients():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from cardiomotion.container import MAGIC, read_container, write_container
+from cardiomotion.container import MAGIC, atomic_write, read_container, write_container
 from cardiomotion.errors import ContainerFormatError
 
 
@@ -130,8 +130,7 @@ def test_trailing_bytes_rejected(tmp_path):
 
 def test_write_leaves_no_temp_files(tmp_path):
     _write(tmp_path, {"x": np.zeros(4)})
-    leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".lmf1-")]
-    assert leftovers == []
+    assert os.listdir(tmp_path) == ["data.lmf1"]
 
 
 def test_overwrite_replaces_atomically(tmp_path):
@@ -139,8 +138,14 @@ def test_overwrite_replaces_atomically(tmp_path):
     write_container(path, {"x": np.zeros(4)})
     write_container(path, {"x": np.ones(4)})
     assert np.array_equal(read_container(path)["x"], np.ones(4))
-    leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".lmf1-")]
-    assert leftovers == []
+    assert os.listdir(tmp_path) == ["same.lmf1"]
+
+
+def test_failed_rename_removes_temp_file(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        atomic_write(tmp_path / "taken", b"payload")
+    assert os.listdir(tmp_path) == ["taken"]
 
 
 def test_record_name_length_limit(tmp_path):

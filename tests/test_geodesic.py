@@ -8,6 +8,7 @@ from cardiomotion.geodesic import (GeodesicPath, ShootingConfig, epdiff_rhs, int
                                    integrate_forward_flow, integrate_inverse_flow, shoot)
 from cardiomotion.grid import Grid2, VectorField, compose, coordinate_arrays, jacobian_determinant
 from cardiomotion.metric import MetricOperator, apply_K, metric_norm
+from cardiomotion.nn import constant
 
 
 def _smooth_field(grid, rng, scale=1.0):
@@ -17,6 +18,10 @@ def _smooth_field(grid, rng, scale=1.0):
     v = apply_K(op, raw)
     n = np.sqrt(metric_norm(op, v))
     return VectorField(grid, scale * v.x_component / n, scale * v.y_component / n)
+
+
+def _tensors(v):
+    return constant(v.x_component), constant(v.y_component)
 
 
 def test_config_validation():
@@ -29,10 +34,11 @@ def test_velocity_count_and_single_step():
     grid = Grid2(8, 8)
     cfg = ShootingConfig(num_steps=1, operator=MetricOperator(grid))
     v0 = VectorField(grid, np.full((8, 8), 0.25), np.zeros((8, 8)))
-    vs = integrate_epdiff(cfg, v0)
-    assert len(vs) == 1 and vs[0] is v0
+    vx, vy = _tensors(v0)
+    vs = integrate_epdiff(cfg, vx, vy)
+    assert len(vs) == 1 and vs[0][0] is vx and vs[0][1] is vy
     cfg5 = ShootingConfig(num_steps=5, operator=MetricOperator(grid))
-    assert len(integrate_epdiff(cfg5, v0)) == 5
+    assert len(integrate_epdiff(cfg5, vx, vy)) == 5
 
 
 def test_zero_velocity_gives_identity_maps():
@@ -51,14 +57,14 @@ def test_constant_velocity_is_a_fixed_point():
     grid = Grid2(12, 12)
     op = MetricOperator(grid, alpha=2.0, gamma=1.5, power=2)
     v0 = VectorField(grid, np.full(grid.shape, 0.3), np.full(grid.shape, -0.2))
-    rhs = epdiff_rhs(op, v0)
-    assert np.max(np.abs(rhs.x_component)) < 1e-12
-    assert np.max(np.abs(rhs.y_component)) < 1e-12
+    rx, ry = epdiff_rhs(op, *_tensors(v0))
+    assert np.max(np.abs(rx.values)) < 1e-12
+    assert np.max(np.abs(ry.values)) < 1e-12
     cfg = ShootingConfig(num_steps=6, operator=op)
-    vs = integrate_epdiff(cfg, v0)
-    for v in vs:
-        assert np.allclose(v.x_component, 0.3, atol=1e-12)
-        assert np.allclose(v.y_component, -0.2, atol=1e-12)
+    vs = integrate_epdiff(cfg, *_tensors(v0))
+    for vx, vy in vs:
+        assert np.allclose(vx.values, 0.3, atol=1e-12)
+        assert np.allclose(vy.values, -0.2, atol=1e-12)
 
 
 def test_constant_velocity_translation_maps():
@@ -96,7 +102,8 @@ def test_metric_norm_conserved_along_geodesic():
     rng = np.random.default_rng(11)
     for _ in range(3):
         v0 = _smooth_field(grid, rng, scale=1.0)
-        vs = integrate_epdiff(cfg, v0)
+        vs = [VectorField(grid, vx.values, vy.values)
+              for vx, vy in integrate_epdiff(cfg, *_tensors(v0))]
         n0 = metric_norm(op, vs[0])
         drift = max(abs(metric_norm(op, v) - n0) for v in vs) / n0
         assert drift < 0.02
@@ -118,13 +125,13 @@ def test_blowup_raises_instead_of_propagating_nans():
     huge = VectorField(grid, 1e160 * rng.standard_normal(grid.shape),
                        1e160 * rng.standard_normal(grid.shape))
     with np.errstate(all="ignore"), pytest.raises((IntegrationDivergedError, ValueError)):
-        integrate_epdiff(cfg, huge)
+        integrate_epdiff(cfg, *_tensors(huge))
 
 
 def test_flow_integrators_check_velocity_count():
     grid = Grid2(8, 8)
     cfg = ShootingConfig(num_steps=3, operator=MetricOperator(grid))
-    vs = [VectorField(grid, np.zeros(grid.shape), np.zeros(grid.shape))] * 2
+    vs = [_tensors(VectorField(grid, np.zeros(grid.shape), np.zeros(grid.shape)))] * 2
     with pytest.raises(ValueError):
         integrate_inverse_flow(cfg, vs)
     with pytest.raises(ValueError):
@@ -138,3 +145,24 @@ def test_shoot_returns_path_with_all_parts():
     assert isinstance(path, GeodesicPath)
     assert len(path.velocities) == 3
     assert path.forward_map.grid == grid and path.inverse_map.grid == grid
+
+
+def test_flows_of_a_stack_match_each_field():
+    # the step and both flows take (T, H, W) stacks; each slice is its own geodesic
+    grid = Grid2(16, 20)
+    cfg = ShootingConfig(num_steps=6, operator=MetricOperator(grid))
+    rng = np.random.default_rng(17)
+    fields = [_smooth_field(grid, rng, scale=0.8) for _ in range(3)]
+    sx = constant(np.stack([v.x_component for v in fields]))
+    sy = constant(np.stack([v.y_component for v in fields]))
+    velocities = integrate_epdiff(cfg, sx, sy)
+    inverse = integrate_inverse_flow(cfg, velocities)
+    forward = integrate_forward_flow(cfg, velocities)
+    for t, v0 in enumerate(fields):
+        path = shoot(cfg, v0)
+        for (vx, vy), v in zip(velocities, path.velocities):
+            assert np.allclose(vx.values[t], v.x_component, rtol=0, atol=1e-12)
+            assert np.allclose(vy.values[t], v.y_component, rtol=0, atol=1e-12)
+        for (px, py), phi in ((inverse, path.inverse_map), (forward, path.forward_map)):
+            assert np.allclose(px.values[t], phi.x, rtol=0, atol=1e-12)
+            assert np.allclose(py.values[t], phi.y, rtol=0, atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from cardiomotion.nn.networks import (LatentFeatures, MotionDecoder, NoisePredictor,
                                       RegistrationNet, UNetConfig, encoder_forward,
-                                      sinusoidal_embedding, velocity_decoder_forward)
+                                      sinusoidal_embedding)
 from cardiomotion.nn.params import ParameterStore
 from cardiomotion.nn.tensor import Tensor, no_grad, sum_all
 
@@ -78,7 +78,7 @@ def test_registration_net_input_validation():
         net.encode(np.zeros((2, 2, 10, 16)))  # 10 not divisible by 4
     fresh = RegistrationNet(_CFG, prefix="other", seed=0)
     with pytest.raises(ValueError):
-        fresh.decode(np.zeros((2, 3, 4, 4)))  # no stored skips yet
+        fresh.decode(np.zeros((2, 3, 4, 4)), [])  # no encoder skips
 
 
 def test_encoder_decoder_helpers_round_trip():
@@ -88,13 +88,14 @@ def test_encoder_decoder_helpers_round_trip():
     assert isinstance(z, LatentFeatures)
     assert z.values.shape == (2, 3, 4, 4)
     assert (z.height, z.width, z.factor) == (16, 16, 2)
-    v = velocity_decoder_forward(net, z)
     with no_grad():
+        _, skips = net.encode(pairs)
+        v = net.decode(z.values, skips).values
         direct = net.forward(pairs)
     assert np.allclose(v, direct.values, atol=1e-12)
     bare = RegistrationNet(_CFG, prefix="bare", seed=3)
     with pytest.raises(ValueError):
-        velocity_decoder_forward(bare, z)
+        bare.decode(z.values, skips[:1])
 
 
 def test_noise_predictor_shapes_and_conditioning():
