@@ -59,6 +59,10 @@ def _run_config(args) -> RunConfig:
     return load_config(args.config) if args.config else RunConfig()
 
 
+def _seed(cfg: RunConfig, args) -> int:
+    return cfg.seed if args.seed is None else args.seed
+
+
 def _grid(cfg: RunConfig) -> Grid2:
     return Grid2(cfg.grid.height, cfg.grid.width, cfg.grid.spacing)
 
@@ -88,6 +92,21 @@ def _diffusion_parts(cfg: RunConfig):
                            lambda_eps=d.lambda_eps, lambda_m=d.lambda_m,
                            batch_size=d.batch_size, max_epochs=d.max_epochs)
     return dcfg
+
+
+def _refinement_nets(cfg: RunConfig, grid: Grid2, num_frames: int, registration_model: str,
+                     model: str | None):
+    """Registration net from its checkpoint, then the noise predictor and motion
+    decoder on one store, restored from ``model`` unless it is None."""
+    ucfg = _unet_config(cfg)
+    reg = RegistrationNet(ucfg, seed=cfg.seed)
+    load_checkpoint(reg.store, registration_model)
+    store = ParameterStore()
+    eps_net = NoisePredictor(ucfg, num_frames, store, seed=cfg.seed + 1)
+    mot_net = MotionDecoder(ucfg, num_frames, grid.height, grid.width, store, seed=cfg.seed + 2)
+    if model is not None:
+        load_checkpoint(store, model)
+    return reg, eps_net, mot_net
 
 
 def _load_manifest(dataset_dir: str) -> dict:
@@ -133,14 +152,13 @@ def _motions_from_file(path, grid: Grid2) -> FieldSequence:
 
 def cmd_phantom(args) -> int:
     cfg = _run_config(args)
-    seed = cfg.seed if args.seed is None else args.seed
     p = cfg.phantom
     base = PhantomConfig(grid=_grid(cfg), num_frames=p.num_frames,
                          r_inner=p.r_inner[0], r_outer=p.r_outer[0],
                          center_jitter=p.center_jitter, smoothing_std=p.smoothing_std)
     ranges = DatasetRanges(contraction=p.contraction, twist=p.twist,
                            r_inner=p.r_inner, r_outer=p.r_outer)
-    splits = make_dataset(args.n, base, ranges, seed)
+    splits = make_dataset(args.n, base, ranges, _seed(cfg, args))
     os.makedirs(args.out, exist_ok=True)
     manifest = {"train": [], "validation": [], "test": []}
     index = 0
@@ -181,7 +199,7 @@ def _register_train(args, cfg: RunConfig, items) -> int:
     history = train_registration_network(net, [pair_stack(s.images) for _, s in items], rcfg,
                                          epochs=args.epochs,
                                          learning_rate=args.learning_rate,
-                                         seed=cfg.seed if args.seed is None else args.seed)
+                                         seed=_seed(cfg, args))
     save_checkpoint(net.store, args.model_out)
     rows = [["epoch", "loss"]] + [[i, _fmt(v)] for i, v in enumerate(history)]
     _atomic_text(os.path.join(args.out, "register_train_log.csv"), _csv_text(rows))
@@ -210,6 +228,8 @@ def _register_apply(args, cfg: RunConfig, items) -> int:
 
 
 def cmd_register(args) -> int:
+    if args.mode == "train" and args.epochs < 1:
+        raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
     cfg = _run_config(args)
     items = _load_split(args.dataset, args.split)
     if not items:
@@ -234,15 +254,8 @@ def cmd_train(args) -> int:
         if s.images.grid != grid or len(s.motions) != num_frames:
             raise ConfigError(f"{name}: inconsistent grid or frame count")
 
-    ucfg = _unet_config(cfg)
-    reg = RegistrationNet(ucfg, seed=cfg.seed)
-    load_checkpoint(reg.store, args.registration_model)
-    store = ParameterStore()
-    eps_net = NoisePredictor(ucfg, num_frames, store, seed=cfg.seed + 1)
-    mot_net = MotionDecoder(ucfg, num_frames, grid.height, grid.width, store, seed=cfg.seed + 2)
-    if args.resume:
-        load_checkpoint(store, args.resume)
-
+    reg, eps_net, mot_net = _refinement_nets(cfg, grid, num_frames, args.registration_model,
+                                             args.resume)
     dcfg = _diffusion_parts(cfg)
     os.makedirs(args.out, exist_ok=True)
     result = diffusion_train(
@@ -250,10 +263,10 @@ def cmd_train(args) -> int:
         [(pair_stack(s.images), _truth_stack(s)) for _, s in train_items],
         [(pair_stack(s.images), _truth_stack(s)) for _, s in val_items],
         dcfg, learning_rate=cfg.diffusion.learning_rate, patience=cfg.diffusion.patience,
-        seed=cfg.seed if args.seed is None else args.seed,
+        seed=_seed(cfg, args),
         log_path=os.path.join(args.out, "train_log.csv"),
     )
-    save_checkpoint(store, os.path.join(args.out, "model.lmf1"))
+    save_checkpoint(eps_net.store, os.path.join(args.out, "model.lmf1"))
     print(f"trained {len(result.history)} epochs; best validation {result.best_val:.6g} "
           f"at epoch {result.best_epoch}")
     return 0
@@ -262,17 +275,10 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     cfg = _run_config(args)
     sample = load_sample(args.sample)
-    grid = sample.images.grid
-    num_frames = len(sample.motions)
-    ucfg = _unet_config(cfg)
-    reg = RegistrationNet(ucfg, seed=cfg.seed)
-    load_checkpoint(reg.store, args.registration_model)
-    store = ParameterStore()
-    eps_net = NoisePredictor(ucfg, num_frames, store, seed=cfg.seed + 1)
-    mot_net = MotionDecoder(ucfg, num_frames, grid.height, grid.width, store, seed=cfg.seed + 2)
-    load_checkpoint(store, args.model)
+    reg, eps_net, mot_net = _refinement_nets(cfg, sample.images.grid, len(sample.motions),
+                                             args.registration_model, args.model)
     dcfg = _diffusion_parts(cfg)
-    rng = np.random.default_rng(cfg.seed if args.seed is None else args.seed)
+    rng = np.random.default_rng(_seed(cfg, args))
     motions = diffusion_infer(sample.images, reg, eps_net, mot_net, dcfg.schedule, dcfg.kernel, rng)
     arr = np.stack([np.stack([m.x_component, m.y_component]) for m in motions.frames])
     write_container(args.out, {"motions": arr})

@@ -40,7 +40,7 @@ from .nn.networks import (
     encoder_forward,
 )
 from .nn.params import adam_step
-from .nn.tensor import Tensor, add_n, constant, mul, no_grad, smul, sqrt, sub, sum_all
+from .nn.tensor import Tensor, add_n, constant, mul, no_grad, smul, sub, sum_all
 from .registration import pair_stack
 
 
@@ -86,7 +86,6 @@ class DiffusionConfig:
     lambda_m: float = 1e-4
     batch_size: int = 32
     max_epochs: int = 2000
-    squared_noise_loss: bool = True
 
     def __post_init__(self):
         if self.loss_alpha < 0:
@@ -141,12 +140,12 @@ def reverse_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_m: LatentFe
 
 
 def diffusion_loss(latents_batch, model, schedule: NoiseSchedule, kernel: SmoothingKernel,
-                   rng: np.random.Generator, squared: bool = True) -> Tensor:
+                   rng: np.random.Generator) -> Tensor:
     """Noise-matching data term, averaged over the batch; a scalar graph node.
 
     Per item: a uniform step m, one smoothed draw eps' = K(eps), the
-    closed-form noisy latents at m, and the (squared by default) L2
-    distance between eps' and the model's prediction.
+    closed-form noisy latents at m, and the squared L2 distance between
+    eps' and the model's prediction.
     """
     if len(latents_batch) == 0:
         raise ValueError("diffusion_loss requires a nonempty batch")
@@ -160,8 +159,7 @@ def diffusion_loss(latents_batch, model, schedule: NoiseSchedule, kernel: Smooth
         ab = schedule.alpha_bar[m - 1]
         z_m = np.sqrt(ab) * z0.values + np.sqrt(1.0 - ab) * eps_prime
         diff = sub(model.forward(z_m, m), constant(eps_prime))
-        term = sum_all(mul(diff, diff))
-        terms.append(term if squared else sqrt(term))
+        terms.append(sum_all(mul(diff, diff)))
     return smul(add_n(terms), 1.0 / len(terms))
 
 
@@ -199,9 +197,7 @@ def _encode_items(reg_net: RegistrationNet, items) -> list[LatentFeatures]:
 
 
 def _loss_pair(cfg: DiffusionConfig, eps_net, mot_net, latents, truths, rng):
-    l_diff = diffusion_loss(
-        latents, eps_net, cfg.schedule, cfg.kernel, rng, squared=cfg.squared_noise_loss
-    )
+    l_diff = diffusion_loss(latents, eps_net, cfg.schedule, cfg.kernel, rng)
     l_mot = motion_loss(latents, truths, mot_net)
     return l_diff, l_mot
 

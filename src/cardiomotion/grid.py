@@ -60,10 +60,6 @@ class ScalarField:
     def __post_init__(self):
         self.values = _as_field_array(self.values, self.grid, "scalar field")
 
-    @staticmethod
-    def zeros(grid: Grid2) -> "ScalarField":
-        return ScalarField(grid, np.zeros(grid.shape))
-
 
 @dataclass
 class VectorField:
@@ -76,13 +72,6 @@ class VectorField:
     def __post_init__(self):
         self.x_component = _as_field_array(self.x_component, self.grid, "x component")
         self.y_component = _as_field_array(self.y_component, self.grid, "y component")
-
-    @staticmethod
-    def zeros(grid: Grid2) -> "VectorField":
-        return VectorField(grid, np.zeros(grid.shape), np.zeros(grid.shape))
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.x_component.copy(), self.y_component.copy())
 
 
 @dataclass

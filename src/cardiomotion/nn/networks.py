@@ -97,11 +97,6 @@ def sinusoidal_embedding(step: int, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)])
 
 
-def _kaiming_conv(rng: np.random.Generator, c_out: int, c_in: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (c_in * 9))
-    return rng.uniform(-bound, bound, size=(c_out, c_in, 3, 3))
-
-
 def _kaiming_linear(rng: np.random.Generator, f_in: int, f_out: int) -> np.ndarray:
     bound = math.sqrt(6.0 / f_in)
     return rng.uniform(-bound, bound, size=(f_in, f_out))
@@ -118,10 +113,14 @@ class _Net:
     def _get(self, name: str) -> Tensor:
         return self.store[f"{self.prefix}.{name}"]
 
-    def _conv(self, x, name: str, biased: bool = True) -> Tensor:
-        w = self._get(f"{name}.w")
-        b = self._get(f"{name}.b") if biased else None
-        return conv2d(x, w, b)
+    def _add_conv(self, rng, name: str, c_out: int, c_in: int) -> None:
+        """Kaiming-uniform 3x3 kernel and zero bias of one convolution."""
+        bound = math.sqrt(6.0 / (c_in * 9))
+        self._add(f"{name}.w", rng.uniform(-bound, bound, size=(c_out, c_in, 3, 3)))
+        self._add(f"{name}.b", np.zeros(c_out))
+
+    def _conv(self, x, name: str) -> Tensor:
+        return conv2d(x, self._get(f"{name}.w"), self._get(f"{name}.b"))
 
     def _add_film(self, rng, name: str, d: int, ch: int) -> None:
         """Parameters mapping a (N, d) conditioning vector to per-channel scale and shift."""
@@ -151,25 +150,18 @@ class RegistrationNet(_Net):
         rng = np.random.default_rng(seed)
         b, c, k = config.base_channels, config.latent_channels, config.num_down
 
-        self._add("enc.in.w", _kaiming_conv(rng, b, config.in_channels))
-        self._add("enc.in.b", np.zeros(b))
+        self._add_conv(rng, "enc.in", b, config.in_channels)
         for i in range(k):
             ch = b * 2**i
-            self._add(f"enc.refine{i}.w", _kaiming_conv(rng, ch, ch))
-            self._add(f"enc.refine{i}.b", np.zeros(ch))
-            self._add(f"enc.down{i}.w", _kaiming_conv(rng, 2 * ch, ch))
-            self._add(f"enc.down{i}.b", np.zeros(2 * ch))
-        self._add("enc.latent.w", _kaiming_conv(rng, c, b * 2**k))
-        self._add("enc.latent.b", np.zeros(c))
+            self._add_conv(rng, f"enc.refine{i}", ch, ch)
+            self._add_conv(rng, f"enc.down{i}", 2 * ch, ch)
+        self._add_conv(rng, "enc.latent", c, b * 2**k)
 
-        self._add("dec.in.w", _kaiming_conv(rng, b * 2**k, c))
-        self._add("dec.in.b", np.zeros(b * 2**k))
+        self._add_conv(rng, "dec.in", b * 2**k, c)
         for i in reversed(range(k)):
             ch = b * 2**i
-            self._add(f"dec.up{i}.w", _kaiming_conv(rng, ch, 2 * ch))
-            self._add(f"dec.up{i}.b", np.zeros(ch))
-            self._add(f"dec.fuse{i}.w", _kaiming_conv(rng, ch, 2 * ch))
-            self._add(f"dec.fuse{i}.b", np.zeros(ch))
+            self._add_conv(rng, f"dec.up{i}", ch, 2 * ch)
+            self._add_conv(rng, f"dec.fuse{i}", ch, 2 * ch)
         self._add("dec.out.w", np.zeros((2, b, 3, 3)))
 
     def encode(self, pairs) -> tuple[Tensor, list[Tensor]]:
@@ -231,16 +223,13 @@ class NoisePredictor(_Net):
         hid, k, d = config.base_channels, config.num_down, config.time_embed_dim
         tc = num_frames * config.latent_channels
 
-        self._add("in.w", _kaiming_conv(rng, hid, tc))
-        self._add("in.b", np.zeros(hid))
+        self._add_conv(rng, "in", hid, tc)
         self._add_film(rng, "film0", d, hid)
         for i in range(k):
             ch = hid * 2**i
-            self._add(f"down{i}.w", _kaiming_conv(rng, 2 * ch, ch))
-            self._add(f"down{i}.b", np.zeros(2 * ch))
+            self._add_conv(rng, f"down{i}", 2 * ch, ch)
             self._add_film(rng, f"film{i + 1}", d, 2 * ch)
-            self._add(f"up{i}.w", _kaiming_conv(rng, ch, 2 * ch))
-            self._add(f"up{i}.b", np.zeros(ch))
+            self._add_conv(rng, f"up{i}", ch, 2 * ch)
         self._add("out.w", np.zeros((tc, hid, 3, 3)))
 
     def forward(self, z_noisy, step: int) -> Tensor:
@@ -296,16 +285,13 @@ class MotionDecoder(_Net):
         hid = config.base_channels
         tc = num_frames * config.latent_channels
 
-        self._add("in.w", _kaiming_conv(rng, hid * 2**k, tc))
-        self._add("in.b", np.zeros(hid * 2**k))
+        self._add_conv(rng, "in", hid * 2**k, tc)
         self._add_film(rng, "film_in", tc, hid * 2**k)
         for i in range(k):
             ch = hid * 2 ** (k - i)
-            self._add(f"up{i}.w", _kaiming_conv(rng, ch // 2, ch))
-            self._add(f"up{i}.b", np.zeros(ch // 2))
+            self._add_conv(rng, f"up{i}", ch // 2, ch)
             self._add_film(rng, f"film{i}", tc, ch // 2)
-        self._add("head.w", _kaiming_conv(rng, hid, hid + 2))
-        self._add("head.b", np.zeros(hid))
+        self._add_conv(rng, "head", hid, hid + 2)
         self._add_film(rng, "film_head", tc, hid)
         self._add("out.w", np.zeros((2 * num_frames, hid, 3, 3)))
 

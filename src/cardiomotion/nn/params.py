@@ -44,9 +44,6 @@ class ParameterStore:
     def names(self) -> list[str]:
         return list(self.params)
 
-    def items(self):
-        return self.params.items()
-
     def num_values(self) -> int:
         return sum(t.values.size for t in self.params.values())
 
@@ -55,13 +52,16 @@ class ParameterStore:
             t.grad = None
 
 
+# Adam moment decay rates and denominator floor (Kingma & Ba, 2015)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 def adam_step(
     store: ParameterStore,
     learning_rate: float,
     weight_decay=0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One Adam update with decoupled weight decay over every parameter.
 
@@ -79,20 +79,20 @@ def adam_step(
             )
     store.step_count += 1
     t = store.step_count
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name, p in store.params.items():
         g = p.grad
         m1 = store.moment1[name]
         m2 = store.moment2[name]
-        m1 *= beta1
-        m1 += (1.0 - beta1) * g
-        m2 *= beta2
-        m2 += (1.0 - beta2) * (g * g)
+        m1 *= _BETA1
+        m1 += (1.0 - _BETA1) * g
+        m2 *= _BETA2
+        m2 += (1.0 - _BETA2) * (g * g)
         decay = weight_decay(name) if callable(weight_decay) else weight_decay
         if decay:
             p.values *= 1.0 - learning_rate * decay
-        p.values -= learning_rate * (m1 / bc1) / (np.sqrt(m2 / bc2) + eps)
+        p.values -= learning_rate * (m1 / bc1) / (np.sqrt(m2 / bc2) + _EPS)
         p.grad = None
 
 
@@ -126,6 +126,10 @@ def load_checkpoint(store: ParameterStore, path) -> None:
     records = read_container(path)
     if "meta/step" not in records:
         raise ValueError(f"{path}: not a checkpoint (no meta/step record)")
+    step = records["meta/step"].reshape(-1)
+    if step.size != 1 or not (step[0] >= 0 and float(step[0]).is_integer()):
+        raise ValueError(f"{path}: meta/step must hold one non-negative integer, "
+                         f"got {step[:4].tolist()}")
     expected = {"meta/step"}
     for name, p in store.params.items():
         for kind in ("param", "m1", "m2"):
@@ -141,7 +145,7 @@ def load_checkpoint(store: ParameterStore, path) -> None:
     extra = set(records) - expected
     if extra:
         raise ValueError(f"{path}: unexpected records {sorted(extra)}")
-    store.step_count = int(records["meta/step"].reshape(-1)[0])
+    store.step_count = int(step[0])
     for name, p in store.params.items():
         p.values = records[f"param/{name}"].astype(np.float64)
         p.grad = None

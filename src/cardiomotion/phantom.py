@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .container import read_container, write_container
-from .grid import FieldSequence, Grid2, ScalarField, VectorField
+from .grid import FieldSequence, Grid2, ScalarField, VectorField, coordinate_arrays
 from .strain import Mask
 
 _DEFAULT_GRID = Grid2(64, 64, 1.0)
@@ -84,7 +84,7 @@ def motion_model(cfg: PhantomConfig, tau: float,
     """
     s = time_profile(cfg, tau)
     cx, cy = _grid_center(cfg.grid) if center is None else center
-    ys, xs = np.mgrid[0 : cfg.grid.height, 0 : cfg.grid.width].astype(np.float64)
+    xs, ys = coordinate_arrays(cfg.grid)
     dx = xs - cx
     dy = ys - cy
     scale = 1.0 - cfg.contraction_amp * s
@@ -119,7 +119,7 @@ def render_frame(cfg: PhantomConfig, tau: float,
     """
     s = time_profile(cfg, tau)
     cx, cy = _grid_center(cfg.grid) if center is None else center
-    ys, xs = np.mgrid[0 : cfg.grid.height, 0 : cfg.grid.width].astype(np.float64)
+    xs, ys = coordinate_arrays(cfg.grid)
     r = np.hypot(xs - cx, ys - cy)
     material_r = r / (1.0 - cfg.contraction_amp * s)
     values = _radial_profile(material_r, cfg.r_inner, cfg.r_outer, cfg.smoothing_std)
@@ -137,7 +137,7 @@ def generate(cfg: PhantomConfig) -> PhantomSample:
     center = (float(cx), float(cy))
     images = FieldSequence([render_frame(cfg, t, center) for t in range(cfg.num_frames + 1)])
     motions = FieldSequence([motion_model(cfg, t, center) for t in range(1, cfg.num_frames + 1)])
-    ys, xs = np.mgrid[0 : cfg.grid.height, 0 : cfg.grid.width].astype(np.float64)
+    xs, ys = coordinate_arrays(cfg.grid)
     r = np.hypot(xs - center[0], ys - center[1])
     mask = Mask(cfg.grid, (r >= cfg.r_inner) & (r <= cfg.r_outer))
     return PhantomSample(images, motions, mask, insertion, center, cfg)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import GridMismatchError, IntegrationDivergedError
 from .geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff, integrate_inverse_flow,
                        shoot)
-from .grid import FieldSequence, ScalarField, VectorField
+from .grid import FieldSequence, Grid2, ScalarField, VectorField
 from .nn.fieldops import bilinear_warp, spectral_multiply
 from .nn.params import ParameterStore, adam_step
 from .nn.tensor import Tensor, add, constant, mul, no_grad, smul, sub, sum_all, take_index
@@ -76,18 +76,21 @@ def _energy_terms(shooting: ShootingConfig, sigma: float, v0x: Tensor, v0y: Tens
     return total, dist, reg, warped
 
 
-def _check_pair(cfg: RegistrationConfig, source: ScalarField, target: ScalarField) -> None:
+def _check_pair(cfg: RegistrationConfig, source: ScalarField, target: ScalarField,
+                v0: VectorField | None = None) -> Grid2:
+    """The registration grid, after checking that the images and v0 (if given) lie on it."""
     grid = cfg.shooting.operator.grid
     if source.grid != grid or target.grid != grid:
         raise GridMismatchError("source/target grids do not match the registration operator")
+    if v0 is not None and v0.grid != grid:
+        raise GridMismatchError("v0 grid does not match the registration operator")
+    return grid
 
 
 def energy(cfg: RegistrationConfig, v0: VectorField, source: ScalarField,
            target: ScalarField) -> tuple[float, float, float]:
     """(total, dist, reg) of the registration energy at v0."""
-    _check_pair(cfg, source, target)
-    if v0.grid != cfg.shooting.operator.grid:
-        raise GridMismatchError("v0 grid does not match the registration operator")
+    _check_pair(cfg, source, target, v0)
     with no_grad():
         total, dist, reg, _ = _energy_terms(
             cfg.shooting, cfg.sigma, constant(v0.x_component), constant(v0.y_component),
@@ -99,19 +102,14 @@ def energy(cfg: RegistrationConfig, v0: VectorField, source: ScalarField,
 def energy_gradient(cfg: RegistrationConfig, v0: VectorField, source: ScalarField,
                     target: ScalarField) -> VectorField:
     """Exact gradient of the discrete energy with respect to v0."""
-    _check_pair(cfg, source, target)
-    grid = cfg.shooting.operator.grid
-    if v0.grid != grid:
-        raise GridMismatchError("v0 grid does not match the registration operator")
+    _check_pair(cfg, source, target, v0)
     vx = Tensor(v0.x_component.copy(), requires_grad=True)
     vy = Tensor(v0.y_component.copy(), requires_grad=True)
     total, _, _, _ = _energy_terms(cfg.shooting, cfg.sigma, vx, vy, source.values, target.values)
     total.backward()
-    gx = vx.grad if vx.grad is not None else np.zeros(grid.shape)
-    gy = vy.grad if vy.grad is not None else np.zeros(grid.shape)
-    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
+    if not (np.all(np.isfinite(vx.grad)) and np.all(np.isfinite(vy.grad))):
         raise IntegrationDivergedError(cfg.shooting.num_steps, "energy gradient")
-    return VectorField(grid, gx, gy)
+    return VectorField(v0.grid, vx.grad, vy.grad)
 
 
 def register_pair(cfg: RegistrationConfig, source: ScalarField,
@@ -122,16 +120,13 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
     consecutive iterations falls below convergence_tol (increases do not
     trigger the stop; the optimizer is allowed to recover from them).
     """
-    _check_pair(cfg, source, target)
-    grid = cfg.shooting.operator.grid
+    grid = _check_pair(cfg, source, target)
     store = ParameterStore()
     vx = store.add("v0.x", np.zeros(grid.shape))
     vy = store.add("v0.y", np.zeros(grid.shape))
 
     trace: list[float] = []
-    prev = None
-    warped_values = source.values
-    for it in range(cfg.max_iterations):
+    for it in range(cfg.max_iterations + 1):
         total, _, _, warped = _energy_terms(
             cfg.shooting, cfg.sigma, vx, vy, source.values, target.values
         )
@@ -139,32 +134,19 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
         if not np.isfinite(e):
             raise IntegrationDivergedError(it, "registration energy")
         trace.append(e)
-        warped_values = warped.values
-        if prev is not None:
-            decrease = prev - e
-            if 0.0 <= decrease < cfg.convergence_tol * max(abs(prev), 1e-30):
-                break
-        prev = e
+        if it == cfg.max_iterations:
+            break
+        if it > 0 and 0.0 <= trace[-2] - e < cfg.convergence_tol * max(abs(trace[-2]), 1e-30):
+            break
         total.backward()
         adam_step(store, cfg.learning_rate)
-    else:
-        with no_grad():
-            total, _, _, warped = _energy_terms(
-                cfg.shooting, cfg.sigma, constant(vx.values), constant(vy.values),
-                source.values, target.values,
-            )
-        e = total.item()
-        if not np.isfinite(e):
-            raise IntegrationDivergedError(cfg.max_iterations, "registration energy")
-        trace.append(e)
-        warped_values = warped.values
 
     v0 = VectorField(grid, vx.values.copy(), vy.values.copy())
     return RegistrationResult(
         v0=v0,
         path=shoot(cfg.shooting, v0),
         energy_trace=trace,
-        warped_source=ScalarField(grid, warped_values),
+        warped_source=ScalarField(grid, warped.values),
     )
 
 
@@ -182,7 +164,7 @@ def pair_stack(seq: FieldSequence) -> np.ndarray:
     return np.stack([np.stack([s.values, t.values]) for s, t in pairs])
 
 
-def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch) -> Tensor:
+def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.ndarray) -> Tensor:
     """Mean per-pair energy over a batch; a scalar graph node.
 
     All pairs share one energy graph over (T, H, W) arrays, whose total
@@ -193,10 +175,7 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch) -> 
     pair_batch: matching (T, 2, H, W) array, channel 0 = source, 1 = target.
     """
     v0_t = v0_batch if isinstance(v0_batch, Tensor) else constant(np.asarray(v0_batch, dtype=np.float64))
-    if isinstance(pair_batch, np.ndarray):
-        pairs = pair_batch.astype(np.float64, copy=False)
-    else:
-        pairs = np.stack([np.stack([s.values, t.values]) for s, t in pair_batch])
+    pairs = np.asarray(pair_batch, dtype=np.float64)
     if v0_t.values.shape != pairs.shape:
         raise ValueError(
             f"velocity batch shape {v0_t.values.shape} does not match pair batch {pairs.shape}"
@@ -211,13 +190,11 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch) -> 
 
 
 def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epochs: int,
-                               learning_rate: float | None = None, weight_decay: float = 0.0,
-                               seed: int = 0, log=None) -> list[float]:
+                               learning_rate: float | None = None, seed: int = 0) -> list[float]:
     """Amortized registration: fit the encoder/decoder to minimize mean energy.
 
     sequences: list of (T, 2, H, W) pair stacks.  Returns the per-epoch
-    mean training loss.  ``log``, when given, is called with
-    (epoch, mean_loss) after each epoch.
+    mean training loss.
     """
     lr = cfg.learning_rate if learning_rate is None else learning_rate
     rng = np.random.default_rng(seed)
@@ -232,9 +209,7 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
             if not np.isfinite(value):
                 raise IntegrationDivergedError(epoch, "registration network training")
             loss.backward()
-            adam_step(net.store, lr, weight_decay)
+            adam_step(net.store, lr)
             total += value
         history.append(total / len(sequences))
-        if log is not None:
-            log(epoch, history[-1])
     return history

@@ -17,7 +17,7 @@ import numpy as np
 
 from .container import atomic_write
 from .errors import GridMismatchError
-from .grid import Grid2, VectorField, jacobian
+from .grid import Grid2, VectorField, coordinate_arrays, jacobian
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def circumferential_strain(grid: Grid2, e: np.ndarray, center: tuple[float, floa
     cx, cy = center
     if not (0 <= cx <= grid.width - 1 and 0 <= cy <= grid.height - 1):
         raise ValueError(f"center ({cx}, {cy}) outside grid {grid.shape}")
-    ys, xs = np.mgrid[0 : grid.height, 0 : grid.width].astype(np.float64)
+    xs, ys = coordinate_arrays(grid)
     dx = xs - cx
     dy = ys - cy
     r = np.hypot(dx, dy)
@@ -118,18 +118,15 @@ def strain_from_displacement(u: VectorField, center: tuple[float, float]) -> Str
     return circumferential_strain(u.grid, green_lagrange(deformation_gradient(u)), center)
 
 
-def segment_mask(mask: Mask, center: tuple[float, float], insertion_angle: float,
-                 flip_y: bool = True) -> SegmentMap:
+def segment_mask(mask: Mask, center: tuple[float, float], insertion_angle: float) -> SegmentMap:
     """Six half-open 60-degree bins counterclockwise from the insertion angle.
 
     Angles are mathematical counterclockwise after flipping the image y
-    axis (default); pass flip_y=False to bin in raw image coordinates.
-    A pixel exactly on a bin boundary belongs to the upper segment.
+    axis.  A pixel exactly on a bin boundary belongs to the upper segment.
     """
     cx, cy = center
     ys, xs = np.nonzero(mask.labels)
-    dy = (cy - ys) if flip_y else (ys - cy)
-    theta = np.arctan2(dy, xs - cx)
+    theta = np.arctan2(cy - ys, xs - cx)
     rel = np.mod(theta - insertion_angle, 2.0 * np.pi)
     seg = 1 + np.floor(6.0 * rel / (2.0 * np.pi)).astype(np.int64)
     seg = np.minimum(seg, 6)

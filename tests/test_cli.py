@@ -248,6 +248,27 @@ def test_register_on_list_manifest_is_one_error_line(pipeline, tmp_path, capsys)
     _single_error_line(capsys.readouterr().err, "manifest")
 
 
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_register_train_rejects_epochs_below_one(pipeline, tmp_path, capsys, epochs):
+    model = tmp_path / "reg.lmf1"
+    assert main(["register", "--config", pipeline["cfg"], "--dataset", pipeline["data"],
+                 "--mode", "train", "--out", str(tmp_path / "o"), "--model-out", str(model),
+                 "--epochs", epochs]) == 1
+    _single_error_line(capsys.readouterr().err, "--epochs")
+    assert not model.exists() and not (tmp_path / "o").exists()
+
+
+def test_apply_with_negative_checkpoint_step_is_one_error_line(pipeline, tmp_path, capsys):
+    records = read_container(pipeline["regmodel"])
+    records["meta/step"] = np.asarray(-1.0)
+    bad = str(tmp_path / "reg.lmf1")
+    write_container(bad, records)
+    assert main(["register", "--config", pipeline["cfg"], "--dataset", pipeline["data"],
+                 "--mode", "apply", "--out", str(tmp_path / "o"), "--model-in", bad]) == 1
+    _single_error_line(capsys.readouterr().err, "meta/step")
+    assert not (tmp_path / "o" / "energies.csv").exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

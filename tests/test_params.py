@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cardiomotion.container import read_container, write_container
 from cardiomotion.nn.params import (ParameterStore, adam_step, load_checkpoint, save_checkpoint,
                                     unused_parameters)
 from cardiomotion.nn.tensor import mul, smul, sub, sum_all
@@ -146,3 +147,31 @@ def test_checkpoint_validates_names_and_shapes(tmp_path):
     subset = ParameterStore()  # checkpoint has records this store does not expect
     with pytest.raises(ValueError):
         load_checkpoint(subset, path)
+
+
+_BAD_STEPS = {
+    "empty": np.zeros(0),
+    "inf": np.asarray(np.inf),
+    "nan": np.asarray(np.nan),
+    "negative": np.asarray(-1.0),
+    "fractional": np.asarray(2.5),
+    "two_values": np.asarray([1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_STEPS))
+def test_checkpoint_rejects_bad_step_record_before_loading(tmp_path, kind):
+    store = ParameterStore()
+    store.add("w", np.ones((2, 2)))
+    path = tmp_path / "ckpt.lmf1"
+    save_checkpoint(store, path)
+    records = read_container(path)
+    records["meta/step"] = _BAD_STEPS[kind]
+    write_container(path, records)
+
+    target = ParameterStore()
+    target.add("w", np.full((2, 2), 7.0))
+    target.step_count = 3
+    with pytest.raises(ValueError, match="meta/step"):
+        load_checkpoint(target, path)
+    assert target.step_count == 3 and np.all(target["w"].values == 7.0)
