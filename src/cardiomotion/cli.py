@@ -37,7 +37,7 @@ from .nn import (MotionDecoder, NoisePredictor, ParameterStore, RegistrationNet,
 from .phantom import DatasetRanges, PhantomConfig, load_sample, make_dataset, save_sample
 from .registration import (RegistrationConfig, build_pairs, energy, pair_stack, register_pair,
                            train_registration_network)
-from .strain import (epe, segment_mask, segmental_strain, segmental_strain_error,
+from .strain import (check_window, epe, segment_mask, segmental_strain, segmental_strain_error,
                      strain_from_displacement, write_pgm)
 
 
@@ -230,6 +230,9 @@ def _register_apply(args, cfg: RunConfig, items) -> int:
 def cmd_register(args) -> int:
     if args.mode == "train" and args.epochs < 1:
         raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
+    lr = args.learning_rate
+    if args.mode == "train" and lr is not None and not (np.isfinite(lr) and lr > 0):
+        raise ConfigError(f"--learning-rate must be positive and finite, got {lr}")
     cfg = _run_config(args)
     items = _load_split(args.dataset, args.split)
     if not items:
@@ -287,6 +290,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_strain(args) -> int:
+    window = check_window((args.window_low, args.window_high))
     sample = load_sample(args.sample)
     grid = sample.images.grid
     motions = (_motions_from_file(args.motions, grid) if args.motions
@@ -302,7 +306,6 @@ def cmd_strain(args) -> int:
     rows = [["segment", "mean_ecc"]]
     rows += [[k + 1, _fmt(means[k]) if np.isfinite(means[k]) else "missing"] for k in range(6)]
     _atomic_text(args.out_prefix + "_strain.csv", _csv_text(rows))
-    window = (args.window_low, args.window_high)
     ecc_masked = np.where(sample.mask.labels & smap.valid.labels, smap.ecc, np.nan)
     write_pgm(args.out_prefix + "_ecc.pgm", ecc_masked, window)
     print(f"wrote {args.out_prefix}_strain.csv and {args.out_prefix}_ecc.pgm (frame {frame})")

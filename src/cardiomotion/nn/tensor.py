@@ -231,20 +231,50 @@ def concat_channels(tensors) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad1(a: np.ndarray) -> np.ndarray:
-    """Zero-pad the two trailing axes of an (N, C, H, W) batch by one pixel."""
-    return np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
+# the nine taps (i, j) of a 3x3 kernel, row-major
+_TAPS = [(i, j) for i in range(3) for j in range(3)]
+# samples go through the nine taps a group at a time; a group's output rows,
+# (O, H*(W+2)) per sample, total about 256 KB and stay in cache across the taps
+_GROUP_ELEMS = 1 << 15
 
 
-def _im2col3(xp: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Unfold 3x3 patches of a zero-padded (N, C, H+2, W+2) batch.
+def _sample_groups(n: int, row_elems: int) -> list:
+    step = max(1, _GROUP_ELEMS // row_elems)
+    return [slice(s, s + step) for s in range(0, n, step)]
 
-    Returns (N, C*9, H*W) with the (C, 3, 3) block flattened in C order.
+
+def _frames(a: np.ndarray) -> np.ndarray:
+    """Zero-pad an (N, C, H, W) batch by one pixel and flatten each frame.
+
+    Returns (N, C, (H+2)*(W+2)).
     """
-    n, c = xp.shape[0], xp.shape[1]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    # (N, C, H, W, 3, 3) -> (N, C, 3, 3, H, W)
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, h * w)
+    n, c, h, w = a.shape
+    xp = np.zeros((n, c, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = a
+    return xp.reshape(n, c, (h + 2) * (w + 2))
+
+
+def _conv3_frames(xp: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
+    """3x3 convolution of flattened padded frames (``_frames``) as nine shifted GEMMs.
+
+    xp: (N, C, (H+2)*(W+2)); k: (O, C, 3, 3).  Output pixel (r, s) sits at
+    r*(W+2)+s of a padded-width row, so tap (i, j) reads the input frame
+    shifted by i*(W+2)+j: a strided view that BLAS takes through its leading
+    dimension, never an unfolded copy.  The two columns of each row past W
+    wrap into the next row and are dropped.  Returns an (N, O, H, W) view.
+    """
+    n, o, wp = xp.shape[0], k.shape[0], w + 2
+    span = h * wp - 2
+    taps = k.transpose(2, 3, 0, 1).copy()  # (3, 3, O, C)
+    acc = np.empty((n, o, h * wp))
+    for group in _sample_groups(n, o * span):
+        head, xg = acc[group, :, :span], xp[group]
+        np.matmul(taps[0, 0], xg[:, :, :span], out=head)
+        tmp = np.empty_like(head)
+        for i, j in _TAPS[1:]:
+            off = i * wp + j
+            head += np.matmul(taps[i, j], xg[:, :, off:off + span], out=tmp)
+    return acc.reshape(n, o, h, wp)[..., :w]
 
 
 def conv2d(x, w, b=None) -> Tensor:
@@ -258,21 +288,33 @@ def conv2d(x, w, b=None) -> Tensor:
     o = w.values.shape[0]
     if w.values.shape != (o, c, 3, 3):
         raise ValueError(f"kernel shape {w.values.shape} incompatible with input {x.values.shape}")
-    cols = _im2col3(_pad1(x.values), h, wd)
-    w2 = w.values.reshape(o, c * 9)
-    y = np.matmul(w2, cols).reshape(n, o, h, wd)
-    if b is not None:
-        y = y + b.values[None, :, None, None]
+    xp = _frames(x.values)
+    y = np.empty((n, o, h, wd))
+    if b is None:
+        np.copyto(y, _conv3_frames(xp, w.values, h, wd))
+    else:
+        np.add(_conv3_frames(xp, w.values, h, wd), b.values[:, None, None], out=y)
 
     def vjp(g):
-        g2 = g.reshape(n, o, h * wd)
-        dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, 3, 3)
+        wp = wd + 2
+        span = h * wp - 2
+        gp = _frames(g)
+        # g in the output's padded-width layout, zero in the wrap columns:
+        # the interior of its padded frame
+        gr = gp[:, :, wp + 1:wp + 1 + span]
+        dw = np.empty((n, 3, 3, o, c))
+        for group in _sample_groups(n, o * span):
+            gg, xg = gr[group], xp[group]
+            for i, j in _TAPS:
+                off = i * wp + j
+                np.matmul(gg, xg[:, :, off:off + span].transpose(0, 2, 1), out=dw[group, i, j])
+        dw = np.ascontiguousarray(dw.sum(axis=0).transpose(2, 3, 0, 1))
         dx = None
         if x.requires_grad:
             # the input gradient is the 3x3 convolution of the gradient with
             # the flipped, channel-transposed kernel
-            wt = w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
-            dx = np.matmul(wt, _im2col3(_pad1(g), h, wd)).reshape(n, c, h, wd)
+            dx = np.ascontiguousarray(
+                _conv3_frames(gp, w.values[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, wd))
         if b is not None:
             return (dx, dw, g.sum(axis=(0, 2, 3)))
         return (dx, dw)

@@ -163,6 +163,14 @@ def segmental_strain_error(pred: StrainMap, truth: StrainMap, seg: SegmentMap) -
     return np.abs(segmental_strain(pred, seg) - segmental_strain(truth, seg))
 
 
+def check_window(window: tuple[float, float]) -> tuple[float, float]:
+    """The (lo, hi) bounds of a PGM value window; ValueError unless hi > lo."""
+    lo, hi = window
+    if not hi > lo:
+        raise ValueError(f"invalid window [{lo}, {hi}]")
+    return lo, hi
+
+
 def write_pgm(path, values: np.ndarray, window: tuple[float, float] = (-0.25, 0.25)) -> None:
     """8-bit binary PGM of a scalar map over a symmetric value window.
 
@@ -170,9 +178,7 @@ def write_pgm(path, values: np.ndarray, window: tuple[float, float] = (-0.25, 0.
     (window midpoint -> 128).  Non-finite entries render as 0.  The file
     is written atomically.
     """
-    lo, hi = window
-    if not hi > lo:
-        raise ValueError(f"invalid window [{lo}, {hi}]")
+    lo, hi = check_window(window)
     v = np.asarray(values, dtype=np.float64)
     scaled = (np.clip(v, lo, hi) - lo) / (hi - lo) * 255.0
     scaled = np.where(np.isfinite(scaled), scaled, 0.0)

@@ -160,6 +160,38 @@ def test_conv2d_constant_input_gets_no_gradient():
     assert np.array_equal(dw, dw_ref) and np.array_equal(db, db_ref)
 
 
+def _conv2d_by_taps(x, w, b=None):
+    """3x3 convolution with zero padding 1 by its definition: a loop over the nine taps."""
+    n, c, h, wd = x.shape
+    xpad = np.zeros((n, c, h + 2, wd + 2))
+    xpad[:, :, 1:-1, 1:-1] = x
+    y = np.zeros((n, w.shape[0], h, wd))
+    for i in range(3):
+        for j in range(3):
+            y += np.einsum("oc,nchw->nohw", w[:, :, i, j], xpad[:, :, i:i + h, j:j + wd])
+    return y if b is None else y + b[:, None, None]
+
+
+@pytest.mark.parametrize("n,c,o,h,wd", [(3, 2, 4, 5, 7), (1, 1, 3, 4, 4), (2, 3, 1, 5, 7),
+                                        (3, 4, 2, 7, 5)])
+@pytest.mark.parametrize("biased", [False, True])
+def test_conv2d_matches_tap_loop_definition(n, c, o, h, wd, biased):
+    rng = np.random.default_rng([n, c, o, h, wd])
+    x, w = rng.standard_normal((n, c, h, wd)), rng.standard_normal((o, c, 3, 3))
+    b = rng.standard_normal(o) if biased else None
+    g = rng.standard_normal((n, o, h, wd))
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    y = conv2d(xt, wt, None if b is None else Tensor(b, requires_grad=True))
+    assert y.values.dtype == np.float64 and y.values.flags.c_contiguous
+    np.testing.assert_allclose(y.values, _conv2d_by_taps(x, w, b), rtol=1e-12, atol=1e-12)
+    dx, dw = y._vjp(g)[:2]
+    assert dx.shape == x.shape and dw.shape == w.shape
+    # <conv(x), g> = <x, dX> = <w, dW>: conv is linear in x and in w
+    inner = float(np.sum(_conv2d_by_taps(x, w) * g))
+    assert float(np.sum(x * dx)) == pytest.approx(inner, rel=1e-12, abs=1e-12)
+    assert float(np.sum(w * dw)) == pytest.approx(inner, rel=1e-12, abs=1e-12)
+
+
 def test_conv2d_rejects_mismatched_kernel():
     with pytest.raises(ValueError):
         conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))))

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import cardiomotion
 from cardiomotion.cli import main
 from cardiomotion.container import read_container, write_container
 from cardiomotion.phantom import load_sample
@@ -258,6 +259,25 @@ def test_register_train_rejects_epochs_below_one(pipeline, tmp_path, capsys, epo
     assert not model.exists() and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("lr", ["0", "-5", "nan"])
+def test_register_train_rejects_learning_rate_not_positive(pipeline, tmp_path, capsys, lr):
+    model = tmp_path / "reg.lmf1"
+    assert main(["register", "--config", pipeline["cfg"], "--dataset", pipeline["data"],
+                 "--mode", "train", "--out", str(tmp_path / "o"), "--model-out", str(model),
+                 "--epochs", "1", "--learning-rate", lr]) == 1
+    _single_error_line(capsys.readouterr().err, "--learning-rate")
+    assert not model.exists() and not (tmp_path / "o").exists()
+
+
+def test_strain_with_empty_window_writes_nothing(pipeline, tmp_path, capsys):
+    prefix = str(tmp_path / "s")
+    assert main(["strain", "--sample", pipeline["sample"], "--out-prefix", prefix,
+                 "--window-low", "1", "--window-high", "1"]) == 1
+    _single_error_line(capsys.readouterr().err, "window")
+    assert not os.path.exists(prefix + "_strain.csv")
+    assert not os.path.exists(prefix + "_ecc.pgm")
+
+
 def test_apply_with_negative_checkpoint_step_is_one_error_line(pipeline, tmp_path, capsys):
     records = read_container(pipeline["regmodel"])
     records["meta/step"] = np.asarray(-1.0)
@@ -290,3 +310,47 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     )
     assert bad.returncode == 1
     assert bad.stderr.startswith("error:")
+
+
+# one child process per BLAS thread count: the CLI copies CARDIOMOTION_THREADS
+# into the BLAS variables before numpy loads, so each count needs a fresh process
+_PIPELINE_SCRIPT = """
+import os, sys
+from cardiomotion.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+data, reg, joint = out + "/data", out + "/reg.lmf1", out + "/joint"
+steps = [
+    ["phantom", "--config", cfg, "--out", data, "--n", "3"],
+    ["register", "--config", cfg, "--dataset", data, "--mode", "train", "--out", out + "/regtrain",
+     "--model-out", reg, "--epochs", "1"],
+    ["train", "--config", cfg, "--dataset", data, "--registration-model", reg, "--out", joint],
+    ["infer", "--config", cfg, "--sample", data + "/sample_002.lmf1", "--registration-model", reg,
+     "--model", joint + "/model.lmf1", "--out", out + "/pred.lmf1", "--seed", "7"],
+]
+for argv in steps:
+    assert main(argv) == 0, argv
+print(os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_CFG, diffusion=dict(_CFG["diffusion"], max_epochs=2))))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cardiomotion.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-c", _PIPELINE_SCRIPT, str(cfg), str(out)],
+                              env=dict(env, CARDIOMOTION_THREADS=threads),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == threads
+        outputs[threads] = {str(p.relative_to(out)): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()}
+    assert {"reg.lmf1", "joint/model.lmf1", "pred.lmf1"} <= set(outputs["1"])
+    assert outputs["1"].keys() == outputs["2"].keys()
+    for name, data in outputs["1"].items():
+        assert data == outputs["2"][name], name
