@@ -20,6 +20,7 @@ if _threads:
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 
@@ -28,7 +29,7 @@ import numpy as np
 from .config import RunConfig, load_config, write_reference
 from .container import atomic_write, read_container, write_container
 from .diffusion import DiffusionConfig, infer as diffusion_infer, make_schedule, train as diffusion_train
-from .errors import ConfigError, ContainerFormatError, GridMismatchError, IntegrationDivergedError
+from .errors import ConfigError, IntegrationDivergedError
 from .geodesic import ShootingConfig
 from .grid import FieldSequence, Grid2, VectorField
 from .metric import MetricOperator, SmoothingKernel
@@ -63,35 +64,28 @@ def _seed(cfg: RunConfig, args) -> int:
     return cfg.seed if args.seed is None else args.seed
 
 
-def _grid(cfg: RunConfig) -> Grid2:
-    return Grid2(cfg.grid.height, cfg.grid.width, cfg.grid.spacing)
+def _check_learning_rate(name: str, lr: float) -> None:
+    if not (np.isfinite(lr) and lr > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {lr}")
 
 
 def _reg_config(cfg: RunConfig, grid: Grid2) -> RegistrationConfig:
-    op = MetricOperator(grid, alpha=cfg.metric.alpha, gamma=cfg.metric.gamma,
-                        power=cfg.metric.power)
+    op = MetricOperator(grid, **dataclasses.asdict(cfg.metric))
     shooting = ShootingConfig(cfg.shooting.num_steps, op)
-    return RegistrationConfig(shooting, sigma=cfg.registration.sigma,
-                              learning_rate=cfg.registration.learning_rate,
-                              max_iterations=cfg.registration.max_iterations,
-                              convergence_tol=cfg.registration.convergence_tol)
+    return RegistrationConfig(shooting, **dataclasses.asdict(cfg.registration))
 
 
 def _unet_config(cfg: RunConfig) -> UNetConfig:
-    n = cfg.nets
-    return UNetConfig(in_channels=2, base_channels=n.base_channels,
-                      latent_channels=n.latent_channels, num_down=n.num_down,
-                      time_embed_dim=n.time_embed_dim)
+    return UNetConfig(in_channels=2, **dataclasses.asdict(cfg.nets))
 
 
 def _diffusion_parts(cfg: RunConfig):
     d = cfg.diffusion
     schedule = make_schedule(d.num_steps, d.beta_start, d.beta_end)
     kernel = SmoothingKernel(d.kernel_std)
-    dcfg = DiffusionConfig(schedule=schedule, kernel=kernel, loss_alpha=d.loss_alpha,
+    return DiffusionConfig(schedule=schedule, kernel=kernel, loss_alpha=d.loss_alpha,
                            lambda_eps=d.lambda_eps, lambda_m=d.lambda_m,
                            batch_size=d.batch_size, max_epochs=d.max_epochs)
-    return dcfg
 
 
 def _refinement_nets(cfg: RunConfig, grid: Grid2, num_frames: int, registration_model: str,
@@ -153,7 +147,7 @@ def _motions_from_file(path, grid: Grid2) -> FieldSequence:
 def cmd_phantom(args) -> int:
     cfg = _run_config(args)
     p = cfg.phantom
-    base = PhantomConfig(grid=_grid(cfg), num_frames=p.num_frames,
+    base = PhantomConfig(grid=Grid2(**dataclasses.asdict(cfg.grid)), num_frames=p.num_frames,
                          r_inner=p.r_inner[0], r_outer=p.r_outer[0],
                          center_jitter=p.center_jitter, smoothing_std=p.smoothing_std)
     ranges = DatasetRanges(contraction=p.contraction, twist=p.twist,
@@ -230,9 +224,8 @@ def _register_apply(args, cfg: RunConfig, items) -> int:
 def cmd_register(args) -> int:
     if args.mode == "train" and args.epochs < 1:
         raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
-    lr = args.learning_rate
-    if args.mode == "train" and lr is not None and not (np.isfinite(lr) and lr > 0):
-        raise ConfigError(f"--learning-rate must be positive and finite, got {lr}")
+    if args.mode == "train" and args.learning_rate is not None:
+        _check_learning_rate("--learning-rate", args.learning_rate)
     cfg = _run_config(args)
     items = _load_split(args.dataset, args.split)
     if not items:
@@ -247,6 +240,7 @@ def cmd_register(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
+    _check_learning_rate("diffusion.learning_rate", cfg.diffusion.learning_rate)
     train_items = _load_split(args.dataset, "train")
     val_items = _load_split(args.dataset, "validation")
     if not train_items:
@@ -260,15 +254,18 @@ def cmd_train(args) -> int:
     reg, eps_net, mot_net = _refinement_nets(cfg, grid, num_frames, args.registration_model,
                                              args.resume)
     dcfg = _diffusion_parts(cfg)
-    os.makedirs(args.out, exist_ok=True)
     result = diffusion_train(
         reg, eps_net, mot_net,
         [(pair_stack(s.images), _truth_stack(s)) for _, s in train_items],
         [(pair_stack(s.images), _truth_stack(s)) for _, s in val_items],
         dcfg, learning_rate=cfg.diffusion.learning_rate, patience=cfg.diffusion.patience,
         seed=_seed(cfg, args),
-        log_path=os.path.join(args.out, "train_log.csv"),
     )
+    os.makedirs(args.out, exist_ok=True)
+    rows = [["epoch", "l_diffusion", "l_motion", "l_total", "val_diffusion", "val_motion",
+             "val_total"]]
+    rows += [[epoch] + [_fmt(v) for v in losses] for epoch, *losses in result.history]
+    _atomic_text(os.path.join(args.out, "train_log.csv"), _csv_text(rows))
     save_checkpoint(eps_net.store, os.path.join(args.out, "model.lmf1"))
     print(f"trained {len(result.history)} epochs; best validation {result.best_val:.6g} "
           f"at epoch {result.best_epoch}")
@@ -414,8 +411,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContainerFormatError, GridMismatchError, IntegrationDivergedError,
-            ValueError, OSError) as e:
+    except (ValueError, IntegrationDivergedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

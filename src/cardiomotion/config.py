@@ -14,6 +14,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .container import atomic_write
 from .errors import ConfigError
 
@@ -120,6 +122,8 @@ def _build_section(cls, data: dict, path: str):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{path}.{key} must be a number")
             value = float(value)
+        if f.type != "int" and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{path}.{key} must be finite")
         kwargs[key] = value
     return cls(**kwargs)
 

@@ -24,8 +24,6 @@ functions here return data terms only.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,13 +98,19 @@ def _like(z: LatentFeatures, values: np.ndarray) -> LatentFeatures:
     return LatentFeatures(values, z.height, z.width, z.factor)
 
 
+def _noise(schedule: NoiseSchedule, z: LatentFeatures, m: int, eps) -> np.ndarray:
+    """``eps`` as a float array, after checking step ``m`` and that eps matches ``z``."""
+    schedule.check_step(m)
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != z.values.shape:
+        raise ValueError(f"noise shape {eps.shape} does not match latents {z.values.shape}")
+    return eps
+
+
 def forward_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_prev: LatentFeatures,
                  m: int, eps: np.ndarray) -> LatentFeatures:
     """One forward noising step z^(m-1) -> z^(m)."""
-    schedule.check_step(m)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != z_prev.values.shape:
-        raise ValueError(f"noise shape {eps.shape} does not match latents {z_prev.values.shape}")
+    eps = _noise(schedule, z_prev, m, eps)
     b = schedule.beta[m - 1]
     return _like(z_prev, np.sqrt(1.0 - b) * z_prev.values + np.sqrt(b) * smooth_noise(kernel, eps))
 
@@ -114,10 +118,7 @@ def forward_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_prev: Laten
 def forward_sample(schedule: NoiseSchedule, kernel: SmoothingKernel, z0: LatentFeatures,
                    m: int, eps: np.ndarray) -> LatentFeatures:
     """Closed-form jump z^(0) -> z^(m) with a single smoothed draw."""
-    schedule.check_step(m)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != z0.values.shape:
-        raise ValueError(f"noise shape {eps.shape} does not match latents {z0.values.shape}")
+    eps = _noise(schedule, z0, m, eps)
     ab = schedule.alpha_bar[m - 1]
     return _like(z0, np.sqrt(ab) * z0.values + np.sqrt(1.0 - ab) * smooth_noise(kernel, eps))
 
@@ -125,10 +126,7 @@ def forward_sample(schedule: NoiseSchedule, kernel: SmoothingKernel, z0: LatentF
 def reverse_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_m: LatentFeatures,
                  m: int, model, gamma: np.ndarray) -> LatentFeatures:
     """One denoising step z^(m) -> z^(m-1); no noise injection at m = 1."""
-    schedule.check_step(m)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if gamma.shape != z_m.values.shape:
-        raise ValueError(f"noise shape {gamma.shape} does not match latents {z_m.values.shape}")
+    gamma = _noise(schedule, z_m, m, gamma)
     with no_grad():
         eps_hat = model.forward(z_m.values, m).values
     a = schedule.alpha[m - 1]
@@ -204,7 +202,7 @@ def _loss_pair(cfg: DiffusionConfig, eps_net, mot_net, latents, truths, rng):
 
 def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDecoder,
           train_items, val_items, cfg: DiffusionConfig, *, learning_rate: float = 1e-4,
-          patience: int = 50, seed: int = 0, log_path=None) -> TrainResult:
+          patience: int = 50, seed: int = 0) -> TrainResult:
     """Joint training of the noise predictor and motion decoder.
 
     The registration encoder is frozen: latents are computed once up
@@ -227,75 +225,53 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
     def decay(name: str) -> float:
         return cfg.lambda_eps if name.startswith(eps_net.prefix) else cfg.lambda_m
 
-    writer = None
-    log_file = None
-    if log_path is not None:
-        new = not os.path.exists(log_path)
-        log_file = open(log_path, "a", newline="")
-        writer = csv.writer(log_file)
-        if new:
-            writer.writerow(
-                ["epoch", "l_diffusion", "l_motion", "l_total", "val_diffusion",
-                 "val_motion", "val_total"]
-            )
-
     result = TrainResult()
     best_params = None
     since_best = 0
-    try:
-        for epoch in range(cfg.max_epochs):
-            rng = np.random.default_rng([seed, epoch])
-            order = rng.permutation(len(train_items))
-            ep_diff = ep_mot = 0.0
-            n_batches = 0
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                l_diff, l_mot = _loss_pair(
-                    cfg, eps_net, mot_net,
-                    [train_z[i] for i in batch], [train_u[i] for i in batch], rng,
-                )
-                total = add_n([l_diff, smul(l_mot, cfg.loss_alpha)])
-                total.backward()
-                adam_step(store, learning_rate, decay)
-                ep_diff += l_diff.item()
-                ep_mot += l_mot.item()
-                n_batches += 1
-            ep_diff /= n_batches
-            ep_mot /= n_batches
-            ep_total = ep_diff + cfg.loss_alpha * ep_mot
+    for epoch in range(cfg.max_epochs):
+        rng = np.random.default_rng([seed, epoch])
+        order = rng.permutation(len(train_items))
+        ep_diff = ep_mot = 0.0
+        n_batches = 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            l_diff, l_mot = _loss_pair(
+                cfg, eps_net, mot_net,
+                [train_z[i] for i in batch], [train_u[i] for i in batch], rng,
+            )
+            total = add_n([l_diff, smul(l_mot, cfg.loss_alpha)])
+            total.backward()
+            adam_step(store, learning_rate, decay)
+            ep_diff += l_diff.item()
+            ep_mot += l_mot.item()
+            n_batches += 1
+        ep_diff /= n_batches
+        ep_mot /= n_batches
+        ep_total = ep_diff + cfg.loss_alpha * ep_mot
 
-            # fixed validation noise: same seed each epoch, so early stopping
-            # compares parameters rather than draws
-            val_rng = np.random.default_rng([seed, 0x5EED])
-            if val_z:
-                with no_grad():
-                    v_diff, v_mot = _loss_pair(cfg, eps_net, mot_net, val_z, val_u, val_rng)
-                v_diff, v_mot = v_diff.item(), v_mot.item()
-            else:
-                v_diff, v_mot = ep_diff, ep_mot
-            v_total = v_diff + cfg.loss_alpha * v_mot
+        # fixed validation noise: same seed each epoch, so early stopping
+        # compares parameters rather than draws
+        val_rng = np.random.default_rng([seed, 0x5EED])
+        if val_z:
+            with no_grad():
+                v_diff, v_mot = _loss_pair(cfg, eps_net, mot_net, val_z, val_u, val_rng)
+            v_diff, v_mot = v_diff.item(), v_mot.item()
+        else:
+            v_diff, v_mot = ep_diff, ep_mot
+        v_total = v_diff + cfg.loss_alpha * v_mot
 
-            result.history.append((epoch, ep_diff, ep_mot, ep_total, v_diff, v_mot, v_total))
-            if writer is not None:
-                writer.writerow(
-                    [epoch, f"{ep_diff:.10g}", f"{ep_mot:.10g}", f"{ep_total:.10g}",
-                     f"{v_diff:.10g}", f"{v_mot:.10g}", f"{v_total:.10g}"]
-                )
-                log_file.flush()
+        result.history.append((epoch, ep_diff, ep_mot, ep_total, v_diff, v_mot, v_total))
 
-            if v_total < result.best_val:
-                result.best_val = v_total
-                result.best_epoch = epoch
-                best_params = {k: p.values.copy() for k, p in store.params.items()}
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best > patience:
-                    result.stopped_early = True
-                    break
-    finally:
-        if log_file is not None:
-            log_file.close()
+        if v_total < result.best_val:
+            result.best_val = v_total
+            result.best_epoch = epoch
+            best_params = {k: p.values.copy() for k, p in store.params.items()}
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > patience:
+                result.stopped_early = True
+                break
 
     if best_params is not None:
         for k, p in store.params.items():

@@ -297,11 +297,6 @@ def jacobian(v: VectorField) -> np.ndarray:
     return out
 
 
-def divergence(v: VectorField) -> ScalarField:
-    """Trace of the Jacobian: dvx/dx + dvy/dy."""
-    return ScalarField(v.grid, ddx(v.x_component) + ddy(v.y_component))
-
-
 def compose(outer: MapField, inner: MapField) -> MapField:
     """Map composition: result(x) = outer evaluated bilinearly at inner(x)."""
     _check_same_grid(outer.grid, inner.grid)
@@ -309,14 +304,8 @@ def compose(outer: MapField, inner: MapField) -> MapField:
     return MapField(outer.grid, warped)
 
 
-def displacement_to_map(u: VectorField) -> MapField:
-    """phi(x) = x + u(x)."""
-    xs, ys = coordinate_arrays(u.grid)
-    return MapField(u.grid, VectorField(u.grid, xs + u.x_component, ys + u.y_component))
-
-
 def map_to_displacement(phi: MapField) -> VectorField:
-    """u(x) = phi(x) - x; exact inverse of displacement_to_map."""
+    """u(x) = phi(x) - x."""
     xs, ys = coordinate_arrays(phi.grid)
     return VectorField(phi.grid, phi.x - xs, phi.y - ys)
 

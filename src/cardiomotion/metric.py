@@ -78,16 +78,18 @@ def metric_norm(op: MetricOperator, v: VectorField) -> float:
 
 @dataclass
 class SmoothingKernel:
-    """Truncated, normalized 1-D Gaussian for separable 2-D smoothing."""
+    """Normalized 1-D Gaussian cut at radius (default ceil(3*std)) for separable 2-D smoothing."""
 
     std: float = 1.0
-    radius: int = 3
+    radius: int | None = None
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.std <= 0:
             raise ValueError("kernel std must be positive")
         min_radius = int(np.ceil(3.0 * self.std))
+        if self.radius is None:
+            self.radius = min_radius
         if self.radius < min_radius:
             raise ValueError(f"kernel radius {self.radius} < 3*std rounded up ({min_radius})")
         x = np.arange(-self.radius, self.radius + 1, dtype=np.float64)

@@ -78,14 +78,6 @@ class LatentFeatures:
         if not np.all(np.isfinite(v)):
             raise ValueError("latent features contain non-finite values")
 
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
-
 
 def sinusoidal_embedding(step: int, dim: int) -> np.ndarray:
     """Classic sin/cos positional code of an integer step, shape (dim,)."""

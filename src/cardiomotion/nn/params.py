@@ -35,21 +35,8 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
-    def __len__(self) -> int:
-        return len(self.params)
-
     def names(self) -> list[str]:
         return list(self.params)
-
-    def num_values(self) -> int:
-        return sum(t.values.size for t in self.params.values())
-
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
 
 
 # Adam moment decay rates and denominator floor (Kingma & Ba, 2015)

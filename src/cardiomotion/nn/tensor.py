@@ -49,9 +49,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable differentiable leaf.
 

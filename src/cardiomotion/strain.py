@@ -164,9 +164,9 @@ def segmental_strain_error(pred: StrainMap, truth: StrainMap, seg: SegmentMap) -
 
 
 def check_window(window: tuple[float, float]) -> tuple[float, float]:
-    """The (lo, hi) bounds of a PGM value window; ValueError unless hi > lo."""
+    """The (lo, hi) bounds of a PGM value window; ValueError unless finite with hi > lo."""
     lo, hi = window
-    if not hi > lo:
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise ValueError(f"invalid window [{lo}, {hi}]")
     return lo, hi
 

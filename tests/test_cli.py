@@ -11,9 +11,14 @@ import numpy as np
 import pytest
 
 import cardiomotion
-from cardiomotion.cli import main
+import cardiomotion.diffusion
+from cardiomotion.cli import _diffusion_parts, main
+from cardiomotion.config import config_from_dict
 from cardiomotion.container import read_container, write_container
 from cardiomotion.phantom import load_sample
+
+# a numpy warning on stderr breaks the one-line failure contract
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _CFG = {
     "grid": {"height": 32, "width": 32},
@@ -271,11 +276,54 @@ def test_register_train_rejects_learning_rate_not_positive(pipeline, tmp_path, c
 
 def test_strain_with_empty_window_writes_nothing(pipeline, tmp_path, capsys):
     prefix = str(tmp_path / "s")
-    assert main(["strain", "--sample", pipeline["sample"], "--out-prefix", prefix,
-                 "--window-low", "1", "--window-high", "1"]) == 1
-    _single_error_line(capsys.readouterr().err, "window")
-    assert not os.path.exists(prefix + "_strain.csv")
-    assert not os.path.exists(prefix + "_ecc.pgm")
+    for window in (["--window-low=1", "--window-high=1"],
+                   ["--window-low=-inf", "--window-high=inf"], ["--window-high=inf"]):
+        assert main(["strain", "--sample", pipeline["sample"], "--out-prefix", prefix]
+                    + window) == 1
+        _single_error_line(capsys.readouterr().err, "window")
+        assert not os.path.exists(prefix + "_strain.csv")
+        assert not os.path.exists(prefix + "_ecc.pgm")
+
+
+def _train_argv(pipeline, cfg, out):
+    return ["train", "--config", str(cfg), "--dataset", pipeline["data"],
+            "--registration-model", pipeline["regmodel"], "--out", str(out)]
+
+
+@pytest.mark.parametrize("key, value, needle", [
+    ("learning_rate", 0, "diffusion.learning_rate must be positive and finite"),
+    ("learning_rate", -1, "diffusion.learning_rate must be positive and finite"),
+    ("loss_alpha", float("nan"), "diffusion.loss_alpha must be finite"),
+], ids=["learning_rate=0", "learning_rate=-1", "loss_alpha=NaN"])
+def test_train_rejects_bad_config_before_any_output(pipeline, tmp_path, capsys, key, value,
+                                                    needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_CFG, diffusion=dict(_CFG["diffusion"], **{key: value}))))
+    assert main(_train_argv(pipeline, cfg, tmp_path / "o")) == 1
+    _single_error_line(capsys.readouterr().err, needle)
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_failing_mid_run_leaves_no_output(pipeline, tmp_path, capsys, monkeypatch):
+    real_step = cardiomotion.diffusion.adam_step
+    calls = []
+
+    def failing_step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("injected optimizer failure")
+        real_step(*args, **kwargs)
+
+    monkeypatch.setattr(cardiomotion.diffusion, "adam_step", failing_step)
+    assert main(_train_argv(pipeline, pipeline["cfg"], tmp_path / "o")) == 1
+    _single_error_line(capsys.readouterr().err, "injected optimizer failure")
+    assert len(calls) == 3
+    assert not (tmp_path / "o").exists()
+
+
+def test_diffusion_parts_derive_kernel_radius_from_std():
+    cfg = config_from_dict(dict(_CFG, diffusion=dict(_CFG["diffusion"], kernel_std=1.5)))
+    assert _diffusion_parts(cfg).kernel.radius == 5
 
 
 def test_apply_with_negative_checkpoint_step_is_one_error_line(pipeline, tmp_path, capsys):

@@ -44,6 +44,20 @@ def test_type_validation():
         config_from_dict([1, 2])
 
 
+def test_non_finite_numbers_rejected(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    for section, key, value in (("metric", "alpha", nan), ("diffusion", "loss_alpha", inf),
+                                ("registration", "sigma", -inf),
+                                ("phantom", "twist", [0.1, nan])):
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+            config_from_dict({section: {key: value}})
+    # Python's json reads NaN and Infinity literals
+    doc = tmp_path / "nan.json"
+    doc.write_text('{"diffusion": {"loss_alpha": NaN}}')
+    with pytest.raises(ConfigError, match="diffusion.loss_alpha must be finite"):
+        load_config(doc)
+
+
 def test_tuple_fields_parse_from_lists():
     cfg = config_from_dict({"phantom": {"contraction": [0.06, 0.1]}})
     assert cfg.phantom.contraction == (0.06, 0.1)

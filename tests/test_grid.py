@@ -7,7 +7,7 @@ from cardiomotion.errors import GridMismatchError
 from cardiomotion.grid import (Grid2, MapField, ScalarField, VectorField, FieldSequence,
                                bilinear_adjoint_field, bilinear_apply, bilinear_prepare,
                                bilinear_sample, compose, coordinate_arrays, ddx, ddx_adjoint,
-                               ddy, ddy_adjoint, displacement_to_map, divergence, identity_map,
+                               ddy, ddy_adjoint, identity_map,
                                interpolate, jacobian, jacobian_determinant, map_to_displacement,
                                warp_vector)
 
@@ -138,7 +138,7 @@ def test_derivative_adjoint_identity():
         assert abs(np.sum(ddy(a) * b) - np.sum(a * ddy_adjoint(b))) < 1e-10
 
 
-def test_jacobian_and_divergence_of_linear_field():
+def test_jacobian_of_linear_field():
     g = Grid2(8, 8)
     xs, ys = coordinate_arrays(g)
     v = VectorField(g, 2.0 * xs + ys, xs - 3.0 * ys)
@@ -148,8 +148,6 @@ def test_jacobian_and_divergence_of_linear_field():
     assert np.allclose(j[interior + (0, 1)], 1.0)
     assert np.allclose(j[interior + (1, 0)], 1.0)
     assert np.allclose(j[interior + (1, 1)], -3.0)
-    div = divergence(v)
-    assert np.allclose(div.values[interior], -1.0)
 
 
 def test_jacobian_determinant_of_uniform_scaling():
@@ -162,11 +160,12 @@ def test_jacobian_determinant_of_uniform_scaling():
     assert np.allclose(jd.values[1:-1, 1:-1], scale**2, atol=1e-10)
 
 
-def test_displacement_map_round_trip():
+def test_map_to_displacement_subtracts_identity():
     g = Grid2(6, 6)
     rng = np.random.default_rng(3)
     u = VectorField(g, rng.standard_normal(g.shape), rng.standard_normal(g.shape))
-    back = map_to_displacement(displacement_to_map(u))
+    xs, ys = coordinate_arrays(g)
+    back = map_to_displacement(MapField(g, VectorField(g, xs + u.x_component, ys + u.y_component)))
     assert np.allclose(back.x_component, u.x_component, atol=1e-14)
     assert np.allclose(back.y_component, u.y_component, atol=1e-14)
 

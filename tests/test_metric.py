@@ -104,6 +104,13 @@ def test_smoothing_kernel_normalized_and_symmetric():
     assert k.radius >= 3  # at least 3 standard deviations
 
 
+def test_kernel_radius_defaults_to_three_std_rounded_up():
+    assert SmoothingKernel(1.0).radius == 3
+    assert np.array_equal(SmoothingKernel(1.0).weights, SmoothingKernel(1.0, 3).weights)
+    assert SmoothingKernel(1.5).radius == 5
+    assert SmoothingKernel(3.0, 9).radius == 9
+
+
 def test_smooth_noise_preserves_constants():
     k = SmoothingKernel(1.5, radius=5)
     x = np.full((2, 5, 8, 8), 3.25)
@@ -133,3 +140,5 @@ def test_smooth_noise_shape_and_leading_axes():
 def test_kernel_validation():
     with pytest.raises(ValueError):
         SmoothingKernel(-0.5)
+    with pytest.raises(ValueError, match="radius 4"):
+        SmoothingKernel(1.5, radius=4)

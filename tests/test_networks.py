@@ -21,8 +21,7 @@ def test_unet_config_validation():
 
 
 def test_latent_features_validation():
-    z = LatentFeatures(np.zeros((3, 4, 8, 8)), height=32, width=32, factor=2)
-    assert z.num_frames == 3 and z.channels == 4
+    LatentFeatures(np.zeros((3, 4, 8, 8)), height=32, width=32, factor=2)
     with pytest.raises(ValueError):
         LatentFeatures(np.zeros((3, 4, 8, 8)), height=30, width=32, factor=2)
     with pytest.raises(ValueError):
