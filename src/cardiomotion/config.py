@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .container import atomic_write
 from .errors import ConfigError
@@ -104,6 +103,19 @@ _SECTIONS = {
 }
 
 
+def _finite_float(value, where: str, expected: str) -> float:
+    """A JSON number as a finite float; anything else is a ConfigError naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be {expected}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
+    return value
+
+
 def _build_section(cls, data: dict, path: str):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -111,19 +123,16 @@ def _build_section(cls, data: dict, path: str):
         if key not in fields:
             raise ConfigError(f"unknown config key: {path}.{key}")
         f = fields[key]
+        where = f"{path}.{key}"
         if f.type.startswith("tuple"):
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise ConfigError(f"{path}.{key} must be a two-element list")
-            value = (float(value[0]), float(value[1]))
+                raise ConfigError(f"{where} must be a two-element list")
+            value = tuple(_finite_float(x, where, "a list of two numbers") for x in value)
         elif f.type == "int":
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{path}.{key} must be an integer")
+                raise ConfigError(f"{where} must be an integer")
         elif f.type == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{path}.{key} must be a number")
-            value = float(value)
-        if f.type != "int" and not np.all(np.isfinite(value)):
-            raise ConfigError(f"{path}.{key} must be finite")
+            value = _finite_float(value, where, "a number")
         kwargs[key] = value
     return cls(**kwargs)
 

@@ -143,11 +143,13 @@ def bilinear_prepare(shape: tuple[int, ...], mx: np.ndarray, my: np.ndarray):
     """Clamp sample coordinates and precompute flat corner indices and weights.
 
     ``shape`` is the sampled array's shape ``(..., H, W)``.  With no
-    leading axes the coordinates may have any shape; otherwise their
-    leading axes match the field's, and each sample reads its own slice.
+    leading axes the coordinates may have any shape; otherwise each of
+    their leading axes matches the field's or is 1, and each slice of the
+    field is read at its own (or the broadcast) coordinates.
     Returns (idx, tx, ty, inx, iny): ``idx`` indexes the top-left corner
-    in the flattened field, and inx/iny flag coordinates that were
-    strictly inside the domain (their clamp derivative is 1, else 0).
+    in the flattened field and has the broadcast shape; tx, ty, inx and
+    iny keep the coordinates' shape, and inx/iny flag coordinates that
+    were strictly inside the domain (their clamp derivative is 1, else 0).
     """
     *lead, h, w = shape
     cx = np.clip(mx, 0.0, w - 1.0)
@@ -158,19 +160,21 @@ def bilinear_prepare(shape: tuple[int, ...], mx: np.ndarray, my: np.ndarray):
     ty = cy - y0
     idx = y0 * w + x0
     if lead:
-        if idx.shape[: len(lead)] != tuple(lead):
+        if idx.ndim < len(lead) or any(
+                n not in (1, k) for n, k in zip(idx.shape[: len(lead)], lead)):
             raise ValueError(f"coordinates of shape {idx.shape} do not match field shape {shape}")
         offsets = np.arange(0, int(np.prod(lead)) * h * w, h * w)
-        idx += offsets.reshape(tuple(lead) + (1,) * (idx.ndim - len(lead)))
+        idx = idx + offsets.reshape(tuple(lead) + (1,) * (idx.ndim - len(lead)))
     inx = (mx > 0.0) & (mx < w - 1.0)
     iny = (my > 0.0) & (my < h - 1.0)
     return idx, tx, ty, inx, iny
 
 
 def _corners(values: np.ndarray, idx):
+    # the other three corners are read through shifted views of the flat field
     flat = values.reshape(-1)
     w = values.shape[-1]
-    return flat[idx], flat[idx + 1], flat[idx + w], flat[idx + (w + 1)]
+    return flat.take(idx), flat[1:].take(idx), flat[w:].take(idx), flat[w + 1:].take(idx)
 
 
 def bilinear_apply(values: np.ndarray, idx, tx, ty) -> np.ndarray:
@@ -189,13 +193,14 @@ def bilinear_adjoint_field(shape, idx, tx, ty, g: np.ndarray) -> np.ndarray:
     n = int(np.prod(shape))
     w = shape[-1]
     idx = idx.reshape(-1)
-    top = (g * (1 - ty)).reshape(-1)
-    bottom = (g * ty).reshape(-1)
-    tx = tx.reshape(-1)
-    out = np.bincount(idx, top * (1 - tx), n)
-    out += np.bincount(idx + 1, top * tx, n)
-    out += np.bincount(idx + w, bottom * (1 - tx), n)
-    out += np.bincount(idx + (w + 1), bottom * tx, n)
+    top = g * (1 - ty)
+    bottom = g * ty
+    # every corner scatters at the top-left index into an output shifted by
+    # the corner's offset; idx <= n - w - 2, so each count has its minlength
+    out = np.bincount(idx, (top * (1 - tx)).reshape(-1), n)
+    out[1:] += np.bincount(idx, (top * tx).reshape(-1), n - 1)
+    out[w:] += np.bincount(idx, (bottom * (1 - tx)).reshape(-1), n - w)
+    out[w + 1:] += np.bincount(idx, (bottom * tx).reshape(-1), n - w - 1)
     return out.reshape(shape)
 
 
@@ -234,25 +239,32 @@ def ddy(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# The adjoints scatter each difference back onto the two samples it read:
+# out_i = h_{i-1} - h_{i+1}, where h is g with its interior entries halved
+# (central differences) and its two edge entries whole (one-sided ones).
+# Past an edge nothing is read, so out_0 = -(h_0 + h_1) and
+# out_{n-1} = h_{n-2} + h_{n-1}.
+
+
 def ddx_adjoint(g: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(g)
-    out[..., 2:] += 0.5 * g[..., 1:-1]
-    out[..., :-2] -= 0.5 * g[..., 1:-1]
-    out[..., 1] += g[..., 0]
-    out[..., 0] -= g[..., 0]
-    out[..., -1] += g[..., -1]
-    out[..., -2] -= g[..., -1]
+    h = 0.5 * g
+    h[..., 0] = g[..., 0]
+    h[..., -1] = g[..., -1]
+    out = np.empty_like(h)
+    np.subtract(h[..., :-2], h[..., 2:], out=out[..., 1:-1])
+    out[..., 0] = -(h[..., 0] + h[..., 1])
+    out[..., -1] = h[..., -2] + h[..., -1]
     return out
 
 
 def ddy_adjoint(g: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(g)
-    out[..., 2:, :] += 0.5 * g[..., 1:-1, :]
-    out[..., :-2, :] -= 0.5 * g[..., 1:-1, :]
-    out[..., 1, :] += g[..., 0, :]
-    out[..., 0, :] -= g[..., 0, :]
-    out[..., -1, :] += g[..., -1, :]
-    out[..., -2, :] -= g[..., -1, :]
+    h = 0.5 * g
+    h[..., 0, :] = g[..., 0, :]
+    h[..., -1, :] = g[..., -1, :]
+    out = np.empty_like(h)
+    np.subtract(h[..., :-2, :], h[..., 2:, :], out=out[..., 1:-1, :])
+    out[..., 0, :] = -(h[..., 0, :] + h[..., 1, :])
+    out[..., -1, :] = h[..., -2, :] + h[..., -1, :]
     return out
 
 

@@ -12,6 +12,10 @@ energy graph calls the shooting functions of ``geodesic`` (the EPDiff
 step and the inverse flow) with recording on, so its reverse-mode
 gradient is the exact derivative of the discrete objective
 (discretize-then-optimize), and ``shoot`` computes the same values.
+The momentum L v0 of the regulariser is the one EPDiff starts from, so
+the graph multiplies by L once and by K once per Euler step.  v0 is a
+(2, H, W) Tensor, or (T, 2, H, W) for T pairs, with the (x, y)
+components on axis -3.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ from .grid import FieldSequence, Grid2, ScalarField, VectorField
 from .nn.fieldops import bilinear_warp, spectral_multiply
 from .nn.params import ParameterStore, adam_step
 from .nn.tensor import Tensor, add, constant, mul, no_grad, smul, sub, sum_all, take_index
+
+
+# the x and y coordinates of a (..., 2, H, W) map, as (..., H, W) fields
+_X, _Y = np.s_[..., 0, :, :], np.s_[..., 1, :, :]
 
 
 @dataclass
@@ -56,24 +64,26 @@ class RegistrationResult:
     warped_source: ScalarField
 
 
-def _energy_terms(shooting: ShootingConfig, sigma: float, v0x: Tensor, v0y: Tensor,
+def _energy_terms(shooting: ShootingConfig, sigma: float, v0: Tensor,
                   source_values: np.ndarray, target_values: np.ndarray):
     """Build the energy graph; returns (total, dist, reg, warped) tensors.
 
-    The velocity components and images are (H, W) for one pair, or
-    (T, H, W) for T pairs, whose energies then add up in ``total``.
+    v0 is (2, H, W) and the images (H, W) for one pair, or (T, 2, H, W)
+    and (T, H, W) for T pairs, whose energies then add up in ``total``.
     """
-    op = shooting.operator
-    lx = spectral_multiply(op, v0x)
-    ly = spectral_multiply(op, v0y)
-    reg = add(sum_all(mul(lx, v0x)), sum_all(mul(ly, v0y)))
+    m0 = spectral_multiply(shooting.operator, v0)
+    reg = sum_all(mul(m0, v0))
 
-    px, py = integrate_inverse_flow(shooting, integrate_epdiff(shooting, v0x, v0y))
-    warped = bilinear_warp(constant(source_values), px, py)
+    phi = integrate_inverse_flow(shooting, integrate_epdiff(shooting, v0, m0))
+    warped = bilinear_warp(constant(source_values), take_index(phi, _X), take_index(phi, _Y))
     diff = sub(warped, constant(target_values))
     dist = sum_all(mul(diff, diff))
     total = add(smul(dist, 0.5 / (sigma * sigma)), reg)
     return total, dist, reg, warped
+
+
+def _stacked(v: VectorField) -> np.ndarray:
+    return np.stack([v.x_component, v.y_component])
 
 
 def _check_pair(cfg: RegistrationConfig, source: ScalarField, target: ScalarField,
@@ -92,10 +102,8 @@ def energy(cfg: RegistrationConfig, v0: VectorField, source: ScalarField,
     """(total, dist, reg) of the registration energy at v0."""
     _check_pair(cfg, source, target, v0)
     with no_grad():
-        total, dist, reg, _ = _energy_terms(
-            cfg.shooting, cfg.sigma, constant(v0.x_component), constant(v0.y_component),
-            source.values, target.values,
-        )
+        total, dist, reg, _ = _energy_terms(cfg.shooting, cfg.sigma, constant(_stacked(v0)),
+                                            source.values, target.values)
     return total.item(), dist.item(), reg.item()
 
 
@@ -103,13 +111,12 @@ def energy_gradient(cfg: RegistrationConfig, v0: VectorField, source: ScalarFiel
                     target: ScalarField) -> VectorField:
     """Exact gradient of the discrete energy with respect to v0."""
     _check_pair(cfg, source, target, v0)
-    vx = Tensor(v0.x_component.copy(), requires_grad=True)
-    vy = Tensor(v0.y_component.copy(), requires_grad=True)
-    total, _, _, _ = _energy_terms(cfg.shooting, cfg.sigma, vx, vy, source.values, target.values)
+    v = Tensor(_stacked(v0), requires_grad=True)
+    total, _, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)
     total.backward()
-    if not (np.all(np.isfinite(vx.grad)) and np.all(np.isfinite(vy.grad))):
+    if not np.all(np.isfinite(v.grad)):
         raise IntegrationDivergedError(cfg.shooting.num_steps, "energy gradient")
-    return VectorField(v0.grid, vx.grad, vy.grad)
+    return VectorField(v0.grid, v.grad[0], v.grad[1])
 
 
 def register_pair(cfg: RegistrationConfig, source: ScalarField,
@@ -122,14 +129,12 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
     """
     grid = _check_pair(cfg, source, target)
     store = ParameterStore()
-    vx = store.add("v0.x", np.zeros(grid.shape))
-    vy = store.add("v0.y", np.zeros(grid.shape))
+    v = store.add("v0", np.zeros((2,) + grid.shape))
 
     trace: list[float] = []
     for it in range(cfg.max_iterations + 1):
-        total, _, _, warped = _energy_terms(
-            cfg.shooting, cfg.sigma, vx, vy, source.values, target.values
-        )
+        total, _, _, warped = _energy_terms(cfg.shooting, cfg.sigma, v, source.values,
+                                            target.values)
         e = total.item()
         if not np.isfinite(e):
             raise IntegrationDivergedError(it, "registration energy")
@@ -141,7 +146,7 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
         total.backward()
         adam_step(store, cfg.learning_rate)
 
-    v0 = VectorField(grid, vx.values.copy(), vy.values.copy())
+    v0 = VectorField(grid, v.values[0].copy(), v.values[1].copy())
     return RegistrationResult(
         v0=v0,
         path=shoot(cfg.shooting, v0),
@@ -167,8 +172,8 @@ def pair_stack(seq: FieldSequence) -> np.ndarray:
 def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.ndarray) -> Tensor:
     """Mean per-pair energy over a batch; a scalar graph node.
 
-    All pairs share one energy graph over (T, H, W) arrays, whose total
-    is the sum of the per-pair energies.
+    All pairs share one energy graph over (T, 2, H, W) stacks, whose
+    total is the sum of the per-pair energies.
 
     v0_batch: (T, 2, H, W) tensor (typically a decoder output, so the
     loss is differentiable with respect to the network parameters).
@@ -183,9 +188,7 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.
     grid = cfg.shooting.operator.grid
     if pairs.shape[2:] != grid.shape:
         raise GridMismatchError("pair batch grid does not match the registration operator")
-    vx = take_index(v0_t, (slice(None), 0))
-    vy = take_index(v0_t, (slice(None), 1))
-    total, _, _, _ = _energy_terms(cfg.shooting, cfg.sigma, vx, vy, pairs[:, 0], pairs[:, 1])
+    total, _, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v0_t, pairs[:, 0], pairs[:, 1])
     return smul(total, 1.0 / pairs.shape[0])
 
 

@@ -27,7 +27,8 @@ from cardiomotion.metric import (MetricOperator, SmoothingKernel, _convolve_axis
                                  apply_L, metric_norm, smooth_noise)
 from cardiomotion.nn import (LatentFeatures, MotionDecoder, NoisePredictor, ParameterStore,
                              RegistrationNet, UNetConfig, no_grad)
-from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
+from cardiomotion.nn.fieldops import (bilinear_warp, epdiff_force, fd_dx, fd_dy,
+                                      spectral_multiply)
 from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, concat_channels, constant,
                                     conv2d, linear, mul, nearest_upsample2, neg, relu, reshape,
                                     scale_shift, smul, sqrt, sub, sum_all, take_index)
@@ -107,6 +108,13 @@ def test_criterion_1_gradient_fidelity():
     for name, f, leaves in cases:
         rel = directional_probe_check(f, leaves, rng, probes=8, eps=1e-6, rtol=tol)
         worst = max(worst, rel)
+    # the fused EPDiff force on a (2, H, W) velocity and momentum, probed from a
+    # generator of its own so that it leaves the draws of the other checks alone
+    frng = np.random.default_rng(102)
+    worst = max(worst, directional_probe_check(
+        lambda ts: sum_all(mul(epdiff_force(*ts), epdiff_force(*ts))),
+        [frng.standard_normal((2, h, w)), frng.standard_normal((2, h, w))], frng, probes=8,
+        eps=1e-6, rtol=tol))
 
     # full registration energy gradient on a smooth random pair
     kern = SmoothingKernel(2.0, radius=6)

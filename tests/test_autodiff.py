@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from cardiomotion.grid import Grid2
+from cardiomotion.grid import Grid2, ddx, ddy
 from cardiomotion.metric import MetricOperator
-from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
+from cardiomotion.nn.fieldops import (bilinear_warp, epdiff_force, fd_dx, fd_dy,
+                                      spectral_multiply)
 from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, concat_channels, constant,
                                     conv2d, linear, mul, nearest_upsample2, neg, no_grad, relu,
                                     reshape, scale_shift, smul, sqrt, sub, sum_all, take_index)
 from helpers import directional_probe_check, keep_away_from, keep_off_lattice
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _probe(f, leaves, seed, **kw):
@@ -273,6 +276,61 @@ def test_bilinear_warp_field_only_gradient():
     mx = keep_off_lattice(rng.uniform(1.2, 4.8, (6, 6)))
     my = keep_off_lattice(rng.uniform(1.2, 4.8, (6, 6)))
     _probe(lambda ts: sum_all(bilinear_warp(ts[0], constant(mx), constant(my))), [values], 37)
+
+
+def test_bilinear_warp_with_shared_coordinates_equals_per_channel_warps():
+    # one set of coordinates for both components of a (..., 2, H, W) stack
+    rng = np.random.default_rng(50)
+    for lead in ((), (3,)):
+        values = rng.standard_normal(lead + (2, 7, 9))
+        ys, xs = np.mgrid[0:7, 0:9].astype(np.float64)
+        mx = xs + rng.uniform(-3.0, 3.0, lead + (1, 7, 9))  # reaches past every edge
+        my = ys + rng.uniform(-3.0, 3.0, lead + (1, 7, 9))
+        g = rng.standard_normal(values.shape)
+        shared = [Tensor(a, requires_grad=True) for a in (values, mx, my)]
+        out = bilinear_warp(*shared)
+        sum_all(mul(out, constant(g))).backward()
+        split = [Tensor(a, requires_grad=True) for a in (values, mx, my)]
+        parts = [bilinear_warp(take_index(split[0], np.s_[..., c:c + 1, :, :]), split[1],
+                               split[2]) for c in range(2)]
+        sum_all(add(mul(parts[0], constant(g[..., 0:1, :, :])),
+                    mul(parts[1], constant(g[..., 1:2, :, :])))).backward()
+        assert np.array_equal(out.values, np.concatenate([p.values for p in parts], axis=-3))
+        for a, b in zip(shared, split):
+            assert a.grad.shape == b.grad.shape
+            assert np.array_equal(a.grad, b.grad)
+
+
+def _epdiff_force_by_components(v, m):
+    # row r: sum_c dv_c/dx_r m_c + sum_c dm_r/dx_c v_c + m_r dv_c/dx_c
+    d = (ddx, ddy)
+    out = np.zeros_like(v)
+    for r in range(2):
+        for c in range(2):
+            out[..., r, :, :] += (d[r](v[..., c, :, :]) * m[..., c, :, :]
+                                  + d[c](m[..., r, :, :]) * v[..., c, :, :]
+                                  + m[..., r, :, :] * d[c](v[..., c, :, :]))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 7), (3, 2, 6, 6)])
+def test_epdiff_force_value_gradient_and_adjoint(shape):
+    rng = np.random.default_rng(51)
+    v, m, g = (rng.standard_normal(shape) for _ in range(3))
+    f = epdiff_force(constant(v), constant(m)).values
+    ref = _epdiff_force_by_components(v, m)
+    assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
+    _probe(lambda ts: sum_all(mul(epdiff_force(ts[0], ts[1]), ts[2])), [v, m, g], 52)
+    # the force is bilinear, so its derivative along (dv, dm) is f(dv, m) + f(v, dm)
+    # and <f'(v, m)[dv, dm], g> = <(dv, dm), VJP(g)>
+    ts = [Tensor(v, requires_grad=True), Tensor(m, requires_grad=True)]
+    sum_all(mul(epdiff_force(*ts), constant(g))).backward()
+    for _ in range(3):
+        dv, dm = rng.standard_normal(shape), rng.standard_normal(shape)
+        lhs = np.sum((_epdiff_force_by_components(dv, m) + _epdiff_force_by_components(v, dm))
+                     * g)
+        rhs = np.sum(dv * ts[0].grad) + np.sum(dm * ts[1].grad)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,24 @@ def test_non_finite_numbers_rejected(tmp_path):
         load_config(doc)
 
 
+def test_numbers_beyond_the_float_range_rejected(tmp_path):
+    # Python's json reads any integer; float() of one with 401 digits overflows
+    doc = tmp_path / "big.json"
+    for section, key, text in (("metric", "alpha", "1" + "0" * 400),
+                               ("phantom", "twist", "[0.1, -1" + "0" * 400 + "]")):
+        doc.write_text(f'{{"{section}": {{"{key}": {text}}}}}')
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+            load_config(doc)
+
+
+def test_list_elements_must_be_numbers():
+    for element in ("a", None, True):
+        with pytest.raises(ConfigError, match="phantom.twist must be a list of two numbers"):
+            config_from_dict({"phantom": {"twist": [element, 0.3]}})
+        with pytest.raises(ConfigError, match="phantom.r_inner must be a list of two numbers"):
+            config_from_dict({"phantom": {"r_inner": [8.0, element]}})
+
+
 def test_tuple_fields_parse_from_lists():
     cfg = config_from_dict({"phantom": {"contraction": [0.06, 0.1]}})
     assert cfg.phantom.contraction == (0.06, 0.1)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import cardiomotion.geodesic as geodesic
 from cardiomotion.errors import IntegrationDivergedError
-from cardiomotion.geodesic import (GeodesicPath, ShootingConfig, epdiff_rhs, integrate_epdiff,
+from cardiomotion.geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff,
                                    integrate_forward_flow, integrate_inverse_flow, shoot)
 from cardiomotion.grid import Grid2, VectorField, compose, coordinate_arrays, jacobian_determinant
 from cardiomotion.metric import MetricOperator, apply_K, metric_norm
-from cardiomotion.nn import constant
+from cardiomotion.nn import constant, epdiff_force, spectral_multiply
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _smooth_field(grid, rng, scale=1.0):
@@ -20,8 +23,12 @@ def _smooth_field(grid, rng, scale=1.0):
     return VectorField(grid, scale * v.x_component / n, scale * v.y_component / n)
 
 
-def _tensors(v):
-    return constant(v.x_component), constant(v.y_component)
+def _stacked(v):
+    return np.stack([v.x_component, v.y_component])
+
+
+def _tensor(v):
+    return constant(_stacked(v))
 
 
 def test_config_validation():
@@ -34,11 +41,11 @@ def test_velocity_count_and_single_step():
     grid = Grid2(8, 8)
     cfg = ShootingConfig(num_steps=1, operator=MetricOperator(grid))
     v0 = VectorField(grid, np.full((8, 8), 0.25), np.zeros((8, 8)))
-    vx, vy = _tensors(v0)
-    vs = integrate_epdiff(cfg, vx, vy)
-    assert len(vs) == 1 and vs[0][0] is vx and vs[0][1] is vy
+    v = _tensor(v0)
+    vs = integrate_epdiff(cfg, v)
+    assert len(vs) == 1 and vs[0] is v
     cfg5 = ShootingConfig(num_steps=5, operator=MetricOperator(grid))
-    assert len(integrate_epdiff(cfg5, vx, vy)) == 5
+    assert len(integrate_epdiff(cfg5, v)) == 5
 
 
 def test_zero_velocity_gives_identity_maps():
@@ -57,14 +64,15 @@ def test_constant_velocity_is_a_fixed_point():
     grid = Grid2(12, 12)
     op = MetricOperator(grid, alpha=2.0, gamma=1.5, power=2)
     v0 = VectorField(grid, np.full(grid.shape, 0.3), np.full(grid.shape, -0.2))
-    rx, ry = epdiff_rhs(op, *_tensors(v0))
-    assert np.max(np.abs(rx.values)) < 1e-12
-    assert np.max(np.abs(ry.values)) < 1e-12
+    v = _tensor(v0)
+    f = epdiff_force(v, spectral_multiply(op, v))
+    assert np.max(np.abs(f.values[0])) < 1e-12
+    assert np.max(np.abs(f.values[1])) < 1e-12
     cfg = ShootingConfig(num_steps=6, operator=op)
-    vs = integrate_epdiff(cfg, *_tensors(v0))
-    for vx, vy in vs:
-        assert np.allclose(vx.values, 0.3, atol=1e-12)
-        assert np.allclose(vy.values, -0.2, atol=1e-12)
+    vs = integrate_epdiff(cfg, v)
+    for w in vs:
+        assert np.allclose(w.values[0], 0.3, atol=1e-12)
+        assert np.allclose(w.values[1], -0.2, atol=1e-12)
 
 
 def test_constant_velocity_translation_maps():
@@ -102,8 +110,7 @@ def test_metric_norm_conserved_along_geodesic():
     rng = np.random.default_rng(11)
     for _ in range(3):
         v0 = _smooth_field(grid, rng, scale=1.0)
-        vs = [VectorField(grid, vx.values, vy.values)
-              for vx, vy in integrate_epdiff(cfg, *_tensors(v0))]
+        vs = [VectorField(grid, *v.values) for v in integrate_epdiff(cfg, _tensor(v0))]
         n0 = metric_norm(op, vs[0])
         drift = max(abs(metric_norm(op, v) - n0) for v in vs) / n0
         assert drift < 0.02
@@ -125,13 +132,13 @@ def test_blowup_raises_instead_of_propagating_nans():
     huge = VectorField(grid, 1e160 * rng.standard_normal(grid.shape),
                        1e160 * rng.standard_normal(grid.shape))
     with np.errstate(all="ignore"), pytest.raises((IntegrationDivergedError, ValueError)):
-        integrate_epdiff(cfg, *_tensors(huge))
+        integrate_epdiff(cfg, _tensor(huge))
 
 
 def test_flow_integrators_check_velocity_count():
     grid = Grid2(8, 8)
     cfg = ShootingConfig(num_steps=3, operator=MetricOperator(grid))
-    vs = [_tensors(VectorField(grid, np.zeros(grid.shape), np.zeros(grid.shape)))] * 2
+    vs = [_tensor(VectorField(grid, np.zeros(grid.shape), np.zeros(grid.shape)))] * 2
     with pytest.raises(ValueError):
         integrate_inverse_flow(cfg, vs)
     with pytest.raises(ValueError):
@@ -153,16 +160,35 @@ def test_flows_of_a_stack_match_each_field():
     cfg = ShootingConfig(num_steps=6, operator=MetricOperator(grid))
     rng = np.random.default_rng(17)
     fields = [_smooth_field(grid, rng, scale=0.8) for _ in range(3)]
-    sx = constant(np.stack([v.x_component for v in fields]))
-    sy = constant(np.stack([v.y_component for v in fields]))
-    velocities = integrate_epdiff(cfg, sx, sy)
+    velocities = integrate_epdiff(cfg, constant(np.stack([_stacked(v) for v in fields])))
     inverse = integrate_inverse_flow(cfg, velocities)
     forward = integrate_forward_flow(cfg, velocities)
     for t, v0 in enumerate(fields):
         path = shoot(cfg, v0)
-        for (vx, vy), v in zip(velocities, path.velocities):
-            assert np.allclose(vx.values[t], v.x_component, rtol=0, atol=1e-12)
-            assert np.allclose(vy.values[t], v.y_component, rtol=0, atol=1e-12)
-        for (px, py), phi in ((inverse, path.inverse_map), (forward, path.forward_map)):
-            assert np.allclose(px.values[t], phi.x, rtol=0, atol=1e-12)
-            assert np.allclose(py.values[t], phi.y, rtol=0, atol=1e-12)
+        for w, v in zip(velocities, path.velocities):
+            assert np.allclose(w.values[t, 0], v.x_component, rtol=0, atol=1e-12)
+            assert np.allclose(w.values[t, 1], v.y_component, rtol=0, atol=1e-12)
+        for p, phi in ((inverse, path.inverse_map), (forward, path.forward_map)):
+            assert np.allclose(p.values[t, 0], phi.x, rtol=0, atol=1e-12)
+            assert np.allclose(p.values[t, 1], phi.y, rtol=0, atol=1e-12)
+
+
+def test_carried_momentum_stays_the_metric_of_the_velocity(monkeypatch):
+    # m_{k+1} = m_k - dt f_k tracks L v_k on every step of a criterion-3 geodesic
+    grid = Grid2(64, 64)
+    op = MetricOperator(grid, alpha=3.0, gamma=1.0, power=3)
+    cfg = ShootingConfig(20, op)
+    v0 = _smooth_field(grid, np.random.default_rng(33), scale=1.0)
+    seen = []
+
+    def recording(v, m):
+        seen.append((v, m))
+        return epdiff_force(v, m)
+
+    monkeypatch.setattr(geodesic, "epdiff_force", recording)
+    velocities = integrate_epdiff(cfg, _tensor(v0))
+    assert len(seen) == cfg.num_steps - 1
+    for (v, m), w in zip(seen, velocities):
+        assert v is w
+        lv = spectral_multiply(op, v).values
+        assert np.max(np.abs(m.values - lv)) <= 1e-10 * np.max(np.abs(lv))

@@ -11,6 +11,8 @@ from cardiomotion.grid import (Grid2, MapField, ScalarField, VectorField, FieldS
                                interpolate, jacobian, jacobian_determinant, map_to_displacement,
                                warp_vector)
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_grid_validation():
     with pytest.raises(ValueError):
@@ -114,6 +116,26 @@ def test_bilinear_adjoint_identity(lead):
         lhs = np.sum(bilinear_apply(x, idx, tx, ty) * y)
         rhs = np.sum(x * bilinear_adjoint_field(shape, idx, tx, ty, y))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+def test_bilinear_coordinates_broadcast_over_leading_axes():
+    # (3, 1, ...) coordinates read both components of a (3, 2, H, W) stack
+    rng = np.random.default_rng(43)
+    shape = (3, 2, 9, 7)
+    mx = rng.uniform(-2.0, 9.0, (3, 1, 5, 6))
+    my = rng.uniform(-2.0, 11.0, (3, 1, 5, 6))
+    idx, tx, ty, _, _ = bilinear_prepare(shape, mx, my)
+    assert idx.shape == (3, 2, 5, 6) and tx.shape == mx.shape
+    x = rng.standard_normal(shape)
+    looped = np.stack([np.stack([bilinear_sample(x[t, c], mx[t, 0], my[t, 0]) for c in range(2)])
+                       for t in range(3)])
+    assert np.array_equal(bilinear_apply(x, idx, tx, ty), looped)
+    y = rng.standard_normal(idx.shape)
+    lhs = np.sum(looped * y)
+    rhs = np.sum(x * bilinear_adjoint_field(shape, idx, tx, ty, y))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    with pytest.raises(ValueError):
+        bilinear_prepare(shape, mx[:2], my[:2])  # 2 coordinate slices for 3 field slices
 
 
 def test_ddx_ddy_central_difference():

@@ -14,6 +14,8 @@ from cardiomotion.registration import (RegistrationConfig, build_pairs, energy, 
                                        pair_stack, register_pair, registration_network_loss,
                                        train_registration_network)
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _cfg(grid, num_steps=5, sigma=0.05, lr=0.01, max_iter=50, tol=1e-9):
     op = MetricOperator(grid, alpha=3.0, gamma=1.0, power=3)
