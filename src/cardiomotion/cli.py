@@ -35,6 +35,7 @@ from .grid import FieldSequence, Grid2, VectorField
 from .metric import MetricOperator, SmoothingKernel
 from .nn import (MotionDecoder, NoisePredictor, ParameterStore, RegistrationNet, UNetConfig,
                  load_checkpoint, no_grad, save_checkpoint)
+from .nn.params import checkpoint_records
 from .phantom import DatasetRanges, PhantomConfig, load_sample, make_dataset, save_sample
 from .registration import (RegistrationConfig, build_pairs, energy, pair_stack, register_pair,
                            train_registration_network)
@@ -130,18 +131,16 @@ def _load_split(dataset_dir: str, split: str) -> list:
     return [(name, load_sample(os.path.join(dataset_dir, name))) for name in names]
 
 
-def _truth_stack(sample) -> np.ndarray:
-    return np.stack([np.stack([m.x_component, m.y_component]) for m in sample.motions.frames])
-
-
-def _motions_from_file(path, grid: Grid2) -> FieldSequence:
+def _motions_from_file(path, grid: Grid2, num_frames: int) -> FieldSequence:
+    """The displacements of a motions file, after checking them against the sample."""
     records = read_container(path)
     if "motions" not in records:
         raise ConfigError(f"{path}: no 'motions' record")
     arr = records["motions"]
-    if arr.ndim != 4 or arr.shape[1] != 2 or arr.shape[2:] != grid.shape:
-        raise ConfigError(f"{path}: motions shape {arr.shape} does not match grid {grid.shape}")
-    return FieldSequence([VectorField(grid, a[0], a[1]) for a in arr])
+    expected = (num_frames, 2) + grid.shape
+    if arr.shape != expected:
+        raise ConfigError(f"{path}: motions shape {arr.shape}, the sample needs {expected}")
+    return FieldSequence([VectorField(grid, *a) for a in arr])
 
 
 def cmd_phantom(args) -> int:
@@ -170,22 +169,25 @@ def cmd_phantom(args) -> int:
     return 0
 
 
-def _register_direct(args, cfg: RunConfig, items) -> int:
+# A register mode returns its containers by path, its CSV log's name and rows and a
+# summary line; cmd_register writes them after the mode succeeds, so a failure leaves no --out
+
+
+def _register_direct(args, cfg: RunConfig, items):
     rcfg = _reg_config(cfg, items[0][1].images.grid)
     rows = [["file", "pair", "iterations", "final_energy"]]
+    containers = {}
     for name, sample in items:
         fields = []
         for k, (src, tgt) in enumerate(build_pairs(sample.images)):
             result = register_pair(rcfg, src, tgt)
-            fields.append(np.stack([result.v0.x_component, result.v0.y_component]))
+            fields.append(result.v0.values)
             rows.append([name, k, len(result.energy_trace) - 1, _fmt(result.energy_trace[-1])])
-        write_container(os.path.join(args.out, f"v0_{name}"), {"v0": np.stack(fields)})
-    _atomic_text(os.path.join(args.out, "energies.csv"), _csv_text(rows))
-    print(f"registered {len(items)} sequences")
-    return 0
+        containers[os.path.join(args.out, f"v0_{name}")] = {"v0": np.stack(fields)}
+    return containers, "energies.csv", rows, f"registered {len(items)} sequences"
 
 
-def _register_train(args, cfg: RunConfig, items) -> int:
+def _register_train(args, cfg: RunConfig, items):
     if not args.model_out:
         raise ConfigError("train mode requires --model-out")
     rcfg = _reg_config(cfg, items[0][1].images.grid)
@@ -194,14 +196,12 @@ def _register_train(args, cfg: RunConfig, items) -> int:
                                          epochs=args.epochs,
                                          learning_rate=args.learning_rate,
                                          seed=_seed(cfg, args))
-    save_checkpoint(net.store, args.model_out)
     rows = [["epoch", "loss"]] + [[i, _fmt(v)] for i, v in enumerate(history)]
-    _atomic_text(os.path.join(args.out, "register_train_log.csv"), _csv_text(rows))
-    print(f"trained registration network: loss {history[0]:.6g} -> {history[-1]:.6g}")
-    return 0
+    return ({args.model_out: checkpoint_records(net.store)}, "register_train_log.csv", rows,
+            f"trained registration network: loss {history[0]:.6g} -> {history[-1]:.6g}")
 
 
-def _register_apply(args, cfg: RunConfig, items) -> int:
+def _register_apply(args, cfg: RunConfig, items):
     if not args.model_in:
         raise ConfigError("apply mode requires --model-in")
     grid = items[0][1].images.grid
@@ -209,16 +209,16 @@ def _register_apply(args, cfg: RunConfig, items) -> int:
     net = RegistrationNet(_unet_config(cfg), seed=cfg.seed)
     load_checkpoint(net.store, args.model_in)
     rows = [["file", "pair", "iterations", "final_energy"]]
+    containers = {}
     for name, sample in items:
         with no_grad():
             v0 = net.forward(pair_stack(sample.images)).values
         for k, (src, tgt) in enumerate(build_pairs(sample.images)):
-            total, _, _ = energy(rcfg, VectorField(grid, v0[k, 0], v0[k, 1]), src, tgt)
+            total, _, _ = energy(rcfg, VectorField(grid, *v0[k]), src, tgt)
             rows.append([name, k, 0, _fmt(total)])
-        write_container(os.path.join(args.out, f"v0_{name}"), {"v0": v0})
-    _atomic_text(os.path.join(args.out, "energies.csv"), _csv_text(rows))
-    print(f"applied registration network to {len(items)} sequences")
-    return 0
+        containers[os.path.join(args.out, f"v0_{name}")] = {"v0": v0}
+    return (containers, "energies.csv", rows,
+            f"applied registration network to {len(items)} sequences")
 
 
 def cmd_register(args) -> int:
@@ -230,12 +230,14 @@ def cmd_register(args) -> int:
     items = _load_split(args.dataset, args.split)
     if not items:
         raise ConfigError(f"split {args.split!r} is empty")
+    mode = {"direct": _register_direct, "train": _register_train, "apply": _register_apply}
+    containers, log_name, rows, summary = mode[args.mode](args, cfg, items)
     os.makedirs(args.out, exist_ok=True)
-    if args.mode == "direct":
-        return _register_direct(args, cfg, items)
-    if args.mode == "train":
-        return _register_train(args, cfg, items)
-    return _register_apply(args, cfg, items)
+    for path, records in containers.items():
+        write_container(path, records)
+    _atomic_text(os.path.join(args.out, log_name), _csv_text(rows))
+    print(summary)
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -256,8 +258,8 @@ def cmd_train(args) -> int:
     dcfg = _diffusion_parts(cfg)
     result = diffusion_train(
         reg, eps_net, mot_net,
-        [(pair_stack(s.images), _truth_stack(s)) for _, s in train_items],
-        [(pair_stack(s.images), _truth_stack(s)) for _, s in val_items],
+        [(pair_stack(s.images), s.motions.values) for _, s in train_items],
+        [(pair_stack(s.images), s.motions.values) for _, s in val_items],
         dcfg, learning_rate=cfg.diffusion.learning_rate, patience=cfg.diffusion.patience,
         seed=_seed(cfg, args),
     )
@@ -280,18 +282,16 @@ def cmd_infer(args) -> int:
     dcfg = _diffusion_parts(cfg)
     rng = np.random.default_rng(_seed(cfg, args))
     motions = diffusion_infer(sample.images, reg, eps_net, mot_net, dcfg.schedule, dcfg.kernel, rng)
-    arr = np.stack([np.stack([m.x_component, m.y_component]) for m in motions.frames])
-    write_container(args.out, {"motions": arr})
-    print(f"wrote {arr.shape[0]}-frame displacement sequence to {args.out}")
+    write_container(args.out, {"motions": motions})
+    print(f"wrote {motions.shape[0]}-frame displacement sequence to {args.out}")
     return 0
 
 
 def cmd_strain(args) -> int:
     window = check_window((args.window_low, args.window_high))
     sample = load_sample(args.sample)
-    grid = sample.images.grid
-    motions = (_motions_from_file(args.motions, grid) if args.motions
-               else sample.motions)
+    motions = (_motions_from_file(args.motions, sample.images.grid, len(sample.motions))
+               if args.motions else sample.motions)
     num_frames = len(motions)
     frame = args.frame if args.frame is not None else max(1, round(num_frames / 2))
     if not 1 <= frame <= num_frames:
@@ -311,11 +311,8 @@ def cmd_strain(args) -> int:
 
 def cmd_eval(args) -> int:
     sample = load_sample(args.sample)
-    grid = sample.images.grid
-    pred = _motions_from_file(args.pred, grid)
     truth = sample.motions
-    if len(pred) != len(truth):
-        raise ConfigError(f"prediction has {len(pred)} frames, truth has {len(truth)}")
+    pred = _motions_from_file(args.pred, sample.images.grid, len(truth))
     center = sample.mask.centroid()
     seg = segment_mask(sample.mask, center, sample.insertion_angle)
     rows = [["quantity", "frame", "segment", "value"]]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FieldSequence, VectorField
+from .grid import FieldSequence
 from .metric import SmoothingKernel, smooth_noise
 from .nn.networks import (
     LatentFeatures,
@@ -281,8 +281,8 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
 
 def infer(sequence: FieldSequence, reg_net: RegistrationNet, eps_net: NoisePredictor,
           mot_net: MotionDecoder, schedule: NoiseSchedule, kernel: SmoothingKernel,
-          rng: np.random.Generator) -> FieldSequence:
-    """Refined displacement sequence for one image sequence.
+          rng: np.random.Generator) -> np.ndarray:
+    """Refined (T, 2, H, W) displacement stack for one image sequence.
 
     Encodes the (frame 0, frame tau) pairs, noises the latents to step M
     in closed form, runs the full reverse chain, and decodes dense
@@ -299,7 +299,4 @@ def infer(sequence: FieldSequence, reg_net: RegistrationNet, eps_net: NoisePredi
             gamma = rng.standard_normal(z.values.shape)
             z = reverse_step(schedule, kernel, z, m, eps_net, gamma)
     with no_grad():
-        motions = mot_net.forward(z).values
-    grid = sequence.frames[0].grid
-    frames = [VectorField(grid, motions[t, 0], motions[t, 1]) for t in range(motions.shape[0])]
-    return FieldSequence(frames)
+        return mot_net.forward(z).values

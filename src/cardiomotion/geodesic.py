@@ -117,17 +117,13 @@ def shoot(cfg: ShootingConfig, v0: VectorField) -> GeodesicPath:
     cfg.operator._check(v0)
     grid = v0.grid
     with no_grad():
-        velocities = integrate_epdiff(cfg, constant(np.stack([v0.x_component, v0.y_component])))
+        velocities = integrate_epdiff(cfg, constant(v0.values))
         inverse = integrate_inverse_flow(cfg, velocities)
         forward = integrate_forward_flow(cfg, velocities)
-
-    def field(t: Tensor) -> VectorField:
-        return VectorField(grid, t.values[0], t.values[1])
-
     return GeodesicPath(
-        velocities=[field(v) for v in velocities],
-        inverse_map=MapField(grid, field(inverse)),
-        forward_map=MapField(grid, field(forward)),
+        velocities=[VectorField(grid, *v.values) for v in velocities],
+        inverse_map=MapField(grid, *inverse.values),
+        forward_map=MapField(grid, *forward.values),
     )
 
 

@@ -3,8 +3,9 @@
 Conventions used throughout the package:
 
 * arrays are indexed ``[row, col]`` = ``[y, x]``; shapes are ``(height, width)``
-* vector quantities keep separate ``x_component`` (along columns) and
-  ``y_component`` (along rows) arrays, in pixel units
+* a vector field is one ``(2, H, W)`` array in pixel units, the x
+  component (along columns) first and the y component (along rows)
+  second; a sequence of T fields stacks to ``(T, 2, H, W)``
 * deformation maps store absolute target coordinates, so the identity map
   at pixel ``(i, j)`` is ``(x=j, y=i)``
 * sampling outside the domain clamps to the nearest edge pixel
@@ -61,37 +62,31 @@ class ScalarField:
         self.values = _as_field_array(self.values, self.grid, "scalar field")
 
 
-@dataclass
 class VectorField:
-    """A 2-vector per pixel: displacements (px) or velocities (px per unit time)."""
+    """A 2-vector per pixel: displacements (px) or velocities (px per unit time).
 
-    grid: Grid2
-    x_component: np.ndarray
-    y_component: np.ndarray
+    ``values`` is one (2, H, W) array; the components are views of it.
+    """
 
-    def __post_init__(self):
-        self.x_component = _as_field_array(self.x_component, self.grid, "x component")
-        self.y_component = _as_field_array(self.y_component, self.grid, "y component")
+    def __init__(self, grid: Grid2, x, y):
+        self.grid = grid
+        self.values = np.stack([_as_field_array(x, grid, "x component"),
+                                _as_field_array(y, grid, "y component")])
+
+    @property
+    def x_component(self) -> np.ndarray:
+        return self.values[0]
+
+    @property
+    def y_component(self) -> np.ndarray:
+        return self.values[1]
 
 
-@dataclass
-class MapField:
+class MapField(VectorField):
     """A deformation map: absolute target coordinates per pixel."""
 
-    grid: Grid2
-    coordinates: VectorField
-
-    def __post_init__(self):
-        if self.coordinates.grid != self.grid:
-            raise GridMismatchError("map coordinates live on a different grid")
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.coordinates.x_component
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.coordinates.y_component
+    x = VectorField.x_component
+    y = VectorField.y_component
 
 
 @dataclass
@@ -122,16 +117,16 @@ class FieldSequence:
     def __getitem__(self, k):
         return self.frames[k]
 
+    @property
+    def values(self) -> np.ndarray:
+        """The frames stacked: (T+1, H, W) for images, (T, 2, H, W) for motions."""
+        return np.stack([f.values for f in self.frames])
+
 
 def coordinate_arrays(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
     """Pixel coordinate arrays (x, y), each of shape (height, width)."""
     ys, xs = np.mgrid[0 : grid.height, 0 : grid.width]
     return xs.astype(np.float64), ys.astype(np.float64)
-
-
-def identity_map(grid: Grid2) -> MapField:
-    xs, ys = coordinate_arrays(grid)
-    return MapField(grid, VectorField(grid, xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +268,12 @@ def ddy_adjoint(g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_same_grid(a_grid: Grid2, b_grid: Grid2):
-    if a_grid != b_grid:
-        raise GridMismatchError(f"grids differ: {a_grid.shape} vs {b_grid.shape}")
-
-
-def interpolate(field: ScalarField, mapping: MapField) -> ScalarField:
-    """Sample ``field`` at the map's target coordinates (clamped bilinear)."""
-    _check_same_grid(field.grid, mapping.grid)
-    return ScalarField(field.grid, bilinear_sample(field.values, mapping.x, mapping.y))
-
-
 def warp_vector(field: VectorField, mapping: MapField) -> VectorField:
     """Per-component bilinear sampling of a vector field at map coordinates."""
-    _check_same_grid(field.grid, mapping.grid)
-    idx, tx, ty, _, _ = bilinear_prepare(field.grid.shape, mapping.x, mapping.y)
-    return VectorField(
-        field.grid,
-        bilinear_apply(field.x_component, idx, tx, ty),
-        bilinear_apply(field.y_component, idx, tx, ty),
-    )
+    if field.grid != mapping.grid:
+        raise GridMismatchError(f"grids differ: {field.grid.shape} vs {mapping.grid.shape}")
+    sampled = bilinear_sample(field.values, mapping.x[None], mapping.y[None])
+    return VectorField(field.grid, *sampled)
 
 
 def jacobian(v: VectorField) -> np.ndarray:
@@ -300,20 +281,10 @@ def jacobian(v: VectorField) -> np.ndarray:
 
     Component order is (x, y), so [0, 0] = dvx/dx, [0, 1] = dvx/dy etc.
     """
-    h, w = v.grid.shape
-    out = np.empty((h, w, 2, 2))
-    out[:, :, 0, 0] = ddx(v.x_component)
-    out[:, :, 0, 1] = ddy(v.x_component)
-    out[:, :, 1, 0] = ddx(v.y_component)
-    out[:, :, 1, 1] = ddy(v.y_component)
+    out = np.empty(v.grid.shape + (2, 2))
+    out[..., 0] = np.moveaxis(ddx(v.values), 0, -1)
+    out[..., 1] = np.moveaxis(ddy(v.values), 0, -1)
     return out
-
-
-def compose(outer: MapField, inner: MapField) -> MapField:
-    """Map composition: result(x) = outer evaluated bilinearly at inner(x)."""
-    _check_same_grid(outer.grid, inner.grid)
-    warped = warp_vector(outer.coordinates, inner)
-    return MapField(outer.grid, warped)
 
 
 def map_to_displacement(phi: MapField) -> VectorField:
@@ -324,8 +295,6 @@ def map_to_displacement(phi: MapField) -> VectorField:
 
 def jacobian_determinant(phi: MapField) -> ScalarField:
     """det(D phi) per pixel; positive everywhere for a diffeomorphism."""
-    jxx = ddx(phi.x)
-    jxy = ddy(phi.x)
-    jyx = ddx(phi.y)
-    jyy = ddy(phi.y)
+    jxx, jyx = ddx(phi.values)
+    jxy, jyy = ddy(phi.values)
     return ScalarField(phi.grid, jxx * jyy - jxy * jyx)

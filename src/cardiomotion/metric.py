@@ -56,24 +56,18 @@ class MetricOperator:
 def apply_L(op: MetricOperator, v: VectorField) -> VectorField:
     """Momentum m = L v (per-component spectral multiplication)."""
     op._check(v)
-    return VectorField(v.grid, op.multiply(v.x_component), op.multiply(v.y_component))
+    return VectorField(v.grid, *op.multiply(v.values))
 
 
 def apply_K(op: MetricOperator, m: VectorField) -> VectorField:
     """Velocity v = K m, the exact inverse of apply_L."""
     op._check(m)
-    return VectorField(
-        m.grid, op.multiply(m.x_component, inverse=True), op.multiply(m.y_component, inverse=True)
-    )
+    return VectorField(m.grid, *op.multiply(m.values, inverse=True))
 
 
 def metric_norm(op: MetricOperator, v: VectorField) -> float:
     """<Lv, v> summed over pixels and components; the geodesic energy of v."""
-    op._check(v)
-    lv = apply_L(op, v)
-    return float(
-        np.sum(lv.x_component * v.x_component) + np.sum(lv.y_component * v.y_component)
-    )
+    return float(np.sum(apply_L(op, v).values * v.values))
 
 
 @dataclass

@@ -95,13 +95,18 @@ def unused_parameters(store: ParameterStore) -> list[str]:
     return stale
 
 
-def save_checkpoint(store: ParameterStore, path) -> None:
+def checkpoint_records(store: ParameterStore) -> dict[str, np.ndarray]:
+    """The container records of a checkpoint: step, parameters and Adam moments."""
     records: dict[str, np.ndarray] = {"meta/step": np.asarray(float(store.step_count))}
     for name, p in store.params.items():
         records[f"param/{name}"] = p.values
         records[f"m1/{name}"] = store.moment1[name]
         records[f"m2/{name}"] = store.moment2[name]
-    write_container(path, records)
+    return records
+
+
+def save_checkpoint(store: ParameterStore, path) -> None:
+    write_container(path, checkpoint_records(store))
 
 
 def load_checkpoint(store: ParameterStore, path) -> None:

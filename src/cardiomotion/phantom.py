@@ -215,11 +215,9 @@ def save_sample(path, sample: PhantomSample) -> None:
         "insertion_angle": sample.insertion_angle,
         "center": list(sample.center),
     }
-    images = np.stack([f.values for f in sample.images.frames])
-    motions = np.stack([np.stack([m.x_component, m.y_component]) for m in sample.motions.frames])
     records = {
-        "images": images,
-        "motions": motions,
+        "images": sample.images.values,
+        "motions": sample.motions.values,
         "mask": sample.mask.labels.astype(np.uint8),
         "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
     }
@@ -274,6 +272,6 @@ def load_sample(path) -> PhantomSample:
             raise ValueError(f"sample record {name!r} has shape {records[name].shape}, "
                              f"expected {shape}")
     images = FieldSequence([ScalarField(grid, v) for v in records["images"]])
-    motions = FieldSequence([VectorField(grid, m[0], m[1]) for m in records["motions"]])
+    motions = FieldSequence([VectorField(grid, *m) for m in records["motions"]])
     mask = Mask(grid, records["mask"].astype(bool))
     return PhantomSample(images, motions, mask, float(angle), (float(cx), float(cy)), cfg)

@@ -82,10 +82,6 @@ def _energy_terms(shooting: ShootingConfig, sigma: float, v0: Tensor,
     return total, dist, reg, warped
 
 
-def _stacked(v: VectorField) -> np.ndarray:
-    return np.stack([v.x_component, v.y_component])
-
-
 def _check_pair(cfg: RegistrationConfig, source: ScalarField, target: ScalarField,
                 v0: VectorField | None = None) -> Grid2:
     """The registration grid, after checking that the images and v0 (if given) lie on it."""
@@ -102,7 +98,7 @@ def energy(cfg: RegistrationConfig, v0: VectorField, source: ScalarField,
     """(total, dist, reg) of the registration energy at v0."""
     _check_pair(cfg, source, target, v0)
     with no_grad():
-        total, dist, reg, _ = _energy_terms(cfg.shooting, cfg.sigma, constant(_stacked(v0)),
+        total, dist, reg, _ = _energy_terms(cfg.shooting, cfg.sigma, constant(v0.values),
                                             source.values, target.values)
     return total.item(), dist.item(), reg.item()
 
@@ -111,12 +107,12 @@ def energy_gradient(cfg: RegistrationConfig, v0: VectorField, source: ScalarFiel
                     target: ScalarField) -> VectorField:
     """Exact gradient of the discrete energy with respect to v0."""
     _check_pair(cfg, source, target, v0)
-    v = Tensor(_stacked(v0), requires_grad=True)
+    v = Tensor(v0.values, requires_grad=True)
     total, _, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)
     total.backward()
     if not np.all(np.isfinite(v.grad)):
         raise IntegrationDivergedError(cfg.shooting.num_steps, "energy gradient")
-    return VectorField(v0.grid, v.grad[0], v.grad[1])
+    return VectorField(v0.grid, *v.grad)
 
 
 def register_pair(cfg: RegistrationConfig, source: ScalarField,
@@ -146,7 +142,7 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
         total.backward()
         adam_step(store, cfg.learning_rate)
 
-    v0 = VectorField(grid, v.values[0].copy(), v.values[1].copy())
+    v0 = VectorField(grid, *v.values)
     return RegistrationResult(
         v0=v0,
         path=shoot(cfg.shooting, v0),
@@ -165,8 +161,7 @@ def build_pairs(seq: FieldSequence) -> list[tuple[ScalarField, ScalarField]]:
 
 def pair_stack(seq: FieldSequence) -> np.ndarray:
     """Pairs of build_pairs as one (T, 2, H, W) array (network input layout)."""
-    pairs = build_pairs(seq)
-    return np.stack([np.stack([s.values, t.values]) for s, t in pairs])
+    return np.stack([np.stack([s.values, t.values]) for s, t in build_pairs(seq)])
 
 
 def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.ndarray) -> Tensor:

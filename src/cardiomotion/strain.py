@@ -73,7 +73,6 @@ class StrainMap:
 def deformation_gradient(u: VectorField) -> np.ndarray:
     """F = I + Du, shape (H, W, 2, 2); u in pixel units (spacing cancels)."""
     f = jacobian(u)
-    f = f.copy()
     f[..., 0, 0] += 1.0
     f[..., 1, 1] += 1.0
     return f
@@ -152,9 +151,7 @@ def epe(pred: VectorField, truth: VectorField, mask: Mask) -> float:
     """Masked mean end-point error in millimetres."""
     if pred.grid != truth.grid or pred.grid != mask.grid:
         raise GridMismatchError("end-point error requires matching grids")
-    dx = pred.x_component - truth.x_component
-    dy = pred.y_component - truth.y_component
-    dist = np.hypot(dx, dy)[mask.labels]
+    dist = np.hypot(*(pred.values - truth.values))[mask.labels]
     return float(dist.mean() * pred.grid.spacing)
 
 

@@ -358,10 +358,6 @@ def test_criterion_6_refinement_beats_registration():
     train_registration_network(reg, [pair_stack(s.images) for s in splits.train], rcfg,
                                epochs=30, learning_rate=1e-3, seed=0)
 
-    def truth_stack(sample):
-        return np.stack([np.stack([m.x_component, m.y_component])
-                         for m in sample.motions.frames])
-
     store = ParameterStore()
     eps_net = NoisePredictor(ucfg, 8, store, seed=1)
     mot_net = MotionDecoder(ucfg, 8, 64, 64, store, seed=2)
@@ -370,8 +366,8 @@ def test_criterion_6_refinement_beats_registration():
     dcfg = DiffusionConfig(schedule=schedule, kernel=kernel, loss_alpha=1e-2, batch_size=4,
                            max_epochs=500)
     train_diffusion(reg, eps_net, mot_net,
-                    [(pair_stack(s.images), truth_stack(s)) for s in splits.train],
-                    [(pair_stack(s.images), truth_stack(s)) for s in splits.validation],
+                    [(pair_stack(s.images), s.motions.values) for s in splits.train],
+                    [(pair_stack(s.images), s.motions.values) for s in splits.validation],
                     dcfg, learning_rate=1e-3, patience=75, seed=0)
 
     def registration_epe(sample):
@@ -379,7 +375,7 @@ def test_criterion_6_refinement_beats_registration():
             v0s = reg.forward(pair_stack(sample.images)).values
         errs = []
         for t in range(8):
-            path = shoot(rcfg.shooting, VectorField(grid, v0s[t, 0], v0s[t, 1]))
+            path = shoot(rcfg.shooting, VectorField(grid, *v0s[t]))
             errs.append(epe(map_to_displacement(path.forward_map), sample.motions[t],
                             sample.mask))
         return float(np.mean(errs))
@@ -390,8 +386,8 @@ def test_criterion_6_refinement_beats_registration():
         base = registration_epe(sample)
         pred = infer_motion(sample.images, reg, eps_net, mot_net, schedule, kernel,
                             np.random.default_rng([9, i]))
-        refined = float(np.mean([epe(pred[t], sample.motions[t], sample.mask)
-                                 for t in range(8)]))
+        refined = float(np.mean([epe(VectorField(grid, *u), truth, sample.mask)
+                                 for u, truth in zip(pred, sample.motions.frames)]))
         wins += refined < base
         improvements.append(1.0 - refined / base)
         print(f"held-out {i}: registration {base:.3f} refined {refined:.3f} "

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import cardiomotion
+import cardiomotion.cli
 import cardiomotion.diffusion
 from cardiomotion.cli import _diffusion_parts, main
 from cardiomotion.config import config_from_dict
 from cardiomotion.container import read_container, write_container
+from cardiomotion.errors import IntegrationDivergedError
 from cardiomotion.phantom import load_sample
 
 # a numpy warning on stderr breaks the one-line failure contract
@@ -149,8 +151,7 @@ def test_strain_on_ground_truth_matches_analytic_value(pipeline, tmp_path):
 
 def test_eval_of_truth_is_zero_error(pipeline, tmp_path):
     sample = load_sample(pipeline["sample"])
-    truth = np.stack([np.stack([m.x_component, m.y_component])
-                      for m in sample.motions.frames])
+    truth = sample.motions.values
     pred_path = str(tmp_path / "truth.lmf1")
     write_container(pred_path, {"motions": truth})
     out = str(tmp_path / "eval.csv")
@@ -203,6 +204,12 @@ def test_cli_error_paths(pipeline, tmp_path, capsys):
     assert main(["register", "--dataset", pipeline["data"], "--mode", "train",
                  "--out", str(tmp_path / "o2")]) == 1
     assert "--model-out" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
+    # apply mode without a checkpoint to apply
+    assert main(["register", "--dataset", pipeline["data"], "--mode", "apply",
+                 "--out", str(tmp_path / "o3")]) == 1
+    assert "--model-in" in capsys.readouterr().err
+    assert not (tmp_path / "o3").exists()
     # wrong checkpoint kind for infer
     assert main(["infer", "--config", pipeline["cfg"], "--sample", pipeline["sample"],
                  "--registration-model", pipeline["regmodel"],
@@ -334,7 +341,40 @@ def test_apply_with_negative_checkpoint_step_is_one_error_line(pipeline, tmp_pat
     assert main(["register", "--config", pipeline["cfg"], "--dataset", pipeline["data"],
                  "--mode", "apply", "--out", str(tmp_path / "o"), "--model-in", bad]) == 1
     _single_error_line(capsys.readouterr().err, "meta/step")
-    assert not (tmp_path / "o" / "energies.csv").exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_register_direct_diverging_on_a_later_sequence_leaves_no_output(pipeline, tmp_path,
+                                                                         capsys, monkeypatch):
+    real_register = cardiomotion.cli.register_pair
+    calls = []
+
+    def diverging(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:  # the first pair of the second sequence
+            raise IntegrationDivergedError(3, "registration energy")
+        return real_register(*args, **kwargs)
+
+    monkeypatch.setattr(cardiomotion.cli, "register_pair", diverging)
+    assert main(["register", "--config", pipeline["cfg"], "--dataset", pipeline["data"],
+                 "--mode", "direct", "--split", "all", "--out", str(tmp_path / "o")]) == 1
+    _single_error_line(capsys.readouterr().err, "registration energy diverged")
+    assert len(calls) == 5
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["strain", "eval"])
+def test_motions_with_the_wrong_frame_count_are_one_error_line(pipeline, tmp_path, capsys,
+                                                               command):
+    short = str(tmp_path / "short.lmf1")
+    write_container(short, {"motions": load_sample(pipeline["sample"]).motions.values[:2]})
+    argv = {"strain": ["strain", "--sample", pipeline["sample"], "--motions", short,
+                       "--out-prefix", str(tmp_path / "x")],
+            "eval": ["eval", "--sample", pipeline["sample"], "--pred", short,
+                     "--out", str(tmp_path / "x_eval.csv")]}[command]
+    assert main(argv) == 1
+    _single_error_line(capsys.readouterr().err, short)
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_unknown_subcommand_exits_2():

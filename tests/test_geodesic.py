@@ -7,7 +7,8 @@ import cardiomotion.geodesic as geodesic
 from cardiomotion.errors import IntegrationDivergedError
 from cardiomotion.geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff,
                                    integrate_forward_flow, integrate_inverse_flow, shoot)
-from cardiomotion.grid import Grid2, VectorField, compose, coordinate_arrays, jacobian_determinant
+from cardiomotion.grid import (Grid2, VectorField, coordinate_arrays, jacobian_determinant,
+                               warp_vector)
 from cardiomotion.metric import MetricOperator, apply_K, metric_norm
 from cardiomotion.nn import constant, epdiff_force, spectral_multiply
 
@@ -23,12 +24,8 @@ def _smooth_field(grid, rng, scale=1.0):
     return VectorField(grid, scale * v.x_component / n, scale * v.y_component / n)
 
 
-def _stacked(v):
-    return np.stack([v.x_component, v.y_component])
-
-
 def _tensor(v):
-    return constant(_stacked(v))
+    return constant(v.values)
 
 
 def test_config_validation():
@@ -95,11 +92,11 @@ def test_forward_inverse_maps_cancel_in_interior():
     rng = np.random.default_rng(7)
     v0 = _smooth_field(grid, rng, scale=0.8)
     path = shoot(cfg, v0)
-    both = compose(path.inverse_map, path.forward_map)
+    both = warp_vector(path.inverse_map, path.forward_map)  # phi^-1 o phi
     xs, ys = coordinate_arrays(grid)
     inner = (slice(4, -4), slice(4, -4))
-    assert np.max(np.abs(both.x[inner] - xs[inner])) < 0.05
-    assert np.max(np.abs(both.y[inner] - ys[inner])) < 0.05
+    assert np.max(np.abs(both.x_component[inner] - xs[inner])) < 0.05
+    assert np.max(np.abs(both.y_component[inner] - ys[inner])) < 0.05
 
 
 def test_metric_norm_conserved_along_geodesic():
@@ -160,7 +157,7 @@ def test_flows_of_a_stack_match_each_field():
     cfg = ShootingConfig(num_steps=6, operator=MetricOperator(grid))
     rng = np.random.default_rng(17)
     fields = [_smooth_field(grid, rng, scale=0.8) for _ in range(3)]
-    velocities = integrate_epdiff(cfg, constant(np.stack([_stacked(v) for v in fields])))
+    velocities = integrate_epdiff(cfg, constant(np.stack([v.values for v in fields])))
     inverse = integrate_inverse_flow(cfg, velocities)
     forward = integrate_forward_flow(cfg, velocities)
     for t, v0 in enumerate(fields):

@@ -6,10 +6,11 @@ import pytest
 from cardiomotion.errors import GridMismatchError
 from cardiomotion.grid import (Grid2, MapField, ScalarField, VectorField, FieldSequence,
                                bilinear_adjoint_field, bilinear_apply, bilinear_prepare,
-                               bilinear_sample, compose, coordinate_arrays, ddx, ddx_adjoint,
-                               ddy, ddy_adjoint, identity_map,
-                               interpolate, jacobian, jacobian_determinant, map_to_displacement,
-                               warp_vector)
+                               bilinear_sample, coordinate_arrays, ddx, ddx_adjoint,
+                               ddy, ddy_adjoint, jacobian, jacobian_determinant,
+                               map_to_displacement, warp_vector)
+from cardiomotion.metric import MetricOperator, apply_K, apply_L
+from cardiomotion.strain import Mask, epe
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -31,6 +32,34 @@ def test_field_shape_checks():
         ScalarField(g, np.zeros((4, 5)))
     with pytest.raises(ValueError):
         VectorField(g, np.zeros((4, 4)), np.zeros((5, 4)))
+    with pytest.raises(ValueError):
+        MapField(g, np.zeros((4, 5)), np.zeros((4, 4)))
+
+
+def test_vector_field_is_one_array_with_component_views():
+    g = Grid2(5, 7)
+    rng = np.random.default_rng(44)
+    x, y = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    v = VectorField(g, x, y)
+    assert v.values.shape == (2, 5, 7) and v.values.dtype == np.float64
+    assert np.array_equal(v.values[0], x) and np.array_equal(v.values[1], y)
+    assert np.shares_memory(v.x_component, v.values[0])
+    assert np.shares_memory(v.y_component, v.values[1])
+    with pytest.raises(AttributeError):
+        v.x_component = y
+    m = MapField(g, x, y)
+    assert isinstance(m, VectorField) and m.values.shape == (2, 5, 7)
+    assert np.shares_memory(m.x, m.values[0]) and np.shares_memory(m.y, m.values[1])
+    assert np.array_equal(m.x, x) and np.array_equal(m.y, y)
+    back = VectorField(g, *v.values)
+    assert np.array_equal(back.values, v.values)
+    assert not np.shares_memory(back.values, v.values)
+    images = FieldSequence([ScalarField(g, x), ScalarField(g, y), ScalarField(g, x)])
+    assert images.values.shape == (3, 5, 7)
+    assert np.array_equal(images.values[1], y)
+    motions = FieldSequence([v, VectorField(g, y, x)])
+    assert motions.values.shape == (2, 2, 5, 7)
+    assert np.array_equal(motions.values[0], v.values)
 
 
 def test_field_sequence_grid_consistency():
@@ -44,9 +73,13 @@ def test_field_sequence_grid_consistency():
     assert len(FieldSequence([a, a])) == 2
 
 
+def _identity(g):
+    return MapField(g, *coordinate_arrays(g))
+
+
 def test_identity_map_and_coordinates():
     g = Grid2(4, 5)
-    ident = identity_map(g)
+    ident = _identity(g)
     xs, ys = coordinate_arrays(g)
     assert np.array_equal(ident.x, xs)
     assert np.array_equal(ident.y, ys)
@@ -57,8 +90,9 @@ def test_interpolate_is_exact_on_grid_points():
     g = Grid2(8, 8)
     rng = np.random.default_rng(0)
     f = ScalarField(g, rng.standard_normal(g.shape))
-    out = interpolate(f, identity_map(g))
-    assert np.allclose(out.values, f.values, atol=1e-14)
+    ident = _identity(g)
+    out = bilinear_sample(f.values, ident.x, ident.y)
+    assert np.allclose(out, f.values, atol=1e-14)
 
 
 def test_interpolate_linear_function_exactly():
@@ -66,11 +100,11 @@ def test_interpolate_linear_function_exactly():
     g = Grid2(8, 8)
     xs, ys = coordinate_arrays(g)
     f = ScalarField(g, 2.0 * xs - 3.0 * ys + 1.0)
-    shift = MapField(g, VectorField(g, xs + 0.3, ys + 0.6))
-    out = interpolate(f, shift)
+    shift = MapField(g, xs + 0.3, ys + 0.6)
+    out = bilinear_sample(f.values, shift.x, shift.y)
     inside = (xs <= 6) & (ys <= 6)
     expect = 2.0 * (xs + 0.3) - 3.0 * (ys + 0.6) + 1.0
-    assert np.allclose(out.values[inside], expect[inside], atol=1e-12)
+    assert np.allclose(out[inside], expect[inside], atol=1e-12)
 
 
 def test_bilinear_sample_clamps_at_borders():
@@ -177,7 +211,7 @@ def test_jacobian_determinant_of_uniform_scaling():
     xs, ys = coordinate_arrays(g)
     c = 7.5
     scale = 0.9
-    m = MapField(g, VectorField(g, c + scale * (xs - c), c + scale * (ys - c)))
+    m = MapField(g, c + scale * (xs - c), c + scale * (ys - c))
     jd = jacobian_determinant(m)
     assert np.allclose(jd.values[1:-1, 1:-1], scale**2, atol=1e-10)
 
@@ -187,7 +221,7 @@ def test_map_to_displacement_subtracts_identity():
     rng = np.random.default_rng(3)
     u = VectorField(g, rng.standard_normal(g.shape), rng.standard_normal(g.shape))
     xs, ys = coordinate_arrays(g)
-    back = map_to_displacement(MapField(g, VectorField(g, xs + u.x_component, ys + u.y_component)))
+    back = map_to_displacement(MapField(g, xs + u.x_component, ys + u.y_component))
     assert np.allclose(back.x_component, u.x_component, atol=1e-14)
     assert np.allclose(back.y_component, u.y_component, atol=1e-14)
 
@@ -195,17 +229,17 @@ def test_map_to_displacement_subtracts_identity():
 def test_compose_with_identity():
     g = Grid2(8, 8)
     xs, ys = coordinate_arrays(g)
-    m = MapField(g, VectorField(g, xs + 0.25, ys - 0.5))
-    out = compose(m, identity_map(g))
-    assert np.allclose(out.x, m.x, atol=1e-12)
-    assert np.allclose(out.y, m.y, atol=1e-12)
+    m = MapField(g, xs + 0.25, ys - 0.5)
+    out = warp_vector(m, _identity(g))  # m composed with the identity
+    assert np.allclose(out.x_component, m.x, atol=1e-12)
+    assert np.allclose(out.y_component, m.y, atol=1e-12)
 
 
 def test_warp_vector_constant_field_invariant():
     g = Grid2(8, 8)
     xs, ys = coordinate_arrays(g)
     v = VectorField(g, np.full(g.shape, 1.5), np.full(g.shape, -2.0))
-    m = MapField(g, VectorField(g, xs + 0.4, ys + 0.2))
+    m = MapField(g, xs + 0.4, ys + 0.2)
     w = warp_vector(v, m)
     assert np.allclose(w.x_component, 1.5)
     assert np.allclose(w.y_component, -2.0)
@@ -213,6 +247,41 @@ def test_warp_vector_constant_field_invariant():
 
 def test_grid_mismatch_raises():
     a = VectorField(Grid2(4, 4), np.zeros((4, 4)), np.zeros((4, 4)))
-    m = identity_map(Grid2(5, 5))
+    m = _identity(Grid2(5, 5))
     with pytest.raises(GridMismatchError):
         warp_vector(a, m)
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (16, 16)])
+def test_field_kernels_equal_their_per_component_formulas(shape):
+    # the stacked kernels do the same elementwise arithmetic, bit for bit
+    g = Grid2(*shape, spacing=1.5)
+    rng = np.random.default_rng(45)
+    xs, ys = coordinate_arrays(g)
+    v = VectorField(g, rng.standard_normal(shape), rng.standard_normal(shape))
+    w = VectorField(g, rng.standard_normal(shape), rng.standard_normal(shape))
+    phi = MapField(g, xs + rng.uniform(-2.0, 2.0, shape), ys + rng.uniform(-2.0, 2.0, shape))
+
+    j = jacobian(v)
+    assert j.shape == shape + (2, 2)
+    assert np.array_equal(j[..., 0, 0], ddx(v.x_component))
+    assert np.array_equal(j[..., 0, 1], ddy(v.x_component))
+    assert np.array_equal(j[..., 1, 0], ddx(v.y_component))
+    assert np.array_equal(j[..., 1, 1], ddy(v.y_component))
+
+    det = ddx(phi.x) * ddy(phi.y) - ddy(phi.x) * ddx(phi.y)
+    assert np.array_equal(jacobian_determinant(phi).values, det)
+
+    warped = warp_vector(v, phi)
+    assert np.array_equal(warped.x_component, bilinear_sample(v.x_component, phi.x, phi.y))
+    assert np.array_equal(warped.y_component, bilinear_sample(v.y_component, phi.x, phi.y))
+
+    mask = Mask(g, rng.uniform(size=shape) < 0.5)
+    dist = np.hypot(v.x_component - w.x_component, v.y_component - w.y_component)
+    assert epe(v, w, mask) == float(dist[mask.labels].mean() * g.spacing)
+
+    op = MetricOperator(g)
+    for apply, inverse in ((apply_L, False), (apply_K, True)):
+        out = apply(op, v)
+        assert np.array_equal(out.x_component, op.multiply(v.x_component, inverse=inverse))
+        assert np.array_equal(out.y_component, op.multiply(v.y_component, inverse=inverse))
