@@ -140,6 +140,8 @@ def _motions_from_file(path, grid: Grid2, num_frames: int) -> FieldSequence:
     expected = (num_frames, 2) + grid.shape
     if arr.shape != expected:
         raise ConfigError(f"{path}: motions shape {arr.shape}, the sample needs {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}: motions contain non-finite values")
     return FieldSequence([VectorField(grid, *a) for a in arr])
 
 

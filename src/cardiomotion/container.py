@@ -13,10 +13,10 @@ Layout (all integers little-endian):
         payload   row-major array bytes
 
 Round trips are bit-exact.  Malformed input is rejected with a
-ContainerFormatError whose message pins the byte offset of the first
-inconsistency.  Writes go through a temporary file in the destination
-directory and are renamed into place, so a crashed writer never leaves
-a half-written container behind.
+ContainerFormatError whose message names the file and pins the byte
+offset of the first inconsistency.  Writes go through a temporary file
+in the destination directory and are renamed into place, so a crashed
+writer never leaves a half-written container behind.
 """
 
 from __future__ import annotations
@@ -88,7 +88,14 @@ def read_container(path) -> dict[str, np.ndarray]:
     """Parse a container, returning records in file order."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    try:
+        return _parse(buf)
+    except ContainerFormatError as e:
+        e.args = (f"{os.fspath(path)}: {e}",)
+        raise
 
+
+def _parse(buf: bytes) -> dict[str, np.ndarray]:
     _need(buf, 0, 4, "magic")
     if buf[:4] != MAGIC:
         raise ContainerFormatError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}", offset=0)

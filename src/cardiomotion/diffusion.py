@@ -30,13 +30,7 @@ import numpy as np
 
 from .grid import FieldSequence
 from .metric import SmoothingKernel, smooth_noise
-from .nn.networks import (
-    LatentFeatures,
-    MotionDecoder,
-    NoisePredictor,
-    RegistrationNet,
-    encoder_forward,
-)
+from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, encoder_forward
 from .nn.params import adam_step
 from .nn.tensor import Tensor, add_n, constant, mul, no_grad, smul, sub, sum_all
 from .registration import pair_stack
@@ -94,11 +88,7 @@ class DiffusionConfig:
             raise ValueError("batch_size and max_epochs must be positive integers")
 
 
-def _like(z: LatentFeatures, values: np.ndarray) -> LatentFeatures:
-    return LatentFeatures(values, z.height, z.width, z.factor)
-
-
-def _noise(schedule: NoiseSchedule, z: LatentFeatures, m: int, eps) -> np.ndarray:
+def _noise(schedule: NoiseSchedule, z: Tensor, m: int, eps) -> np.ndarray:
     """``eps`` as a float array, after checking step ``m`` and that eps matches ``z``."""
     schedule.check_step(m)
     eps = np.asarray(eps, dtype=np.float64)
@@ -107,24 +97,24 @@ def _noise(schedule: NoiseSchedule, z: LatentFeatures, m: int, eps) -> np.ndarra
     return eps
 
 
-def forward_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_prev: LatentFeatures,
-                 m: int, eps: np.ndarray) -> LatentFeatures:
+def forward_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_prev: Tensor,
+                 m: int, eps: np.ndarray) -> Tensor:
     """One forward noising step z^(m-1) -> z^(m)."""
     eps = _noise(schedule, z_prev, m, eps)
     b = schedule.beta[m - 1]
-    return _like(z_prev, np.sqrt(1.0 - b) * z_prev.values + np.sqrt(b) * smooth_noise(kernel, eps))
+    return constant(np.sqrt(1.0 - b) * z_prev.values + np.sqrt(b) * smooth_noise(kernel, eps))
 
 
-def forward_sample(schedule: NoiseSchedule, kernel: SmoothingKernel, z0: LatentFeatures,
-                   m: int, eps: np.ndarray) -> LatentFeatures:
+def forward_sample(schedule: NoiseSchedule, kernel: SmoothingKernel, z0: Tensor,
+                   m: int, eps: np.ndarray) -> Tensor:
     """Closed-form jump z^(0) -> z^(m) with a single smoothed draw."""
     eps = _noise(schedule, z0, m, eps)
     ab = schedule.alpha_bar[m - 1]
-    return _like(z0, np.sqrt(ab) * z0.values + np.sqrt(1.0 - ab) * smooth_noise(kernel, eps))
+    return constant(np.sqrt(ab) * z0.values + np.sqrt(1.0 - ab) * smooth_noise(kernel, eps))
 
 
-def reverse_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_m: LatentFeatures,
-                 m: int, model, gamma: np.ndarray) -> LatentFeatures:
+def reverse_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_m: Tensor,
+                 m: int, model, gamma: np.ndarray) -> Tensor:
     """One denoising step z^(m) -> z^(m-1); no noise injection at m = 1."""
     gamma = _noise(schedule, z_m, m, gamma)
     with no_grad():
@@ -134,7 +124,7 @@ def reverse_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_m: LatentFe
     mean = (z_m.values - (1.0 - a) / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a)
     if m > 1:
         mean = mean + schedule.sigma[m - 1] * smooth_noise(kernel, gamma)
-    return _like(z_m, mean)
+    return constant(mean)
 
 
 def diffusion_loss(latents_batch, model, schedule: NoiseSchedule, kernel: SmoothingKernel,
@@ -190,16 +180,6 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def _encode_items(reg_net: RegistrationNet, items) -> list[LatentFeatures]:
-    return [encoder_forward(reg_net, pairs) for pairs, _ in items]
-
-
-def _loss_pair(cfg: DiffusionConfig, eps_net, mot_net, latents, truths, rng):
-    l_diff = diffusion_loss(latents, eps_net, cfg.schedule, cfg.kernel, rng)
-    l_mot = motion_loss(latents, truths, mot_net)
-    return l_diff, l_mot
-
-
 def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDecoder,
           train_items, val_items, cfg: DiffusionConfig, *, learning_rate: float = 1e-4,
           patience: int = 50, seed: int = 0) -> TrainResult:
@@ -217,9 +197,9 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
     if not train_items:
         raise ValueError("no training items")
     store = eps_net.store
-    train_z = _encode_items(reg_net, train_items)
+    train_z = [encoder_forward(reg_net, pairs) for pairs, _ in train_items]
     train_u = [truth for _, truth in train_items]
-    val_z = _encode_items(reg_net, val_items)
+    val_z = [encoder_forward(reg_net, pairs) for pairs, _ in val_items]
     val_u = [truth for _, truth in val_items]
 
     def decay(name: str) -> float:
@@ -235,10 +215,9 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            l_diff, l_mot = _loss_pair(
-                cfg, eps_net, mot_net,
-                [train_z[i] for i in batch], [train_u[i] for i in batch], rng,
-            )
+            latents = [train_z[i] for i in batch]
+            l_diff = diffusion_loss(latents, eps_net, cfg.schedule, cfg.kernel, rng)
+            l_mot = motion_loss(latents, [train_u[i] for i in batch], mot_net)
             total = add_n([l_diff, smul(l_mot, cfg.loss_alpha)])
             total.backward()
             adam_step(store, learning_rate, decay)
@@ -254,8 +233,8 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
         val_rng = np.random.default_rng([seed, 0x5EED])
         if val_z:
             with no_grad():
-                v_diff, v_mot = _loss_pair(cfg, eps_net, mot_net, val_z, val_u, val_rng)
-            v_diff, v_mot = v_diff.item(), v_mot.item()
+                v_diff = diffusion_loss(val_z, eps_net, cfg.schedule, cfg.kernel, val_rng).item()
+                v_mot = motion_loss(val_z, val_u, mot_net).item()
         else:
             v_diff, v_mot = ep_diff, ep_mot
         v_total = v_diff + cfg.loss_alpha * v_mot

@@ -2,7 +2,6 @@
 
 from .fieldops import bilinear_warp, epdiff_force, fd_dx, fd_dy, spectral_multiply
 from .networks import (
-    LatentFeatures,
     MotionDecoder,
     NoisePredictor,
     RegistrationNet,
@@ -47,7 +46,7 @@ __all__ = [
     "spectral_multiply", "fd_dx", "fd_dy", "bilinear_warp", "epdiff_force",
     "ParameterStore", "adam_step", "unused_parameters",
     "save_checkpoint", "load_checkpoint",
-    "UNetConfig", "LatentFeatures", "sinusoidal_embedding",
+    "UNetConfig", "sinusoidal_embedding",
     "RegistrationNet", "NoisePredictor", "MotionDecoder",
     "encoder_forward",
 ]

@@ -51,34 +51,6 @@ class UNetConfig:
                 raise ValueError(f"{field} must be a positive integer")
 
 
-@dataclass(frozen=True)
-class LatentFeatures:
-    """Per-frame latent motion features plus grid provenance.
-
-    values has shape (T, C, h, w) where h = height / 2**factor and
-    w = width / 2**factor on the originating image grid.
-    """
-
-    values: np.ndarray
-    height: int
-    width: int
-    factor: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 4:
-            raise ValueError(f"latent features must be (T, C, h, w), got shape {v.shape}")
-        scale = 2**self.factor
-        if v.shape[2] * scale != self.height or v.shape[3] * scale != self.width:
-            raise ValueError(
-                f"latent spatial dims {v.shape[2:]} inconsistent with "
-                f"{self.height}x{self.width} at downsample factor {self.factor}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("latent features contain non-finite values")
-
-
 def sinusoidal_embedding(step: int, dim: int) -> np.ndarray:
     """Classic sin/cos positional code of an integer step, shape (dim,)."""
     if dim < 2 or dim % 2:
@@ -94,10 +66,20 @@ def _kaiming_linear(rng: np.random.Generator, f_in: int, f_out: int) -> np.ndarr
     return rng.uniform(-bound, bound, size=(f_in, f_out))
 
 
+def _fold_frames(z, num_frames: int, channels: int) -> Tensor:
+    """(T, C, h, w) latents as one (1, T*C, h, w) stack, after checking T and C."""
+    z = z if isinstance(z, Tensor) else constant(z)
+    shape = z.values.shape
+    if len(shape) != 4 or shape[:2] != (num_frames, channels):
+        raise ValueError(f"expected latents ({num_frames}, {channels}, h, w), got {shape}")
+    return reshape(z, (1, num_frames * channels) + shape[2:])
+
+
 class _Net:
-    def __init__(self, store: ParameterStore | None, prefix: str):
+    prefix: str  # names every parameter of the net "<prefix>.<name>"
+
+    def __init__(self, store: ParameterStore | None):
         self.store = store if store is not None else ParameterStore()
-        self.prefix = prefix
 
     def _add(self, name: str, values) -> Tensor:
         return self.store.add(f"{self.prefix}.{name}", values)
@@ -135,9 +117,10 @@ class RegistrationNet(_Net):
     skip activations that ``decode`` takes with the latents.
     """
 
-    def __init__(self, config: UNetConfig, store: ParameterStore | None = None,
-                 prefix: str = "reg", seed: int = 0):
-        super().__init__(store, prefix)
+    prefix = "reg"
+
+    def __init__(self, config: UNetConfig, seed: int = 0):
+        super().__init__(ParameterStore())
         self.config = config
         rng = np.random.default_rng(seed)
         b, c, k = config.base_channels, config.latent_channels, config.num_down
@@ -206,9 +189,11 @@ class NoisePredictor(_Net):
     embedding mapped to per-channel scale and shift.
     """
 
+    prefix = "eps"
+
     def __init__(self, config: UNetConfig, num_frames: int,
-                 store: ParameterStore | None = None, prefix: str = "eps", seed: int = 1):
-        super().__init__(store, prefix)
+                 store: ParameterStore | None = None, seed: int = 1):
+        super().__init__(store)
         self.config = config
         self.num_frames = num_frames
         rng = np.random.default_rng(seed)
@@ -227,15 +212,8 @@ class NoisePredictor(_Net):
     def forward(self, z_noisy, step: int) -> Tensor:
         if step < 1:
             raise ValueError(f"diffusion step must be >= 1, got {step}")
-        z_noisy = z_noisy if isinstance(z_noisy, Tensor) else constant(z_noisy)
-        t, c, h, w = z_noisy.values.shape
-        if t != self.num_frames or c != self.config.latent_channels:
-            raise ValueError(
-                f"expected latents ({self.num_frames}, {self.config.latent_channels}, h, w), "
-                f"got {z_noisy.values.shape}"
-            )
+        x = _fold_frames(z_noisy, self.num_frames, self.config.latent_channels)
         emb = constant(sinusoidal_embedding(step, self.config.time_embed_dim)[None, :])
-        x = reshape(z_noisy, (1, t * c, h, w))
         x = relu(self._conv(x, "in"))
         x = self._film(x, "film0", emb)
         stack = [x]
@@ -249,7 +227,8 @@ class NoisePredictor(_Net):
             x = self._conv(x, f"up{i}")
             x = relu(add(x, stack[i]))
         out = conv2d(x, self._get("out.w"))
-        return reshape(out, (t, c, h, w))
+        t, c = self.num_frames, self.config.latent_channels
+        return reshape(out, (t, c) + out.values.shape[2:])
 
 
 class MotionDecoder(_Net):
@@ -263,9 +242,11 @@ class MotionDecoder(_Net):
     pixels per frame.
     """
 
+    prefix = "mot"
+
     def __init__(self, config: UNetConfig, num_frames: int, height: int, width: int,
-                 store: ParameterStore | None = None, prefix: str = "mot", seed: int = 2):
-        super().__init__(store, prefix)
+                 store: ParameterStore | None = None, seed: int = 2):
+        super().__init__(store)
         self.config = config
         self.num_frames = num_frames
         self.height = height
@@ -294,21 +275,13 @@ class MotionDecoder(_Net):
         self._coords = coords
 
     def forward(self, z) -> Tensor:
-        values = z.values if isinstance(z, (Tensor, LatentFeatures)) else np.asarray(z)
-        z = z if isinstance(z, Tensor) else constant(values)
-        t, c, h, w = z.values.shape
-        if t != self.num_frames or c != self.config.latent_channels:
-            raise ValueError(
-                f"expected latents ({self.num_frames}, {self.config.latent_channels}, h, w), "
-                f"got {z.values.shape}"
-            )
+        x = _fold_frames(z, self.num_frames, self.config.latent_channels)
+        _, tc, h, w = x.values.shape
         if h * 2**self.config.num_down != self.height or w * 2**self.config.num_down != self.width:
             raise ValueError(
                 f"latent dims {h}x{w} do not upsample to {self.height}x{self.width} "
                 f"in {self.config.num_down} steps"
             )
-        tc = t * c
-        x = reshape(z, (1, tc, h, w))
         mean_w = constant(np.full((h * w, 1), 1.0 / (h * w)))
         pooled = reshape(linear(reshape(x, (tc, h * w)), mean_w), (1, tc))
 
@@ -325,10 +298,9 @@ class MotionDecoder(_Net):
         return reshape(out, (self.num_frames, 2, self.height, self.width))
 
 
-def encoder_forward(net: RegistrationNet, image_pairs: np.ndarray) -> LatentFeatures:
-    """Frozen encoder pass: (T, 2, H, W) image pairs -> latent features."""
-    pairs = np.asarray(image_pairs, dtype=np.float64)
+def encoder_forward(net: RegistrationNet, image_pairs: np.ndarray) -> Tensor:
+    """Frozen encoder pass: (T, 2, H, W) image pairs -> (T, C, h, w) latents."""
     with no_grad():
-        z, _ = net.encode(pairs)
-    return LatentFeatures(z.values, pairs.shape[2], pairs.shape[3], net.config.num_down)
+        z, _ = net.encode(image_pairs)
+    return z
 

@@ -113,7 +113,8 @@ def load_checkpoint(store: ParameterStore, path) -> None:
     """Restore parameters and optimizer state in place.
 
     The store must already contain the same parameter names with the same
-    shapes (construct the models first, then load).
+    shapes (construct the models first, then load).  A missing, misshapen,
+    unexpected or non-finite record is an error naming ``path``.
     """
     records = read_container(path)
     if "meta/step" not in records:
@@ -134,6 +135,8 @@ def load_checkpoint(store: ParameterStore, path) -> None:
                     f"{path}: record {key!r} has shape {records[key].shape}, "
                     f"expected {p.values.shape}"
                 )
+            if not np.all(np.isfinite(records[key])):
+                raise ValueError(f"{path}: record {key!r} contains non-finite values")
     extra = set(records) - expected
     if extra:
         raise ValueError(f"{path}: unexpected records {sorted(extra)}")

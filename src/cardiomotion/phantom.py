@@ -271,6 +271,8 @@ def load_sample(path) -> PhantomSample:
         if records[name].shape != shape:
             raise ValueError(f"sample record {name!r} has shape {records[name].shape}, "
                              f"expected {shape}")
+        if not np.all(np.isfinite(records[name])):
+            raise ValueError(f"{path}: sample record {name!r} contains non-finite values")
     images = FieldSequence([ScalarField(grid, v) for v in records["images"]])
     motions = FieldSequence([VectorField(grid, *m) for m in records["motions"]])
     mask = Mask(grid, records["mask"].astype(bool))

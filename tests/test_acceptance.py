@@ -25,8 +25,8 @@ from cardiomotion.grid import (Grid2, ScalarField, VectorField, coordinate_array
                                jacobian_determinant, map_to_displacement)
 from cardiomotion.metric import (MetricOperator, SmoothingKernel, _convolve_axis, apply_K,
                                  apply_L, metric_norm, smooth_noise)
-from cardiomotion.nn import (LatentFeatures, MotionDecoder, NoisePredictor, ParameterStore,
-                             RegistrationNet, UNetConfig, no_grad)
+from cardiomotion.nn import (MotionDecoder, NoisePredictor, ParameterStore, RegistrationNet,
+                             UNetConfig, no_grad)
 from cardiomotion.nn.fieldops import (bilinear_warp, epdiff_force, fd_dx, fd_dy,
                                       spectral_multiply)
 from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, concat_channels, constant,
@@ -299,7 +299,7 @@ def test_criterion_5_diffusion_algebra():
     kernel = SmoothingKernel(1.0)
     rng = np.random.default_rng(2)
     z0_vals = 1.5 + rng.uniform(-0.5, 0.5, size=(1, 1, h, w))
-    z0 = LatentFeatures(np.broadcast_to(z0_vals, (n, 1, h, w)).copy(), h, w, 0)
+    z0 = constant(np.broadcast_to(z0_vals, (n, 1, h, w)).copy())
 
     closed = forward_sample(sch, kernel, z0, steps, rng.standard_normal((n, 1, h, w))).values
     z = z0
@@ -324,7 +324,7 @@ def test_criterion_5_diffusion_algebra():
 
     # M = 1 round trip: the reverse mean with the true smoothed noise is z0
     one = make_schedule(1)
-    z0_small = LatentFeatures(rng.standard_normal((2, 3, h, w)), h, w, 0)
+    z0_small = constant(rng.standard_normal((2, 3, h, w)))
     eps = rng.standard_normal((2, 3, h, w))
     z1 = forward_sample(one, kernel, z0_small, 1, eps)
     oracle = _OracleNoise(smooth_noise(kernel, eps))
@@ -528,7 +528,7 @@ def test_criterion_8_reproducibility_and_io(tmp_path):
         with pytest.raises(ContainerFormatError) as exc:
             read_container(corrupt)
         assert exc.value.offset == offset
-        assert "byte offset" in str(exc.value)
+        assert "byte offset" in str(exc.value) and str(corrupt) in str(exc.value)
 
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0  # measured ~25 s

@@ -221,7 +221,7 @@ def test_cli_error_paths(pipeline, tmp_path, capsys):
     assert main(["eval", "--sample", pipeline["sample"], "--pred", str(broken),
                  "--out", str(tmp_path / "e.csv")]) == 1
     err = capsys.readouterr().err
-    assert "byte offset" in err
+    assert "byte offset" in err and str(broken) in err
 
 
 def _rewrite_meta(src, dst, edit):
@@ -366,15 +366,54 @@ def test_register_direct_diverging_on_a_later_sequence_leaves_no_output(pipeline
 @pytest.mark.parametrize("command", ["strain", "eval"])
 def test_motions_with_the_wrong_frame_count_are_one_error_line(pipeline, tmp_path, capsys,
                                                                command):
-    short = str(tmp_path / "short.lmf1")
-    write_container(short, {"motions": load_sample(pipeline["sample"]).motions.values[:2]})
-    argv = {"strain": ["strain", "--sample", pipeline["sample"], "--motions", short,
-                       "--out-prefix", str(tmp_path / "x")],
-            "eval": ["eval", "--sample", pipeline["sample"], "--pred", short,
-                     "--out", str(tmp_path / "x_eval.csv")]}[command]
-    assert main(argv) == 1
-    _single_error_line(capsys.readouterr().err, short)
-    assert not list(tmp_path.glob("x*"))
+    truth = load_sample(pipeline["sample"]).motions.values
+    with_nan = truth.copy()
+    with_nan[1, 0, 5, 5] = np.nan
+    for name, motions, needle in (("short.lmf1", truth[:2], "motions shape"),
+                                  ("nan.lmf1", with_nan, "motions contain non-finite values")):
+        path = str(tmp_path / name)
+        write_container(path, {"motions": motions})
+        argv = {"strain": ["strain", "--sample", pipeline["sample"], "--motions", path,
+                           "--out-prefix", str(tmp_path / "x")],
+                "eval": ["eval", "--sample", pipeline["sample"], "--pred", path,
+                         "--out", str(tmp_path / "x_eval.csv")]}[command]
+        assert main(argv) == 1
+        _single_error_line(capsys.readouterr().err, f"{path}: {needle}")
+        assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("record", ["images", "motions"])
+def test_sample_with_a_non_finite_value_is_one_error_line(pipeline, tmp_path, capsys, record):
+    records = read_container(pipeline["sample"])
+    records[record][1, 0, 5] = np.nan
+    bad = str(tmp_path / "bad.lmf1")
+    write_container(bad, records)
+    assert main(["eval", "--sample", bad, "--pred", pipeline["pred"],
+                 "--out", str(tmp_path / "e.csv")]) == 1
+    _single_error_line(capsys.readouterr().err,
+                       f"{bad}: sample record '{record}' contains non-finite values")
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("record", ["param/mot.out.w", "param/eps.out.w", None],
+                         ids=["nan_mot", "nan_eps", "truncated"])
+def test_infer_with_an_unusable_model_is_one_error_line(pipeline, tmp_path, capsys, record):
+    bad = tmp_path / "model.lmf1"
+    if record is None:
+        with open(pipeline["model"], "rb") as fh:
+            bad.write_bytes(fh.read()[:-100])
+        needle = "truncated container"
+    else:
+        records = read_container(pipeline["model"])
+        records[record].flat[0] = np.nan
+        write_container(bad, records)
+        needle = f"record '{record}' contains non-finite values"
+    out = tmp_path / "p.lmf1"
+    assert main(["infer", "--config", pipeline["cfg"], "--sample", pipeline["sample"],
+                 "--registration-model", pipeline["regmodel"], "--model", str(bad),
+                 "--out", str(out)]) == 1
+    _single_error_line(capsys.readouterr().err, f"{bad}: {needle}")
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2():

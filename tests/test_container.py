@@ -57,6 +57,7 @@ def test_bad_magic_reports_offset_zero(tmp_path):
     with pytest.raises(ContainerFormatError) as exc:
         read_container(path)
     assert exc.value.offset == 0
+    assert str(path) in str(exc.value)
     assert "magic" in str(exc.value)
 
 
@@ -66,6 +67,7 @@ def test_truncated_header_reports_offset(tmp_path):
     with pytest.raises(ContainerFormatError) as exc:
         read_container(path)
     assert exc.value.offset == 4
+    assert str(path) in str(exc.value)
 
 
 def test_truncated_payload_reports_offset(tmp_path):
@@ -77,7 +79,7 @@ def test_truncated_payload_reports_offset(tmp_path):
         read_container(cut)
     # the payload starts right after magic+count+name_len+name+rank+dim+dtype
     assert exc.value.offset == 4 + 4 + 2 + 1 + 1 + 4 + 1
-    assert "payload" in str(exc.value)
+    assert "payload" in str(exc.value) and str(cut) in str(exc.value)
 
 
 def test_unknown_dtype_code_reports_offset(tmp_path):
@@ -91,6 +93,7 @@ def test_unknown_dtype_code_reports_offset(tmp_path):
     with pytest.raises(ContainerFormatError) as exc:
         read_container(bad)
     assert exc.value.offset == dtype_offset
+    assert str(bad) in str(exc.value)
     assert "dtype code 99" in str(exc.value)
 
 
@@ -105,6 +108,7 @@ def test_duplicate_names_rejected(tmp_path):
         read_container(path)
     assert "duplicate" in str(exc.value)
     assert exc.value.offset == len(MAGIC) + 4 + len(rec) + 2
+    assert str(path) in str(exc.value)
 
 
 def test_invalid_utf8_name_rejected(tmp_path):
@@ -114,6 +118,7 @@ def test_invalid_utf8_name_rejected(tmp_path):
     with pytest.raises(ContainerFormatError) as exc:
         read_container(path)
     assert exc.value.offset == 10
+    assert str(path) in str(exc.value)
     assert "UTF-8" in str(exc.value)
 
 
@@ -125,6 +130,7 @@ def test_trailing_bytes_rejected(tmp_path):
     with pytest.raises(ContainerFormatError) as exc:
         read_container(bad)
     assert exc.value.offset == len(blob)
+    assert str(bad) in str(exc.value)
     assert "trailing" in str(exc.value)
 
 

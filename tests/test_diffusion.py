@@ -8,8 +8,7 @@ from cardiomotion.diffusion import (DiffusionConfig, NoiseSchedule, diffusion_lo
                                     motion_loss, reverse_step, train)
 from cardiomotion.grid import FieldSequence, Grid2, ScalarField
 from cardiomotion.metric import SmoothingKernel, smooth_noise
-from cardiomotion.nn.networks import (LatentFeatures, MotionDecoder, NoisePredictor,
-                                      RegistrationNet, UNetConfig)
+from cardiomotion.nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, UNetConfig
 from cardiomotion.nn.params import ParameterStore
 from cardiomotion.nn.tensor import Tensor
 
@@ -18,7 +17,7 @@ _CFG = UNetConfig(in_channels=2, base_channels=4, latent_channels=3, num_down=1,
 
 
 def _latents(rng, t=2, c=3, h=6, w=6):
-    return LatentFeatures(rng.standard_normal((t, c, h, w)), h * 2, w * 2, 1)
+    return Tensor(rng.standard_normal((t, c, h, w)))
 
 
 class _OracleEps:
@@ -166,7 +165,7 @@ def test_diffusion_loss_zero_predictor_matches_smoothed_noise_power():
     k = SmoothingKernel(1.0)
     shape = (1, 1, 6, 6)
     zero_model = _OracleEps(np.zeros(shape))
-    z0 = [LatentFeatures(np.zeros(shape), 12, 12, 1)]
+    z0 = [Tensor(np.zeros(shape))]
     n = 600
     losses = [
         diffusion_loss(z0, zero_model, s, k, np.random.default_rng([5, i])).item()
@@ -215,9 +214,8 @@ def _tiny_setup(seed=0):
     seq = FieldSequence(frames)
     reg = RegistrationNet(_CFG, seed=seed)
     store = ParameterStore()
-    eps_net = NoisePredictor(_CFG, num_frames=2, store=store, prefix="eps", seed=seed + 1)
-    mot_net = MotionDecoder(_CFG, num_frames=2, height=8, width=8, store=store,
-                            prefix="mot", seed=seed + 2)
+    eps_net = NoisePredictor(_CFG, num_frames=2, store=store, seed=seed + 1)
+    mot_net = MotionDecoder(_CFG, num_frames=2, height=8, width=8, store=store, seed=seed + 2)
     from cardiomotion.registration import pair_stack
 
     pairs = pair_stack(seq)
@@ -227,7 +225,7 @@ def _tiny_setup(seed=0):
 
 def test_train_requires_shared_store():
     _, reg, eps_net, _, pairs, truth = _tiny_setup()
-    lone = MotionDecoder(_CFG, num_frames=2, height=8, width=8, prefix="mot", seed=9)
+    lone = MotionDecoder(_CFG, num_frames=2, height=8, width=8, seed=9)
     cfg = DiffusionConfig(schedule=make_schedule(2), kernel=SmoothingKernel(1.0), max_epochs=1)
     with pytest.raises(ValueError):
         train(reg, eps_net, lone, [(pairs, truth)], [], cfg)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from cardiomotion.nn.networks import (LatentFeatures, MotionDecoder, NoisePredictor,
-                                      RegistrationNet, UNetConfig, encoder_forward,
-                                      sinusoidal_embedding)
+from cardiomotion.nn.networks import (MotionDecoder, NoisePredictor, RegistrationNet,
+                                      UNetConfig, encoder_forward, sinusoidal_embedding)
 from cardiomotion.nn.params import ParameterStore
 from cardiomotion.nn.tensor import Tensor, no_grad, sum_all
 
@@ -18,18 +17,6 @@ def test_unet_config_validation():
         UNetConfig(base_channels=0)
     with pytest.raises(ValueError):
         UNetConfig(num_down=0)
-
-
-def test_latent_features_validation():
-    LatentFeatures(np.zeros((3, 4, 8, 8)), height=32, width=32, factor=2)
-    with pytest.raises(ValueError):
-        LatentFeatures(np.zeros((3, 4, 8, 8)), height=30, width=32, factor=2)
-    with pytest.raises(ValueError):
-        LatentFeatures(np.zeros((3, 4, 8)), height=32, width=32, factor=2)
-    bad = np.zeros((1, 1, 4, 4))
-    bad[0, 0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        LatentFeatures(bad, height=8, width=8, factor=1)
 
 
 def test_sinusoidal_embedding():
@@ -75,7 +62,7 @@ def test_registration_net_input_validation():
         net.encode(np.zeros((2, 3, 16, 16)))  # wrong channel count
     with pytest.raises(ValueError):
         net.encode(np.zeros((2, 2, 10, 16)))  # 10 not divisible by 4
-    fresh = RegistrationNet(_CFG, prefix="other", seed=0)
+    fresh = RegistrationNet(_CFG, seed=0)
     with pytest.raises(ValueError):
         fresh.decode(np.zeros((2, 3, 4, 4)), [])  # no encoder skips
 
@@ -84,15 +71,15 @@ def test_encoder_decoder_helpers_round_trip():
     net = RegistrationNet(_CFG, seed=3)
     pairs = np.random.default_rng(3).standard_normal((2, 2, 16, 16))
     z = encoder_forward(net, pairs)
-    assert isinstance(z, LatentFeatures)
+    assert isinstance(z, Tensor)
     assert z.values.shape == (2, 3, 4, 4)
-    assert (z.height, z.width, z.factor) == (16, 16, 2)
+    assert not z.requires_grad  # the frozen encoder records no graph
     with no_grad():
         _, skips = net.encode(pairs)
         v = net.decode(z.values, skips).values
         direct = net.forward(pairs)
     assert np.allclose(v, direct.values, atol=1e-12)
-    bare = RegistrationNet(_CFG, prefix="bare", seed=3)
+    bare = RegistrationNet(_CFG, seed=3)
     with pytest.raises(ValueError):
         bare.decode(z.values, skips[:1])
 
@@ -133,8 +120,9 @@ def test_noise_predictor_mixes_frames():
 
 def test_motion_decoder_shapes_and_inputs():
     net = MotionDecoder(_CFG, num_frames=2, height=16, width=16, seed=8)
-    values = np.random.default_rng(8).standard_normal((2, 3, 4, 4))
-    z = LatentFeatures(values, height=16, width=16, factor=2)
+    pairs = np.random.default_rng(8).standard_normal((2, 2, 16, 16))
+    z = encoder_forward(RegistrationNet(_CFG, seed=8), pairs)
+    values = z.values.copy()
     with no_grad():
         from_latents = net.forward(z).values
         from_array = net.forward(values).values
@@ -148,6 +136,8 @@ def test_motion_decoder_shapes_and_inputs():
         net.forward(np.zeros((3, 3, 4, 4)))  # wrong frame count
     with pytest.raises(ValueError):
         net.forward(np.zeros((2, 3, 8, 8)))  # latent dims inconsistent
+    with pytest.raises(ValueError):
+        net.forward(np.zeros((2, 3, 4)))  # not (T, C, h, w)
     with pytest.raises(ValueError):
         MotionDecoder(_CFG, num_frames=2, height=10, width=16)
 
@@ -166,13 +156,13 @@ def test_motion_decoder_depends_on_latents():
 
 def test_networks_share_a_store_without_collisions():
     store = ParameterStore()
-    NoisePredictor(_CFG, num_frames=2, store=store, prefix="eps", seed=0)
-    MotionDecoder(_CFG, num_frames=2, height=16, width=16, store=store, prefix="mot", seed=1)
+    NoisePredictor(_CFG, num_frames=2, store=store, seed=0)
+    MotionDecoder(_CFG, num_frames=2, height=16, width=16, store=store, seed=1)
     names = store.names()
     assert any(n.startswith("eps.") for n in names)
     assert any(n.startswith("mot.") for n in names)
     with pytest.raises(ValueError):
-        NoisePredictor(_CFG, num_frames=2, store=store, prefix="eps", seed=0)
+        NoisePredictor(_CFG, num_frames=2, store=store, seed=0)
 
 
 def test_gradients_reach_parameters():

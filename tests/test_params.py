@@ -173,3 +173,21 @@ def test_checkpoint_rejects_bad_step_record_before_loading(tmp_path, kind):
     with pytest.raises(ValueError, match="meta/step"):
         load_checkpoint(target, path)
     assert target.step_count == 3 and np.all(target["w"].values == 7.0)
+
+
+@pytest.mark.parametrize("key, value", [("param/w", np.nan), ("m2/w", np.inf)])
+def test_checkpoint_rejects_non_finite_records_before_loading(tmp_path, key, value):
+    store = ParameterStore()
+    store.add("w", np.ones((2, 2)))
+    path = tmp_path / "ckpt.lmf1"
+    save_checkpoint(store, path)
+    records = read_container(path)
+    records[key][1, 0] = value
+    write_container(path, records)
+
+    target = ParameterStore()
+    target.add("w", np.full((2, 2), 7.0))
+    with pytest.raises(ValueError, match=f"record '{key}' contains non-finite values") as exc:
+        load_checkpoint(target, path)
+    assert str(path) in str(exc.value)
+    assert np.all(target["w"].values == 7.0) and not np.any(target.moment2["w"])
