@@ -174,7 +174,15 @@ def _corners(values: np.ndarray, idx):
 
 def bilinear_apply(values: np.ndarray, idx, tx, ty) -> np.ndarray:
     v00, v01, v10, v11 = _corners(values, idx)
-    return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * ((1 - tx) * v10 + tx * v11)
+    sx = 1 - tx
+    top = sx * v00
+    top += tx * v01
+    bottom = sx * v10
+    bottom += tx * v11
+    top *= 1 - ty
+    bottom *= ty
+    top += bottom
+    return top
 
 
 def bilinear_sample(values: np.ndarray, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
@@ -205,8 +213,12 @@ def bilinear_coord_derivatives(values: np.ndarray, idx, tx, ty, inx, iny):
     Zero where the coordinate was clamped (the clamp is locally constant).
     """
     v00, v01, v10, v11 = _corners(values, idx)
-    dx = ((1 - ty) * (v01 - v00) + ty * (v11 - v10)) * inx
-    dy = ((1 - tx) * (v10 - v00) + tx * (v11 - v01)) * iny
+    dx = (1 - ty) * (v01 - v00)
+    dx += ty * (v11 - v10)
+    dx *= inx
+    dy = (1 - tx) * (v10 - v00)
+    dy += tx * (v11 - v01)
+    dy *= iny
     return dx, dy
 
 
@@ -216,21 +228,41 @@ def bilinear_coord_derivatives(values: np.ndarray, idx, tx, ty, inx, iny):
 # ---------------------------------------------------------------------------
 
 
-def ddx(a: np.ndarray) -> np.ndarray:
+# Each kernel reads a C-contiguous copy of its input (a view when it already
+# is one) and writes into ``out``, a C-contiguous float64 array of the
+# input's shape, allocated when not given.  The x kernels run their interior
+# formula over the flat array, across row ends, and then overwrite the first
+# and last column of every row; the y kernels run row blocks.
+
+
+def _buffers(a: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    a = np.ascontiguousarray(a)
+    if out is None:
+        return a, np.empty(a.shape)
+    if out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {a.shape}")
+    return a, out
+
+
+def ddx(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """d/dx (along columns): central interior, one-sided at the edges."""
-    out = np.empty_like(a)
-    out[..., 1:-1] = 0.5 * (a[..., 2:] - a[..., :-2])
-    out[..., 0] = a[..., 1] - a[..., 0]
-    out[..., -1] = a[..., -1] - a[..., -2]
+    a, out = _buffers(a, out)
+    flat = out.reshape(-1)
+    np.subtract(a.reshape(-1)[2:], a.reshape(-1)[:-2], out=flat[1:-1])
+    flat[1:-1] *= 0.5
+    np.subtract(a[..., 1], a[..., 0], out=out[..., 0])
+    np.subtract(a[..., -1], a[..., -2], out=out[..., -1])
     return out
 
 
-def ddy(a: np.ndarray) -> np.ndarray:
+def ddy(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """d/dy (along rows): central interior, one-sided at the edges."""
-    out = np.empty_like(a)
-    out[..., 1:-1, :] = 0.5 * (a[..., 2:, :] - a[..., :-2, :])
-    out[..., 0, :] = a[..., 1, :] - a[..., 0, :]
-    out[..., -1, :] = a[..., -1, :] - a[..., -2, :]
+    a, out = _buffers(a, out)
+    inner = out[..., 1:-1, :]
+    np.subtract(a[..., 2:, :], a[..., :-2, :], out=inner)
+    inner *= 0.5
+    np.subtract(a[..., 1, :], a[..., 0, :], out=out[..., 0, :])
+    np.subtract(a[..., -1, :], a[..., -2, :], out=out[..., -1, :])
     return out
 
 
@@ -241,25 +273,26 @@ def ddy(a: np.ndarray) -> np.ndarray:
 # out_{n-1} = h_{n-2} + h_{n-1}.
 
 
-def ddx_adjoint(g: np.ndarray) -> np.ndarray:
-    h = 0.5 * g
+def ddx_adjoint(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    g, out = _buffers(g, out)
+    h = g * 0.5
     h[..., 0] = g[..., 0]
     h[..., -1] = g[..., -1]
-    out = np.empty_like(h)
-    np.subtract(h[..., :-2], h[..., 2:], out=out[..., 1:-1])
-    out[..., 0] = -(h[..., 0] + h[..., 1])
-    out[..., -1] = h[..., -2] + h[..., -1]
+    flat = h.reshape(-1)
+    np.subtract(flat[:-2], flat[2:], out=out.reshape(-1)[1:-1])
+    np.negative(h[..., 0] + h[..., 1], out=out[..., 0])
+    np.add(h[..., -2], h[..., -1], out=out[..., -1])
     return out
 
 
-def ddy_adjoint(g: np.ndarray) -> np.ndarray:
-    h = 0.5 * g
+def ddy_adjoint(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    g, out = _buffers(g, out)
+    h = g * 0.5
     h[..., 0, :] = g[..., 0, :]
     h[..., -1, :] = g[..., -1, :]
-    out = np.empty_like(h)
     np.subtract(h[..., :-2, :], h[..., 2:, :], out=out[..., 1:-1, :])
-    out[..., 0, :] = -(h[..., 0, :] + h[..., 1, :])
-    out[..., -1, :] = h[..., -2, :] + h[..., -1, :]
+    np.negative(h[..., 0, :] + h[..., 1, :], out=out[..., 0, :])
+    np.add(h[..., -2, :], h[..., -1, :], out=out[..., -1, :])
     return out
 
 

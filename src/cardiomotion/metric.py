@@ -1,9 +1,16 @@
 """Fourier-multiplier metric operator and Gaussian smoothing kernel.
 
 The metric operator realizes L = (-alpha * Laplacian + gamma * Id)^power
-with the discrete five-point Laplacian symbol, applied per component via
-real FFTs under periodic boundary conditions (exactly invertible, so
-K = L^-1 is the same multiplication by the reciprocal symbol).  The
+with the discrete five-point Laplacian symbol under periodic boundary
+conditions, applied per component (exactly invertible, so K = L^-1 is
+the same multiplication by the reciprocal symbol).  The symbol depends
+on a frequency k only through cos(2 pi k / n), so the cosine and sine
+modes of k share one eigenvalue, and the operator is diagonal in the
+orthonormal real Fourier basis Q of each axis:
+
+    L a = Q_h^T ((Q_h a Q_w^T) * lam) Q_w,
+
+four small matrix products (GEMMs) per (H, W) field.  The
 smoothing kernel is a truncated, normalized 1-D Gaussian applied
 separably along the two trailing axes with clamped (edge-replicate)
 boundaries; it smooths diffusion noise and is unrelated to K.
@@ -17,6 +24,24 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .grid import Grid2, VectorField
+
+
+def _real_fourier_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal real Fourier modes of n samples, as rows, and the frequency of each.
+
+    The constant mode, a cosine and a sine for each k in 1..(n-1)//2, and
+    the alternating mode (-1)^j when n is even.
+    """
+    j = np.arange(n)
+    k = np.arange(1, (n - 1) // 2 + 1)
+    phase = 2.0 * np.pi * np.outer(k, j) / n
+    rows = [np.full((1, n), 1.0 / np.sqrt(n)),
+            np.sqrt(2.0 / n) * np.stack([np.cos(phase), np.sin(phase)], axis=1).reshape(-1, n)]
+    freqs = [[0], np.repeat(k, 2)]
+    if n % 2 == 0:
+        rows.append(np.where(j % 2 == 0, 1.0, -1.0)[None, :] / np.sqrt(n))
+        freqs.append([n // 2])
+    return np.concatenate(rows), np.concatenate(freqs)
 
 
 class MetricOperator:
@@ -38,15 +63,19 @@ class MetricOperator:
             (1.0 - np.cos(2.0 * np.pi * k1 / w)) + (1.0 - np.cos(2.0 * np.pi * k2 / h))
         )
         self.multipliers = lam**self.power
-        # half-spectrum views matching numpy's rfft2 layout
-        self._mult_half = self.multipliers[:, : w // 2 + 1]
-        self._inv_half = 1.0 / self._mult_half
+        self._qh, kh = _real_fourier_basis(h)
+        self._qw, kw = _real_fourier_basis(w)
+        self._qh_t = np.ascontiguousarray(self._qh.T)
+        self._qw_t = np.ascontiguousarray(self._qw.T)
+        # the symbol at the frequencies of each pair of real modes, and its reciprocal
+        self._lam = self.multipliers[np.ix_(kh, kw)]
+        self._inv_lam = 1.0 / self._lam
 
     def multiply(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Apply the multiplier (or its reciprocal) to an (..., H, W) array."""
-        h, w = self.grid.shape
-        mult = self._inv_half if inverse else self._mult_half
-        return np.fft.irfft2(np.fft.rfft2(a) * mult, s=(h, w))
+        coeffs = np.matmul(self._qh, np.matmul(a, self._qw_t))
+        coeffs *= self._inv_lam if inverse else self._lam
+        return np.matmul(self._qh_t, np.matmul(coeffs, self._qw))
 
     def _check(self, v: VectorField):
         if v.grid != self.grid:

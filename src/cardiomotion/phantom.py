@@ -12,6 +12,7 @@ anti-aliased edges.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -249,7 +250,15 @@ def _meta_field(meta: dict, key: str, integers=False):
 
 
 def load_sample(path) -> PhantomSample:
+    """Read a sample container; any defect of its records is a ValueError naming the file."""
     records = read_container(path)
+    try:
+        return _sample_from_records(records)
+    except ValueError as e:
+        raise ValueError(f"{os.fspath(path)}: {e}") from e
+
+
+def _sample_from_records(records: dict) -> PhantomSample:
     for need in ("images", "motions", "mask", "meta"):
         if need not in records:
             raise ValueError(f"sample container missing record {need!r}")
@@ -272,7 +281,7 @@ def load_sample(path) -> PhantomSample:
             raise ValueError(f"sample record {name!r} has shape {records[name].shape}, "
                              f"expected {shape}")
         if not np.all(np.isfinite(records[name])):
-            raise ValueError(f"{path}: sample record {name!r} contains non-finite values")
+            raise ValueError(f"sample record {name!r} contains non-finite values")
     images = FieldSequence([ScalarField(grid, v) for v in records["images"]])
     motions = FieldSequence([VectorField(grid, *m) for m in records["motions"]])
     mask = Mask(grid, records["mask"].astype(bool))

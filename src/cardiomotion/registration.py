@@ -8,14 +8,15 @@ image pair is
             endpoint inverse map and the target,
 
 where the endpoint map comes from Euler EPDiff integration of v0.  The
-energy graph calls the shooting functions of ``geodesic`` (the EPDiff
-step and the inverse flow) with recording on, so its reverse-mode
-gradient is the exact derivative of the discrete objective
-(discretize-then-optimize), and ``shoot`` computes the same values.
-The momentum L v0 of the regulariser is the one EPDiff starts from, so
-the graph multiplies by L once and by K once per Euler step.  v0 is a
-(2, H, W) Tensor, or (T, 2, H, W) for T pairs, with the (x, y)
-components on axis -3.
+energy graph calls the shooting functions of ``geodesic`` with recording
+on: EPDiff integration and the inverse flow are one node each, whose
+hand-derived adjoints make the reverse-mode gradient the exact
+derivative of the discrete objective (discretize-then-optimize), and
+``shoot`` computes the same values.  The whole graph is 16 nodes at any
+number of steps.  The momentum L v0 of the regulariser is the one EPDiff
+starts from, so the energy multiplies by L once and by K once per Euler
+step, and its gradient as often again.  v0 is a (2, H, W) Tensor, or
+(T, 2, H, W) for T pairs, with the (x, y) components on axis -3.
 """
 
 from __future__ import annotations

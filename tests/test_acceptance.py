@@ -20,7 +20,8 @@ from cardiomotion.container import read_container, write_container
 from cardiomotion.diffusion import (DiffusionConfig, make_schedule, forward_sample, forward_step,
                                     reverse_step, train as train_diffusion, infer as infer_motion)
 from cardiomotion.errors import ContainerFormatError
-from cardiomotion.geodesic import ShootingConfig, shoot
+from cardiomotion.geodesic import (ShootingConfig, integrate_epdiff, integrate_inverse_flow,
+                                   shoot)
 from cardiomotion.grid import (Grid2, ScalarField, VectorField, coordinate_arrays,
                                jacobian_determinant, map_to_displacement)
 from cardiomotion.metric import (MetricOperator, SmoothingKernel, _convolve_axis, apply_K,
@@ -115,6 +116,21 @@ def test_criterion_1_gradient_fidelity():
         lambda ts: sum_all(mul(epdiff_force(*ts), epdiff_force(*ts))),
         [frng.standard_normal((2, h, w)), frng.standard_normal((2, h, w))], frng, probes=8,
         eps=1e-6, rtol=tol))
+    # the fused shooting nodes, from a generator of their own: EPDiff from a (2, H, W)
+    # velocity and momentum, and the inverse flow of a 4-step velocity stack whose
+    # steps move every sample 0.2-0.8 px, off the lattice lines where bilinear
+    # interpolation has kinks
+    srng = np.random.default_rng(103)
+    scfg = ShootingConfig(4, op)
+    weights = constant(srng.standard_normal((4, 2, h, w)))
+    worst = max(worst, directional_probe_check(
+        lambda ts: sum_all(mul(integrate_epdiff(scfg, *ts), weights)),
+        [0.3 * srng.standard_normal((2, h, w)), srng.standard_normal((2, h, w))], srng,
+        probes=8, eps=1e-6, rtol=tol))
+    steps = srng.uniform(0.2, 0.8, (4, 2, h, w)) * srng.choice([-1.0, 1.0], (4, 2, h, w))
+    worst = max(worst, directional_probe_check(
+        lambda ts: sum_all(mul(integrate_inverse_flow(scfg, ts[0]), take_index(weights, 0))),
+        [scfg.num_steps * steps], srng, probes=8, eps=1e-6, rtol=tol))
 
     # full registration energy gradient on a smooth random pair
     kern = SmoothingKernel(2.0, radius=6)

@@ -252,6 +252,53 @@ def test_strain_on_malformed_sample_meta_is_one_error_line(pipeline, tmp_path, c
     assert not list(tmp_path.glob("x_*"))
 
 
+def _drop_images_frames(records):
+    records["images"] = records["images"][:-2]
+
+
+# a defect of a sample's records -> the message that follows the file's path
+_SAMPLE_DEFECTS = {
+    "missing_record": (lambda records: records.pop("mask"),
+                       "sample container missing record 'mask'"),
+    "missing_meta_field": (None, "sample meta lacks field 'grid'"),
+    "wrong_shape": (_drop_images_frames, "sample record 'images' has shape (3, 32, 32)"),
+}
+
+
+def _write_defective_sample(src, dst, defect):
+    edit, needle = _SAMPLE_DEFECTS[defect]
+    if edit is None:
+        _rewrite_meta(src, dst, lambda meta: meta.pop("grid"))
+    else:
+        records = read_container(src)
+        edit(records)
+        write_container(dst, records)
+    return f"{dst}: {needle}"
+
+
+@pytest.mark.parametrize("defect", sorted(_SAMPLE_DEFECTS))
+def test_defective_sample_is_one_error_line_naming_the_file(pipeline, tmp_path, capsys, defect):
+    bad = str(tmp_path / "bad.lmf1")
+    needle = _write_defective_sample(pipeline["sample"], bad, defect)
+    assert main(["strain", "--sample", bad, "--out-prefix", str(tmp_path / "x")]) == 1
+    _single_error_line(capsys.readouterr().err, needle)
+    assert not list(tmp_path.glob("x_*"))
+
+
+def test_register_over_a_dataset_names_its_defective_sample(pipeline, tmp_path, capsys):
+    # one sample of three lacks a meta field: the message says which one
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    bad = str(data / "sample_001.lmf1")
+    needle = _write_defective_sample(os.path.join(pipeline["data"], "sample_001.lmf1"), bad,
+                                     "missing_meta_field")
+    out = tmp_path / "o"
+    assert main(["register", "--config", pipeline["cfg"], "--dataset", str(data),
+                 "--mode", "direct", "--split", "all", "--out", str(out)]) == 1
+    _single_error_line(capsys.readouterr().err, needle)
+    assert not out.exists()
+
+
 def test_register_on_list_manifest_is_one_error_line(pipeline, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)

@@ -10,7 +10,9 @@ from cardiomotion.geodesic import (GeodesicPath, ShootingConfig, integrate_epdif
 from cardiomotion.grid import (Grid2, VectorField, coordinate_arrays, jacobian_determinant,
                                warp_vector)
 from cardiomotion.metric import MetricOperator, apply_K, metric_norm
-from cardiomotion.nn import constant, epdiff_force, spectral_multiply
+from cardiomotion.nn import (Tensor, add_n, bilinear_warp, constant, epdiff_force, mul, smul,
+                             spectral_multiply, sub, sum_all, take_index)
+from cardiomotion.nn.fieldops import epdiff_force_values
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -40,9 +42,9 @@ def test_velocity_count_and_single_step():
     v0 = VectorField(grid, np.full((8, 8), 0.25), np.zeros((8, 8)))
     v = _tensor(v0)
     vs = integrate_epdiff(cfg, v)
-    assert len(vs) == 1 and vs[0] is v
+    assert vs.shape == (1, 2, 8, 8) and np.array_equal(vs.values[0], v.values)
     cfg5 = ShootingConfig(num_steps=5, operator=MetricOperator(grid))
-    assert len(integrate_epdiff(cfg5, v)) == 5
+    assert integrate_epdiff(cfg5, v).shape == (5, 2, 8, 8)
 
 
 def test_zero_velocity_gives_identity_maps():
@@ -67,9 +69,9 @@ def test_constant_velocity_is_a_fixed_point():
     assert np.max(np.abs(f.values[1])) < 1e-12
     cfg = ShootingConfig(num_steps=6, operator=op)
     vs = integrate_epdiff(cfg, v)
-    for w in vs:
-        assert np.allclose(w.values[0], 0.3, atol=1e-12)
-        assert np.allclose(w.values[1], -0.2, atol=1e-12)
+    for w in vs.values:
+        assert np.allclose(w[0], 0.3, atol=1e-12)
+        assert np.allclose(w[1], -0.2, atol=1e-12)
 
 
 def test_constant_velocity_translation_maps():
@@ -107,7 +109,7 @@ def test_metric_norm_conserved_along_geodesic():
     rng = np.random.default_rng(11)
     for _ in range(3):
         v0 = _smooth_field(grid, rng, scale=1.0)
-        vs = [VectorField(grid, *v.values) for v in integrate_epdiff(cfg, _tensor(v0))]
+        vs = [VectorField(grid, *v) for v in integrate_epdiff(cfg, _tensor(v0)).values]
         n0 = metric_norm(op, vs[0])
         drift = max(abs(metric_norm(op, v) - n0) for v in vs) / n0
         assert drift < 0.02
@@ -135,7 +137,7 @@ def test_blowup_raises_instead_of_propagating_nans():
 def test_flow_integrators_check_velocity_count():
     grid = Grid2(8, 8)
     cfg = ShootingConfig(num_steps=3, operator=MetricOperator(grid))
-    vs = [_tensor(VectorField(grid, np.zeros(grid.shape), np.zeros(grid.shape)))] * 2
+    vs = constant(np.zeros((2, 2) + grid.shape))
     with pytest.raises(ValueError):
         integrate_inverse_flow(cfg, vs)
     with pytest.raises(ValueError):
@@ -152,7 +154,7 @@ def test_shoot_returns_path_with_all_parts():
 
 
 def test_flows_of_a_stack_match_each_field():
-    # the step and both flows take (T, H, W) stacks; each slice is its own geodesic
+    # the step and both flows take (T, 2, H, W) stacks; each slice is its own geodesic
     grid = Grid2(16, 20)
     cfg = ShootingConfig(num_steps=6, operator=MetricOperator(grid))
     rng = np.random.default_rng(17)
@@ -162,9 +164,9 @@ def test_flows_of_a_stack_match_each_field():
     forward = integrate_forward_flow(cfg, velocities)
     for t, v0 in enumerate(fields):
         path = shoot(cfg, v0)
-        for w, v in zip(velocities, path.velocities):
-            assert np.allclose(w.values[t, 0], v.x_component, rtol=0, atol=1e-12)
-            assert np.allclose(w.values[t, 1], v.y_component, rtol=0, atol=1e-12)
+        for w, v in zip(velocities.values, path.velocities):
+            assert np.allclose(w[t, 0], v.x_component, rtol=0, atol=1e-12)
+            assert np.allclose(w[t, 1], v.y_component, rtol=0, atol=1e-12)
         for p, phi in ((inverse, path.inverse_map), (forward, path.forward_map)):
             assert np.allclose(p.values[t, 0], phi.x, rtol=0, atol=1e-12)
             assert np.allclose(p.values[t, 1], phi.y, rtol=0, atol=1e-12)
@@ -178,14 +180,105 @@ def test_carried_momentum_stays_the_metric_of_the_velocity(monkeypatch):
     v0 = _smooth_field(grid, np.random.default_rng(33), scale=1.0)
     seen = []
 
-    def recording(v, m):
+    def recording(v, m, work=None):
         seen.append((v, m))
-        return epdiff_force(v, m)
+        return epdiff_force_values(v, m, work)
 
-    monkeypatch.setattr(geodesic, "epdiff_force", recording)
+    monkeypatch.setattr(geodesic, "epdiff_force_values", recording)
     velocities = integrate_epdiff(cfg, _tensor(v0))
     assert len(seen) == cfg.num_steps - 1
-    for (v, m), w in zip(seen, velocities):
-        assert v is w
-        lv = spectral_multiply(op, v).values
-        assert np.max(np.abs(m.values - lv)) <= 1e-10 * np.max(np.abs(lv))
+    for (v, m), w in zip(seen, velocities.values):
+        assert np.shares_memory(v, w) and np.array_equal(v, w)
+        lv = op.multiply(v)
+        assert np.max(np.abs(m - lv)) <= 1e-10 * np.max(np.abs(lv))
+
+
+# ---------------------------------------------------------------------------
+# the fused shooting nodes against the step-by-step graph they replace
+# ---------------------------------------------------------------------------
+
+
+def _stepwise_epdiff(cfg, v, m):
+    """[v_0 .. v_{N-1}] as a graph of force, K-multiply and update nodes per step."""
+    dt = 1.0 / cfg.num_steps
+    velocities = [v]
+    for _ in range(cfg.num_steps - 1):
+        f = epdiff_force(v, m)
+        v = sub(v, smul(spectral_multiply(cfg.operator, f, inverse=True), dt))
+        m = sub(m, smul(f, dt))
+        velocities.append(v)
+    return velocities
+
+
+def _stepwise_inverse_flow(cfg, velocities):
+    """phi_1^-1 as a graph of one coordinate update and one bilinear warp per step."""
+    dt = 1.0 / cfg.num_steps
+    xs, ys = coordinate_arrays(cfg.operator.grid)
+    ident = constant(np.broadcast_to(np.stack([xs, ys]), velocities[0].shape))
+    phi = ident
+    for w in velocities:
+        q = sub(ident, smul(w, dt))
+        phi = bilinear_warp(phi, take_index(q, np.s_[..., 0:1, :, :]),
+                            take_index(q, np.s_[..., 1:2, :, :]))
+    return phi
+
+
+def _close(a, b, rtol=1e-12):
+    return np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+def _backward_twice(loss, leaves):
+    """Run backward twice; the second pass must add exactly the same gradients."""
+    loss.backward()
+    first = [t.grad.copy() for t in leaves]
+    loss.backward()
+    for g, t in zip(first, leaves):
+        assert np.array_equal(t.grad, 2.0 * g)
+    return first
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("momentum", ["given", "computed"])
+def test_integrate_epdiff_gradient_matches_the_stepwise_graph(lead, momentum):
+    grid = Grid2(16, 12)
+    op = MetricOperator(grid, alpha=3.0, gamma=1.0, power=3)
+    cfg = ShootingConfig(6, op)
+    rng = np.random.default_rng(61)
+    count = int(np.prod(lead))
+    v = np.stack([_smooth_field(grid, rng, scale=1.5).values for _ in range(count)])
+    v = v.reshape(lead + (2,) + grid.shape)
+    # a momentum off L v, so that the gradients of v and m differ
+    m = op.multiply(v) + 0.1 * rng.standard_normal(v.shape)
+    weights = rng.standard_normal((cfg.num_steps,) + v.shape)
+    leaves = [v, m] if momentum == "given" else [v]
+    fused = [Tensor(a, requires_grad=True) for a in leaves]
+    stepwise = [Tensor(a, requires_grad=True) for a in leaves]
+    out = integrate_epdiff(cfg, *fused)
+    m0 = stepwise[1] if momentum == "given" else spectral_multiply(op, stepwise[0])
+    steps = _stepwise_epdiff(cfg, stepwise[0], m0)
+    got = _backward_twice(sum_all(mul(out, constant(weights))), fused)
+    want = _backward_twice(add_n([sum_all(mul(w, constant(c))) for w, c in zip(steps, weights)]),
+                           stepwise)
+    # the same arithmetic forward, and the exact adjoint of it backward
+    assert out.shape == (cfg.num_steps,) + v.shape
+    assert np.array_equal(out.values, np.stack([w.values for w in steps]))
+    for g, w in zip(got, want):
+        assert _close(g, w)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_integrate_inverse_flow_gradient_matches_the_stepwise_graph(lead):
+    grid = Grid2(16, 12)
+    cfg = ShootingConfig(5, MetricOperator(grid))
+    rng = np.random.default_rng(62)
+    # steps of up to 3 px, so that samples reach past every edge and clamp
+    velocities = cfg.num_steps * rng.uniform(-3.0, 3.0,
+                                             (cfg.num_steps,) + lead + (2,) + grid.shape)
+    weights = rng.standard_normal(lead + (2,) + grid.shape)
+    fused, stepwise = Tensor(velocities, requires_grad=True), Tensor(velocities, requires_grad=True)
+    phi = integrate_inverse_flow(cfg, fused)
+    ref = _stepwise_inverse_flow(cfg, [take_index(stepwise, k) for k in range(cfg.num_steps)])
+    got = _backward_twice(sum_all(mul(phi, constant(weights))), [fused])
+    want = _backward_twice(sum_all(mul(ref, constant(weights))), [stepwise])
+    assert np.array_equal(phi.values, ref.values)
+    assert _close(got[0], want[0])

@@ -136,6 +136,48 @@ def test_finite_differences_on_a_stack_equal_per_slice_loop():
         assert np.array_equal(op(a), np.stack([op(a[k]) for k in range(3)])), op.__name__
 
 
+def _rows(op, a):
+    """ddx-family kernel ``op`` by its 1-D formula, one row (last axis) at a time."""
+    out = np.empty(a.shape)
+    for index in np.ndindex(a.shape[:-1]):
+        r = a[index]
+        o = out[index]
+        if op in ("ddx", "ddy"):
+            o[1:-1] = 0.5 * (r[2:] - r[:-2])
+            o[0] = r[1] - r[0]
+            o[-1] = r[-1] - r[-2]
+        else:
+            h = 0.5 * r
+            h[0], h[-1] = r[0], r[-1]
+            o[1:-1] = h[:-2] - h[2:]
+            o[0] = -(h[0] + h[1])
+            o[-1] = h[-2] + h[-1]
+    return out
+
+
+def _layouts(rng):
+    base = rng.standard_normal((3, 2, 9, 7))
+    return {"C": base, "F": np.asfortranarray(base), "reversed": base[..., ::-1, ::-1],
+            "broadcast": np.broadcast_to(base[0, 0], (3, 2, 9, 7))}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "reversed", "broadcast"])
+def test_finite_differences_are_bit_identical_to_row_formulas(layout):
+    a = _layouts(np.random.default_rng(44))[layout]
+    for op, fn in (("ddx", ddx), ("ddx_adjoint", ddx_adjoint)):
+        assert np.array_equal(fn(a), _rows(op, a)), op
+    # the y kernels are the same formulas along the rows' axis
+    t = np.swapaxes(a, -1, -2)
+    for op, fn in (("ddy", ddy), ("ddy_adjoint", ddy_adjoint)):
+        assert np.array_equal(fn(a), np.swapaxes(_rows(op.replace("y", "x"), t), -1, -2)), op
+    for fn in (ddx, ddy, ddx_adjoint, ddy_adjoint):
+        out = np.empty(a.shape)
+        assert fn(a, out=out) is out and np.array_equal(out, fn(a)), fn.__name__
+        assert fn(a).flags.c_contiguous
+        with pytest.raises(ValueError):
+            fn(a, out=np.empty(a.shape[:-2] + a.shape[:-3:-1]).swapaxes(-1, -2))
+
+
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_bilinear_adjoint_identity(lead):
     # <A x, y> == <x, A^T y>, with coordinates clamped on every side

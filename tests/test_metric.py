@@ -81,6 +81,26 @@ def test_dc_mode_scales_by_gamma_power():
     assert np.allclose(kv.x_component, 1.0 / 9.0, atol=1e-10)
 
 
+def _rfft2_route(op, a, inverse):
+    # the Fourier route: multiply the half spectrum of numpy's real FFT by the symbol
+    h, w = op.grid.shape
+    half = op.multipliers[:, : w // 2 + 1]
+    return np.fft.irfft2(np.fft.rfft2(a) * (1.0 / half if inverse else half), s=(h, w))
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (8, 12), (64, 64)])
+@pytest.mark.parametrize("lead", [(), (2,), (3, 2)])
+def test_multiply_equals_the_rfft2_route(shape, lead):
+    # the real-Fourier-basis GEMMs apply the same operator as the FFT
+    grid = Grid2(*shape)
+    op = MetricOperator(grid, alpha=3.0, gamma=1.0, power=3)
+    a = np.random.default_rng(8).standard_normal(lead + shape)
+    for inverse in (False, True):
+        got, ref = op.multiply(a, inverse=inverse), _rfft2_route(op, a, inverse)
+        assert got.shape == a.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_operator_validation():
     grid = Grid2(8, 8)
     with pytest.raises(ValueError):
