@@ -26,9 +26,8 @@ the inverse flow are one graph node each, whose backward pass is the
 exact adjoint of the discrete steps above (discretize, then
 differentiate), run from the last step to the first over the states
 the forward pass kept; the forward flow, which only ``shoot`` needs,
-is a composition of ``nn`` Tensor operations.  ``shoot`` evaluates all
-three under ``no_grad``; the registration energy records the EPDiff
-and inverse-flow nodes as its graph.
+runs on the bilinear kernels and records no graph.  The registration
+energy records the EPDiff and inverse-flow nodes as its graph.
 """
 
 from __future__ import annotations
@@ -39,10 +38,11 @@ import numpy as np
 
 from .errors import IntegrationDivergedError
 from .grid import (MapField, VectorField, bilinear_adjoint_field, bilinear_apply,
-                   bilinear_coord_derivatives, bilinear_prepare, coordinate_arrays)
+                   bilinear_coord_derivatives, bilinear_prepare, bilinear_sample,
+                   coordinate_arrays)
 from .metric import MetricOperator
-from .nn.fieldops import bilinear_warp, epdiff_force_adjoint, epdiff_force_values, force_work
-from .nn.tensor import Tensor, _as_tensor, _make, add, constant, no_grad, smul, take_index
+from .nn.fieldops import epdiff_force_adjoint, epdiff_force_values, force_work
+from .nn.tensor import Tensor, _as_tensor, _make, constant
 
 # one component of a (..., 2, H, W) stack, kept as a (..., 1, H, W) axis
 _X, _Y = np.s_[..., 0:1, :, :], np.s_[..., 1:2, :, :]
@@ -69,26 +69,26 @@ class GeodesicPath:
     forward_map: MapField
 
 
-def integrate_epdiff(cfg: ShootingConfig, v, m=None) -> Tensor:
+def integrate_epdiff(cfg: ShootingConfig, v, m) -> Tensor:
     """Forward-Euler velocities v_0 .. v_{N-1} from v_0 = v, stacked on a new axis 0.
 
-    ``v`` is a (..., 2, H, W) Tensor and ``m`` its momentum L v, computed
-    when not given.  One graph node: it keeps every v_k and m_k, and its
-    backward pass runs the adjoint of the Euler steps from the last to the
-    first.  With a_v and a_m the gradients reaching v_{k+1} and m_{k+1},
-    the force f_k receives g_f = -dt (K a_v + a_m); the force adjoint
-    carries g_f to (v_k, m_k), where it adds to a_v and a_m along with the
-    gradient of the output v_k itself.
+    ``v`` is a (..., 2, H, W) Tensor and ``m`` its momentum L v, which is
+    required: the registration energy passes the L v0 of its regulariser.
+    One graph node: it keeps every v_k and m_k, and its backward pass runs
+    the adjoint of the Euler steps from the last to the first.  With a_v
+    and a_m the gradients reaching v_{k+1} and m_{k+1}, the force f_k
+    receives g_f = -dt (K a_v + a_m); the force adjoint carries g_f to
+    (v_k, m_k), where it adds to a_v and a_m along with the gradient of
+    the output v_k itself.
     """
-    v = _as_tensor(v)
-    parents = (v,) if m is None else (v, _as_tensor(m))
+    v, m = _as_tensor(v), _as_tensor(m)
     op = cfg.operator
     n, dt = cfg.num_steps, 1.0 / cfg.num_steps
     vs = np.empty((n,) + v.shape)
     ms = np.empty((n - 1,) + v.shape)  # m_0 .. m_{N-2}: the last momentum drives no step
     vs[0] = v.values
     work = force_work(v.shape)
-    m_k = op.multiply(v.values) if m is None else parents[1].values
+    m_k = m.values
     for k in range(n - 1):
         ms[k] = m_k
         f = epdiff_force_values(vs[k], ms[k], work)
@@ -110,11 +110,9 @@ def integrate_epdiff(cfg: ShootingConfig, v, m=None) -> Tensor:
             a_v += g_v
             a_v += g[k]
             a_m += g_m
-        if m is None:  # m_0 = L v_0
-            return (a_v + op.multiply(a_m),)
         return (a_v, a_m)
 
-    return _make(vs, parents, vjp)
+    return _make(vs, (v, m), vjp)
 
 
 def _identity(cfg: ShootingConfig, velocities: Tensor) -> np.ndarray:
@@ -168,25 +166,23 @@ def integrate_forward_flow(cfg: ShootingConfig, velocities) -> Tensor:
     """phi_1 accumulated by Euler steps along the velocity at the mapped point.
 
     ``velocities`` is the (N, ..., 2, H, W) stack of ``integrate_epdiff``.
+    The map is returned as a constant Tensor: nothing differentiates it.
     """
     velocities = _as_tensor(velocities)
-    phi = constant(_identity(cfg, velocities))
+    phi = np.array(_identity(cfg, velocities))
     dt = 1.0 / cfg.num_steps
-    for k in range(cfg.num_steps):
-        sampled = bilinear_warp(take_index(velocities, k), take_index(phi, _X),
-                                take_index(phi, _Y))
-        phi = add(phi, smul(sampled, dt))
-    return phi
+    for w in velocities.values:
+        phi += bilinear_sample(w, phi[_X], phi[_Y]) * dt
+    return constant(phi)
 
 
 def shoot(cfg: ShootingConfig, v0: VectorField) -> GeodesicPath:
     """Integrate EPDiff from v0 and accumulate both endpoint maps."""
     cfg.operator._check(v0)
     grid = v0.grid
-    with no_grad():
-        velocities = integrate_epdiff(cfg, constant(v0.values))
-        inverse = integrate_inverse_flow(cfg, velocities)
-        forward = integrate_forward_flow(cfg, velocities)
+    velocities = integrate_epdiff(cfg, v0.values, cfg.operator.multiply(v0.values))
+    inverse = integrate_inverse_flow(cfg, velocities)
+    forward = integrate_forward_flow(cfg, velocities)
     return GeodesicPath(
         velocities=[VectorField(grid, *v) for v in velocities.values],
         inverse_map=MapField(grid, *inverse.values),

@@ -14,7 +14,6 @@ from .params import (
     adam_step,
     load_checkpoint,
     save_checkpoint,
-    unused_parameters,
 )
 from .tensor import (
     Tensor,
@@ -44,7 +43,7 @@ __all__ = [
     "reshape", "take_index", "concat_channels",
     "conv2d", "avgpool2", "nearest_upsample2", "linear", "scale_shift",
     "spectral_multiply", "fd_dx", "fd_dy", "bilinear_warp", "epdiff_force",
-    "ParameterStore", "adam_step", "unused_parameters",
+    "ParameterStore", "adam_step",
     "save_checkpoint", "load_checkpoint",
     "UNetConfig", "sinusoidal_embedding",
     "RegistrationNet", "NoisePredictor", "MotionDecoder",

@@ -23,6 +23,7 @@ import numpy as np
 from .params import ParameterStore
 from .tensor import (
     Tensor,
+    _as_tensor,
     add,
     avgpool2,
     concat_channels,
@@ -68,7 +69,7 @@ def _kaiming_linear(rng: np.random.Generator, f_in: int, f_out: int) -> np.ndarr
 
 def _fold_frames(z, num_frames: int, channels: int) -> Tensor:
     """(T, C, h, w) latents as one (1, T*C, h, w) stack, after checking T and C."""
-    z = z if isinstance(z, Tensor) else constant(z)
+    z = _as_tensor(z)
     shape = z.values.shape
     if len(shape) != 4 or shape[:2] != (num_frames, channels):
         raise ValueError(f"expected latents ({num_frames}, {channels}, h, w), got {shape}")
@@ -140,7 +141,7 @@ class RegistrationNet(_Net):
         self._add("dec.out.w", np.zeros((2, b, 3, 3)))
 
     def encode(self, pairs) -> tuple[Tensor, list[Tensor]]:
-        pairs = pairs if isinstance(pairs, Tensor) else constant(pairs)
+        pairs = _as_tensor(pairs)
         t, cin, h, w = pairs.values.shape
         if cin != self.config.in_channels:
             raise ValueError(f"expected {self.config.in_channels} input channels, got {cin}")
@@ -159,7 +160,7 @@ class RegistrationNet(_Net):
         return z, skips
 
     def decode(self, z, skips: list[Tensor]) -> Tensor:
-        z = z if isinstance(z, Tensor) else constant(z)
+        z = _as_tensor(z)
         if len(skips) != self.config.num_down:
             raise ValueError(f"expected {self.config.num_down} skip tensors, got {len(skips)}")
         x = relu(self._conv(z, "dec.in"))

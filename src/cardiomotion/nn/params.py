@@ -35,9 +35,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
 
 # Adam moment decay rates and denominator floor (Kingma & Ba, 2015)
 _BETA1 = 0.9
@@ -81,18 +78,6 @@ def adam_step(
             p.values *= 1.0 - learning_rate * decay
         p.values -= learning_rate * (m1 / bc1) / (np.sqrt(m2 / bc2) + _EPS)
         p.grad = None
-
-
-def unused_parameters(store: ParameterStore) -> list[str]:
-    """Names of parameters whose last backward left no (or all-zero) gradient.
-
-    Run right after backward() and before adam_step (which clears grads).
-    """
-    stale = []
-    for name, p in store.params.items():
-        if p.grad is None or not np.any(p.grad):
-            stale.append(name)
-    return stale
 
 
 def checkpoint_records(store: ParameterStore) -> dict[str, np.ndarray]:

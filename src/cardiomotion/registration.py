@@ -31,7 +31,7 @@ from .geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff, integrate
 from .grid import FieldSequence, Grid2, ScalarField, VectorField
 from .nn.fieldops import bilinear_warp, spectral_multiply
 from .nn.params import ParameterStore, adam_step
-from .nn.tensor import Tensor, add, constant, mul, no_grad, smul, sub, sum_all, take_index
+from .nn.tensor import Tensor, _as_tensor, add, constant, mul, smul, sub, sum_all, take_index
 
 
 # the x and y coordinates of a (..., 2, H, W) map, as (..., H, W) fields
@@ -62,12 +62,11 @@ class RegistrationResult:
     v0: VectorField
     path: GeodesicPath
     energy_trace: list
-    warped_source: ScalarField
 
 
 def _energy_terms(shooting: ShootingConfig, sigma: float, v0: Tensor,
                   source_values: np.ndarray, target_values: np.ndarray):
-    """Build the energy graph; returns (total, dist, reg, warped) tensors.
+    """Build the energy graph; returns (total, dist, reg) tensors.
 
     v0 is (2, H, W) and the images (H, W) for one pair, or (T, 2, H, W)
     and (T, H, W) for T pairs, whose energies then add up in ``total``.
@@ -80,7 +79,7 @@ def _energy_terms(shooting: ShootingConfig, sigma: float, v0: Tensor,
     diff = sub(warped, constant(target_values))
     dist = sum_all(mul(diff, diff))
     total = add(smul(dist, 0.5 / (sigma * sigma)), reg)
-    return total, dist, reg, warped
+    return total, dist, reg
 
 
 def _check_pair(cfg: RegistrationConfig, source: ScalarField, target: ScalarField,
@@ -98,9 +97,8 @@ def energy(cfg: RegistrationConfig, v0: VectorField, source: ScalarField,
            target: ScalarField) -> tuple[float, float, float]:
     """(total, dist, reg) of the registration energy at v0."""
     _check_pair(cfg, source, target, v0)
-    with no_grad():
-        total, dist, reg, _ = _energy_terms(cfg.shooting, cfg.sigma, constant(v0.values),
-                                            source.values, target.values)
+    total, dist, reg = _energy_terms(cfg.shooting, cfg.sigma, constant(v0.values),
+                                     source.values, target.values)
     return total.item(), dist.item(), reg.item()
 
 
@@ -109,7 +107,7 @@ def energy_gradient(cfg: RegistrationConfig, v0: VectorField, source: ScalarFiel
     """Exact gradient of the discrete energy with respect to v0."""
     _check_pair(cfg, source, target, v0)
     v = Tensor(v0.values, requires_grad=True)
-    total, _, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)
+    total, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)
     total.backward()
     if not np.all(np.isfinite(v.grad)):
         raise IntegrationDivergedError(cfg.shooting.num_steps, "energy gradient")
@@ -130,8 +128,7 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
 
     trace: list[float] = []
     for it in range(cfg.max_iterations + 1):
-        total, _, _, warped = _energy_terms(cfg.shooting, cfg.sigma, v, source.values,
-                                            target.values)
+        total, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)
         e = total.item()
         if not np.isfinite(e):
             raise IntegrationDivergedError(it, "registration energy")
@@ -148,7 +145,6 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
         v0=v0,
         path=shoot(cfg.shooting, v0),
         energy_trace=trace,
-        warped_source=ScalarField(grid, warped.values),
     )
 
 
@@ -175,7 +171,7 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.
     loss is differentiable with respect to the network parameters).
     pair_batch: matching (T, 2, H, W) array, channel 0 = source, 1 = target.
     """
-    v0_t = v0_batch if isinstance(v0_batch, Tensor) else constant(np.asarray(v0_batch, dtype=np.float64))
+    v0_t = _as_tensor(v0_batch)
     pairs = np.asarray(pair_batch, dtype=np.float64)
     if v0_t.values.shape != pairs.shape:
         raise ValueError(
@@ -184,7 +180,7 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.
     grid = cfg.shooting.operator.grid
     if pairs.shape[2:] != grid.shape:
         raise GridMismatchError("pair batch grid does not match the registration operator")
-    total, _, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v0_t, pairs[:, 0], pairs[:, 1])
+    total, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v0_t, pairs[:, 0], pairs[:, 1])
     return smul(total, 1.0 / pairs.shape[0])
 
 

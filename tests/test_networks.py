@@ -158,7 +158,7 @@ def test_networks_share_a_store_without_collisions():
     store = ParameterStore()
     NoisePredictor(_CFG, num_frames=2, store=store, seed=0)
     MotionDecoder(_CFG, num_frames=2, height=16, width=16, store=store, seed=1)
-    names = store.names()
+    names = list(store.params)
     assert any(n.startswith("eps.") for n in names)
     assert any(n.startswith("mot.") for n in names)
     with pytest.raises(ValueError):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cardiomotion.container import read_container, write_container
-from cardiomotion.nn.params import (ParameterStore, adam_step, load_checkpoint, save_checkpoint,
-                                    unused_parameters)
+from cardiomotion.nn.params import ParameterStore, adam_step, load_checkpoint, save_checkpoint
 from cardiomotion.nn.tensor import mul, smul, sub, sum_all
 
 
@@ -13,7 +12,7 @@ def test_store_registration_and_lookup():
     store = ParameterStore()
     t = store.add("w", np.ones((2, 3)))
     assert store["w"] is t
-    assert store.names() == ["w"]
+    assert list(store.params) == ["w"]
     with pytest.raises(ValueError):
         store.add("w", np.zeros(2))
 
@@ -66,17 +65,6 @@ def test_callable_decay_selects_by_name():
     b.grad = np.zeros(1)
     adam_step(store, 0.1, weight_decay=lambda n: 1.0 if n.startswith("net.") else 0.0)
     assert np.allclose(a.values, 0.9) and np.allclose(b.values, 1.0)
-
-
-def test_unused_parameters_reported():
-    store = ParameterStore()
-    used = store.add("used", np.ones(2))
-    store.add("idle", np.ones(2))
-    sum_all(mul(used, used)).backward()
-    assert unused_parameters(store) == ["idle"]
-    for name in store.names():
-        store[name].grad = None
-    assert set(unused_parameters(store)) == {"used", "idle"}
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
