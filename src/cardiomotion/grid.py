@@ -34,8 +34,8 @@ class Grid2:
     def __post_init__(self):
         if self.height < 4 or self.width < 4:
             raise ValueError(f"grid must be at least 4x4, got {self.height}x{self.width}")
-        if not self.spacing > 0:
-            raise ValueError(f"grid spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -62,7 +62,11 @@ class MetricOperator:
         lam = gamma + 2.0 * alpha * (
             (1.0 - np.cos(2.0 * np.pi * k1 / w)) + (1.0 - np.cos(2.0 * np.pi * k2 / h))
         )
-        self.multipliers = lam**self.power
+        with np.errstate(over="ignore"):
+            self.multipliers = lam**self.power
+        if not np.all(np.isfinite(self.multipliers)):
+            raise ValueError(f"the metric symbol overflows at alpha={self.alpha}, "
+                             f"gamma={self.gamma}, power={self.power}")
         self._qh, kh = _real_fourier_basis(h)
         self._qw, kw = _real_fourier_basis(w)
         self._qh_t = np.ascontiguousarray(self._qh.T)

@@ -1,6 +1,6 @@
 """Reverse-mode autodiff engine, differentiable field ops, and networks."""
 
-from .fieldops import bilinear_warp, epdiff_force, fd_dx, fd_dy, spectral_multiply
+from .fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from .networks import (
     MotionDecoder,
     NoisePredictor,
@@ -42,7 +42,7 @@ __all__ = [
     "add", "sub", "neg", "mul", "smul", "sum_all", "add_n", "relu",
     "reshape", "take_index", "concat_channels",
     "conv2d", "avgpool2", "nearest_upsample2", "linear", "scale_shift",
-    "spectral_multiply", "fd_dx", "fd_dy", "bilinear_warp", "epdiff_force",
+    "spectral_multiply", "fd_dx", "fd_dy", "bilinear_warp",
     "ParameterStore", "adam_step",
     "save_checkpoint", "load_checkpoint",
     "UNetConfig", "sinusoidal_embedding",

@@ -227,7 +227,8 @@ def save_sample(path, sample: PhantomSample) -> None:
 
 def _is_number(value, integer: bool = False) -> bool:
     kinds = int if integer else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and (isinstance(value, int) or np.isfinite(value)))
 
 
 def _meta_field(meta: dict, key: str, integers=False):
@@ -242,9 +243,9 @@ def _meta_field(meta: dict, key: str, integers=False):
         if (not isinstance(value, list) or len(value) != len(integers)
                 or not all(_is_number(v, i) for v, i in zip(value, integers))):
             raise ValueError(f"sample meta field {key!r} must be a list of {len(integers)} "
-                             f"numbers, got {value!r}")
+                             f"finite numbers, got {value!r}")
     elif not _is_number(value, integers):
-        kind = "an integer" if integers else "a number"
+        kind = "an integer" if integers else "a finite number"
         raise ValueError(f"sample meta field {key!r} must be {kind}, got {value!r}")
     return value
 

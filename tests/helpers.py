@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from cardiomotion.nn.tensor import Tensor, no_grad
+from cardiomotion.geodesic import epdiff_force_adjoint, epdiff_force_values
+from cardiomotion.nn.tensor import Tensor, _as_tensor, _make, no_grad
+
+
+def force_node(v, m):
+    """The EPDiff force of (..., 2, H, W) Tensors v and m as one graph node."""
+    v, m = _as_tensor(v), _as_tensor(m)
+    vv, mv = v.values, m.values
+    work = np.empty((6,) + vv.shape)
+    return _make(epdiff_force_values(vv, mv, work), (v, m),
+                 lambda g: epdiff_force_adjoint(vv, mv, g, work))
 
 
 def directional_probe_check(f, leaves, rng, probes=4, eps=1e-6, rtol=1e-5):

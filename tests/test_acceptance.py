@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import directional_probe_check, keep_away_from, keep_off_lattice
+from helpers import directional_probe_check, force_node, keep_away_from, keep_off_lattice
 
 from cardiomotion.cli import main as cli_main
 from cardiomotion.container import read_container, write_container
@@ -28,8 +28,7 @@ from cardiomotion.metric import (MetricOperator, SmoothingKernel, _convolve_axis
                                  apply_L, metric_norm, smooth_noise)
 from cardiomotion.nn import (MotionDecoder, NoisePredictor, ParameterStore, RegistrationNet,
                              UNetConfig, no_grad)
-from cardiomotion.nn.fieldops import (bilinear_warp, epdiff_force, fd_dx, fd_dy,
-                                      spectral_multiply)
+from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, concat_channels, constant,
                                     conv2d, linear, mul, nearest_upsample2, neg, relu, reshape,
                                     scale_shift, smul, sqrt, sub, sum_all, take_index)
@@ -113,7 +112,7 @@ def test_criterion_1_gradient_fidelity():
     # generator of its own so that it leaves the draws of the other checks alone
     frng = np.random.default_rng(102)
     worst = max(worst, directional_probe_check(
-        lambda ts: sum_all(mul(epdiff_force(*ts), epdiff_force(*ts))),
+        lambda ts: sum_all(mul(force_node(*ts), force_node(*ts))),
         [frng.standard_normal((2, h, w)), frng.standard_normal((2, h, w))], frng, probes=8,
         eps=1e-6, rtol=tol))
     # the fused shooting nodes, from a generator of their own: EPDiff from a (2, H, W)

@@ -5,12 +5,11 @@ import pytest
 
 from cardiomotion.grid import Grid2, ddx, ddy
 from cardiomotion.metric import MetricOperator
-from cardiomotion.nn.fieldops import (bilinear_warp, epdiff_force, fd_dx, fd_dy,
-                                      spectral_multiply)
+from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, concat_channels, constant,
                                     conv2d, linear, mul, nearest_upsample2, neg, no_grad, relu,
                                     reshape, scale_shift, smul, sqrt, sub, sum_all, take_index)
-from helpers import directional_probe_check, keep_away_from, keep_off_lattice
+from helpers import directional_probe_check, force_node, keep_away_from, keep_off_lattice
 
 
 def _probe(f, leaves, seed, **kw):
@@ -315,14 +314,14 @@ def _epdiff_force_by_components(v, m):
 def test_epdiff_force_value_gradient_and_adjoint(shape):
     rng = np.random.default_rng(51)
     v, m, g = (rng.standard_normal(shape) for _ in range(3))
-    f = epdiff_force(constant(v), constant(m)).values
+    f = force_node(constant(v), constant(m)).values
     ref = _epdiff_force_by_components(v, m)
     assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
-    _probe(lambda ts: sum_all(mul(epdiff_force(ts[0], ts[1]), ts[2])), [v, m, g], 52)
+    _probe(lambda ts: sum_all(mul(force_node(ts[0], ts[1]), ts[2])), [v, m, g], 52)
     # the force is bilinear, so its derivative along (dv, dm) is f(dv, m) + f(v, dm)
     # and <f'(v, m)[dv, dm], g> = <(dv, dm), VJP(g)>
     ts = [Tensor(v, requires_grad=True), Tensor(m, requires_grad=True)]
-    sum_all(mul(epdiff_force(*ts), constant(g))).backward()
+    sum_all(mul(force_node(*ts), constant(g))).backward()
     for _ in range(3):
         dv, dm = rng.standard_normal(shape), rng.standard_normal(shape)
         lhs = np.sum((_epdiff_force_by_components(dv, m) + _epdiff_force_by_components(v, dm))

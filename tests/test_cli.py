@@ -249,6 +249,30 @@ def test_strain_on_malformed_sample_meta_is_one_error_line(pipeline, tmp_path, c
     assert not list(tmp_path.glob("x_*"))
 
 
+# a meta edit that writes a non-finite number -> the field that the message names
+_NON_FINITE_META = {
+    "angle_nan": (lambda meta: meta.update(insertion_angle=float("nan")), "insertion_angle"),
+    "angle_inf": (lambda meta: meta.update(insertion_angle=float("inf")), "insertion_angle"),
+    "spacing_inf": (lambda meta: meta["grid"].__setitem__(2, float("inf")), "grid"),
+    "center_nan": (lambda meta: meta["center"].__setitem__(0, float("nan")), "center"),
+}
+
+
+@pytest.mark.parametrize("command", ["strain", "eval"])
+@pytest.mark.parametrize("defect", sorted(_NON_FINITE_META))
+def test_non_finite_sample_meta_is_one_error_line_naming_the_file(pipeline, tmp_path, capsys,
+                                                                  defect, command):
+    edit, field = _NON_FINITE_META[defect]
+    bad = str(tmp_path / "bad.lmf1")
+    _rewrite_meta(pipeline["sample"], bad, edit)
+    argv = {"strain": ["strain", "--sample", bad, "--out-prefix", str(tmp_path / "x")],
+            "eval": ["eval", "--sample", bad, "--pred", pipeline["pred"],
+                     "--out", str(tmp_path / "x_eval.csv")]}[command]
+    assert main(argv) == 1
+    _single_error_line(capsys.readouterr().err, f"{bad}: sample meta field {field!r}")
+    assert not list(tmp_path.glob("x*"))
+
+
 def _drop_images_frames(records):
     records["images"] = records["images"][:-2]
 
@@ -303,6 +327,16 @@ def test_register_on_list_manifest_is_one_error_line(pipeline, tmp_path, capsys)
     assert main(["register", "--dataset", str(data), "--mode", "direct",
                  "--out", str(tmp_path / "o")]) == 1
     _single_error_line(capsys.readouterr().err, "manifest")
+
+
+def test_register_with_an_overflowing_metric_is_one_error_line(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_CFG, "metric": {"alpha": 1e200, "gamma": 1.0, "power": 2}}))
+    out = tmp_path / "o"
+    assert main(["register", "--config", str(cfg), "--dataset", pipeline["data"],
+                 "--mode", "direct", "--out", str(out)]) == 1
+    _single_error_line(capsys.readouterr().err, "metric symbol overflows at alpha=1e+200")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("epochs", ["0", "-2"])

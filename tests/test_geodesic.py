@@ -5,14 +5,15 @@ import pytest
 
 import cardiomotion.geodesic as geodesic
 from cardiomotion.errors import IntegrationDivergedError
-from cardiomotion.geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff,
-                                   integrate_forward_flow, integrate_inverse_flow, shoot)
+from cardiomotion.geodesic import (GeodesicPath, ShootingConfig, epdiff_force_values,
+                                   integrate_epdiff, integrate_forward_flow,
+                                   integrate_inverse_flow, shoot)
 from cardiomotion.grid import (Grid2, VectorField, coordinate_arrays, jacobian_determinant,
                                warp_vector)
 from cardiomotion.metric import MetricOperator, apply_K, metric_norm
-from cardiomotion.nn import (Tensor, add, add_n, bilinear_warp, constant, epdiff_force, mul,
-                             smul, spectral_multiply, sub, sum_all, take_index)
-from cardiomotion.nn.fieldops import epdiff_force_values
+from cardiomotion.nn import (Tensor, add, add_n, bilinear_warp, constant, mul, smul,
+                             spectral_multiply, sub, sum_all, take_index)
+from helpers import force_node
 
 
 def _smooth_field(grid, rng, scale=1.0):
@@ -63,7 +64,7 @@ def test_constant_velocity_is_a_fixed_point():
     op = MetricOperator(grid, alpha=2.0, gamma=1.5, power=2)
     v0 = VectorField(grid, np.full(grid.shape, 0.3), np.full(grid.shape, -0.2))
     v = _tensor(v0)
-    f = epdiff_force(v, spectral_multiply(op, v))
+    f = force_node(v, spectral_multiply(op, v))
     assert np.max(np.abs(f.values[0])) < 1e-12
     assert np.max(np.abs(f.values[1])) < 1e-12
     cfg = ShootingConfig(num_steps=6, operator=op)
@@ -181,7 +182,7 @@ def test_carried_momentum_stays_the_metric_of_the_velocity(monkeypatch):
     v0 = _smooth_field(grid, np.random.default_rng(33), scale=1.0)
     seen = []
 
-    def recording(v, m, work=None):
+    def recording(v, m, work):
         seen.append((v, m))
         return epdiff_force_values(v, m, work)
 
@@ -204,7 +205,7 @@ def _stepwise_epdiff(cfg, v, m):
     dt = 1.0 / cfg.num_steps
     velocities = [v]
     for _ in range(cfg.num_steps - 1):
-        f = epdiff_force(v, m)
+        f = force_node(v, m)
         v = sub(v, smul(spectral_multiply(cfg.operator, f, inverse=True), dt))
         m = sub(m, smul(f, dt))
         velocities.append(v)

@@ -20,6 +20,8 @@ def test_grid_validation():
         Grid2(3, 8)
     with pytest.raises(ValueError):
         Grid2(8, 8, spacing=0.0)
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        Grid2(4, 4, np.inf)
     g = Grid2(4, 6, spacing=2.0)
     assert g.shape == (4, 6)
 

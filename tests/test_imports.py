@@ -1,4 +1,8 @@
-"""Every name a package module imports is used in it or exported by its ``__all__``."""
+"""Package imports: every imported name is used or exported, and the layers stay apart.
+
+``nn`` (autodiff, field ops, networks) sits below the pipeline modules and
+imports none of them; ``geodesic`` takes only the Tensor engine from ``nn``.
+"""
 
 import ast
 from pathlib import Path
@@ -45,3 +49,40 @@ def test_an_unused_import_is_reported():
               "def f(x: Tensor) -> np.ndarray:\n"
               "    return x\n")
     assert _unused_imports(source) == ["line 3: no_grad"]
+
+
+# pipeline modules that the autodiff package may not import
+_ABOVE_NN = {"geodesic", "registration", "diffusion", "phantom", "strain", "config", "cli"}
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Dotted names, relative to the package, of what ``path`` imports from the package.
+
+    ``from m import n`` yields both ``m`` and ``m.n``, since ``n`` may be a module.
+    """
+    here = path.relative_to(_PACKAGE).with_suffix("").parts
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if node.level:
+                parts = here[:len(here) - node.level] + tuple((node.module or "").split("."))
+                module = ".".join(("cardiomotion",) + parts).rstrip(".")
+            else:
+                module = node.module
+            found |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return {name.removeprefix("cardiomotion").lstrip(".") for name in found
+            if name.split(".")[0] == "cardiomotion"}
+
+
+def test_nn_imports_no_pipeline_module():
+    for path in _PACKAGE.joinpath("nn").glob("*.py"):
+        bad = {m for m in _imported_modules(path) if m.split(".")[0] in _ABOVE_NN}
+        assert not bad, f"{path.name} imports {sorted(bad)}"
+
+
+def test_geodesic_takes_only_the_tensor_engine_from_nn():
+    from_nn = {m for m in _imported_modules(_PACKAGE / "geodesic.py")
+               if m.split(".")[0] == "nn"}
+    assert from_nn and all(m.split(".")[:2] == ["nn", "tensor"] for m in from_nn), from_nn

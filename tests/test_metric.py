@@ -111,6 +111,9 @@ def test_operator_validation():
         MetricOperator(grid, gamma=0.0)
     with pytest.raises(ValueError):
         MetricOperator(grid, power=0)
+    # (1 + 8e200)^2 overflows: refused by name rather than left to blow up shooting
+    with pytest.raises(ValueError, match=r"alpha=1e\+200, gamma=1.0, power=2"):
+        MetricOperator(grid, alpha=1e200, power=2)
     op = MetricOperator(grid)
     other = VectorField(Grid2(9, 9), np.zeros((9, 9)), np.zeros((9, 9)))
     with pytest.raises(GridMismatchError):
