@@ -12,8 +12,16 @@ file and renamed, so a crash never leaves partial files behind.
 import os
 import sys
 
+
+def _threads_error(value: str | None) -> str | None:
+    """Why a CARDIOMOTION_THREADS value is refused; None when unset, empty or valid."""
+    if value and not (value.isascii() and value.isdigit() and int(value) > 0):
+        return f"CARDIOMOTION_THREADS must be a positive integer, got {value!r}"
+    return None
+
+
 _threads = os.environ.get("CARDIOMOTION_THREADS")
-if _threads:
+if _threads and _threads_error(_threads) is None:
     # must happen before numpy loads its BLAS; harmless otherwise
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
@@ -407,6 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    problem = _threads_error(os.environ.get("CARDIOMOTION_THREADS"))
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -11,6 +11,12 @@ coordinates so smooth global motions are cheap to represent.
 Frames are handled per the temporal contract: the registration nets treat
 frames as batch items (no cross-frame mixing); the diffusion-stage nets
 fold frames into channels so convolutions mix motion across time.
+
+Precision: the nets compute in float32 over float64 master parameters.
+Each forward casts every parameter it uses to float32 once, and its
+inputs too; the public outputs (``forward``, ``encoder_forward``) are
+cast back to float64, so the gradients, the Adam state, the checkpoints
+and everything downstream of the nets stay float64.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ import numpy as np
 from .params import ParameterStore
 from .tensor import (
     Tensor,
-    _as_tensor,
     add,
     avgpool2,
+    cast,
     concat_channels,
     constant,
     conv2d,
@@ -68,8 +74,8 @@ def _kaiming_linear(rng: np.random.Generator, f_in: int, f_out: int) -> np.ndarr
 
 
 def _fold_frames(z, num_frames: int, channels: int) -> Tensor:
-    """(T, C, h, w) latents as one (1, T*C, h, w) stack, after checking T and C."""
-    z = _as_tensor(z)
+    """(T, C, h, w) latents as one float32 (1, T*C, h, w) stack, after checking T and C."""
+    z = cast(z, np.float32)
     shape = z.values.shape
     if len(shape) != 4 or shape[:2] != (num_frames, channels):
         raise ValueError(f"expected latents ({num_frames}, {channels}, h, w), got {shape}")
@@ -86,7 +92,8 @@ class _Net:
         return self.store.add(f"{self.prefix}.{name}", values)
 
     def _get(self, name: str) -> Tensor:
-        return self.store[f"{self.prefix}.{name}"]
+        """The float32 working copy of a float64 master parameter."""
+        return cast(self.store[f"{self.prefix}.{name}"], np.float32)
 
     def _add_conv(self, rng, name: str, c_out: int, c_in: int) -> None:
         """Kaiming-uniform 3x3 kernel and zero bias of one convolution."""
@@ -141,7 +148,7 @@ class RegistrationNet(_Net):
         self._add("dec.out.w", np.zeros((2, b, 3, 3)))
 
     def encode(self, pairs) -> tuple[Tensor, list[Tensor]]:
-        pairs = _as_tensor(pairs)
+        pairs = cast(pairs, np.float32)
         t, cin, h, w = pairs.values.shape
         if cin != self.config.in_channels:
             raise ValueError(f"expected {self.config.in_channels} input channels, got {cin}")
@@ -160,7 +167,7 @@ class RegistrationNet(_Net):
         return z, skips
 
     def decode(self, z, skips: list[Tensor]) -> Tensor:
-        z = _as_tensor(z)
+        z = cast(z, np.float32)
         if len(skips) != self.config.num_down:
             raise ValueError(f"expected {self.config.num_down} skip tensors, got {len(skips)}")
         x = relu(self._conv(z, "dec.in"))
@@ -179,7 +186,7 @@ class RegistrationNet(_Net):
 
     def forward(self, pairs) -> Tensor:
         z, skips = self.encode(pairs)
-        return self.decode(z, skips)
+        return cast(self.decode(z, skips), np.float64)
 
 
 class NoisePredictor(_Net):
@@ -214,7 +221,8 @@ class NoisePredictor(_Net):
         if step < 1:
             raise ValueError(f"diffusion step must be >= 1, got {step}")
         x = _fold_frames(z_noisy, self.num_frames, self.config.latent_channels)
-        emb = constant(sinusoidal_embedding(step, self.config.time_embed_dim)[None, :])
+        emb = sinusoidal_embedding(step, self.config.time_embed_dim).astype(np.float32)
+        emb = constant(emb[None, :])
         x = relu(self._conv(x, "in"))
         x = self._film(x, "film0", emb)
         stack = [x]
@@ -229,7 +237,7 @@ class NoisePredictor(_Net):
             x = relu(add(x, stack[i]))
         out = conv2d(x, self._get("out.w"))
         t, c = self.num_frames, self.config.latent_channels
-        return reshape(out, (t, c) + out.values.shape[2:])
+        return cast(reshape(out, (t, c) + out.values.shape[2:]), np.float64)
 
 
 class MotionDecoder(_Net):
@@ -273,7 +281,7 @@ class MotionDecoder(_Net):
         coords = np.stack(
             [2 * xs / (width - 1) - 1, 2 * ys / (height - 1) - 1]
         )[None]
-        self._coords = coords
+        self._coords = coords.astype(np.float32)
 
     def forward(self, z) -> Tensor:
         x = _fold_frames(z, self.num_frames, self.config.latent_channels)
@@ -283,7 +291,7 @@ class MotionDecoder(_Net):
                 f"latent dims {h}x{w} do not upsample to {self.height}x{self.width} "
                 f"in {self.config.num_down} steps"
             )
-        mean_w = constant(np.full((h * w, 1), 1.0 / (h * w)))
+        mean_w = constant(np.full((h * w, 1), 1.0 / (h * w), dtype=np.float32))
         pooled = reshape(linear(reshape(x, (tc, h * w)), mean_w), (1, tc))
 
         x = relu(self._conv(x, "in"))
@@ -296,12 +304,12 @@ class MotionDecoder(_Net):
         x = relu(self._conv(x, "head"))
         x = self._film(x, "film_head", pooled)
         out = conv2d(x, self._get("out.w"))
-        return reshape(out, (self.num_frames, 2, self.height, self.width))
+        return cast(reshape(out, (self.num_frames, 2, self.height, self.width)), np.float64)
 
 
 def encoder_forward(net: RegistrationNet, image_pairs: np.ndarray) -> Tensor:
     """Frozen encoder pass: (T, 2, H, W) image pairs -> (T, C, h, w) latents."""
     with no_grad():
         z, _ = net.encode(image_pairs)
-    return z
+    return cast(z, np.float64)
 

@@ -1,9 +1,13 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 tensors.
+"""Minimal reverse-mode automatic differentiation over dense float tensors.
 
-A Tensor wraps a numpy array plus an optional gradient slot.  Operations
-record a vector-Jacobian product closure; ``backward()`` on a scalar
-traverses the graph in reverse topological order and accumulates exact
-gradients into every reachable leaf with ``requires_grad`` set.  The
+A Tensor wraps a numpy array plus an optional gradient slot.  A float32
+input stays float32 and anything else becomes float64; a gradient comes
+back in its tensor's dtype, and ``cast`` moves a value between the two
+(its gradient goes back in the source dtype).  The networks compute in
+float32; every other graph is float64.  Operations record a
+vector-Jacobian product closure; ``backward()`` on a scalar traverses the
+graph in reverse topological order and accumulates exact gradients into
+every reachable leaf with ``requires_grad`` set.  The
 primitive set is deliberately small: elementwise arithmetic, reductions,
 shape plumbing, and the layers the networks are built from (conv2d 3x3,
 2x2 average pooling, nearest upsampling, relu, linear, channel concat,
@@ -36,7 +40,10 @@ class Tensor:
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        if values.dtype != np.float32:
+            values = values.astype(np.float64, copy=False)
+        self.values = values
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -107,6 +114,18 @@ def _make(values: np.ndarray, parents: tuple, vjp) -> Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
+
+
+def cast(a, dtype) -> Tensor:
+    """``a`` in ``dtype`` (float32 or float64); ``a`` itself when it already is.
+
+    The gradient goes back in ``a``'s dtype.
+    """
+    a = _as_tensor(a)
+    src = a.values.dtype
+    if src == dtype:
+        return a
+    return _make(a.values.astype(dtype), (a,), lambda g: (g.astype(src),))
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +220,10 @@ def take_index(a, index) -> Tensor:
     is ``a[:, 0]``.
     """
     a = _as_tensor(a)
-    shape = a.values.shape
+    shape, dtype = a.values.shape, a.values.dtype
 
     def vjp(g):
-        out = np.zeros(shape)
+        out = np.zeros(shape, dtype)
         out[index] = g
         return (out,)
 
@@ -246,7 +265,7 @@ def _frames(a: np.ndarray) -> np.ndarray:
     Returns (N, C, (H+2)*(W+2)).
     """
     n, c, h, w = a.shape
-    xp = np.zeros((n, c, h + 2, w + 2))
+    xp = np.zeros((n, c, h + 2, w + 2), dtype=a.dtype)
     xp[:, :, 1:-1, 1:-1] = a
     return xp.reshape(n, c, (h + 2) * (w + 2))
 
@@ -263,7 +282,7 @@ def _conv3_frames(xp: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
     n, o, wp = xp.shape[0], k.shape[0], w + 2
     span = h * wp - 2
     taps = k.transpose(2, 3, 0, 1).copy()  # (3, 3, O, C)
-    acc = np.empty((n, o, h * wp))
+    acc = np.empty((n, o, h * wp), dtype=np.result_type(xp, k))
     for group in _sample_groups(n, o * span):
         head, xg = acc[group, :, :span], xp[group]
         np.matmul(taps[0, 0], xg[:, :, :span], out=head)
@@ -286,7 +305,7 @@ def conv2d(x, w, b=None) -> Tensor:
     if w.values.shape != (o, c, 3, 3):
         raise ValueError(f"kernel shape {w.values.shape} incompatible with input {x.values.shape}")
     xp = _frames(x.values)
-    y = np.empty((n, o, h, wd))
+    y = np.empty((n, o, h, wd), dtype=np.result_type(x.values, w.values))
     if b is None:
         np.copyto(y, _conv3_frames(xp, w.values, h, wd))
     else:
@@ -299,7 +318,7 @@ def conv2d(x, w, b=None) -> Tensor:
         # g in the output's padded-width layout, zero in the wrap columns:
         # the interior of its padded frame
         gr = gp[:, :, wp + 1:wp + 1 + span]
-        dw = np.empty((n, 3, 3, o, c))
+        dw = np.empty((n, 3, 3, o, c), dtype=np.result_type(g, xp))
         for group in _sample_groups(n, o * span):
             gg, xg = gr[group], xp[group]
             for i, j in _TAPS:

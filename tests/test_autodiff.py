@@ -6,9 +6,10 @@ import pytest
 from cardiomotion.grid import Grid2, ddx, ddy
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
-from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, concat_channels, constant,
-                                    conv2d, linear, mul, nearest_upsample2, neg, no_grad, relu,
-                                    reshape, scale_shift, smul, sqrt, sub, sum_all, take_index)
+from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, cast, concat_channels,
+                                    constant, conv2d, linear, mul, nearest_upsample2, neg,
+                                    no_grad, relu, reshape, scale_shift, smul, sqrt, sub, sum_all,
+                                    take_index)
 from helpers import directional_probe_check, force_node, keep_away_from, keep_off_lattice
 
 
@@ -190,6 +191,54 @@ def test_conv2d_matches_tap_loop_definition(n, c, o, h, wd, biased):
     inner = float(np.sum(_conv2d_by_taps(x, w) * g))
     assert float(np.sum(x * dx)) == pytest.approx(inner, rel=1e-12, abs=1e-12)
     assert float(np.sum(w * dw)) == pytest.approx(inner, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,c,o,h,wd", [(3, 2, 4, 5, 7), (1, 1, 3, 4, 4), (2, 3, 1, 5, 7),
+                                        (3, 4, 2, 7, 5)])
+@pytest.mark.parametrize("biased", [False, True])
+def test_float32_conv2d_matches_tap_loop_definition(n, c, o, h, wd, biased):
+    # the networks' precision: float32 operands give a float32 output and
+    # float32 gradients, within float32 round-off of the float64 definition
+    rng = np.random.default_rng([n, c, o, h, wd, 32])
+    x = rng.standard_normal((n, c, h, wd)).astype(np.float32)
+    w = rng.standard_normal((o, c, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(o).astype(np.float32) if biased else None
+    g = rng.standard_normal((n, o, h, wd)).astype(np.float32)
+    y = conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+               None if b is None else Tensor(b, requires_grad=True))
+    assert y.values.dtype == np.float32 and y.values.flags.c_contiguous
+    np.testing.assert_allclose(y.values, _conv2d_by_taps(x, w, b), rtol=1e-5, atol=1e-5)
+    dx, dw = y._vjp(g)[:2]
+    assert dx.dtype == np.float32 and dw.dtype == np.float32
+    inner = float(np.sum(_conv2d_by_taps(x, w) * g))
+    assert float(np.sum(x * dx.astype(np.float64))) == pytest.approx(inner, rel=1e-5, abs=1e-5)
+    assert float(np.sum(w * dw.astype(np.float64))) == pytest.approx(inner, rel=1e-5, abs=1e-5)
+
+
+def test_cast_returns_the_gradient_in_the_source_dtype():
+    rng = np.random.default_rng(48)
+    a, r = rng.standard_normal((3, 4)), rng.standard_normal((3, 4)).astype(np.float32)
+    t = Tensor(a, requires_grad=True)
+    y = cast(t, np.float32)
+    assert y.values.dtype == np.float32 and np.array_equal(y.values, a.astype(np.float32))
+    sum_all(mul(y, constant(r))).backward()
+    assert t.grad.dtype == np.float64 and np.array_equal(t.grad, r.astype(np.float64))
+    # and back: a float32 leaf through a float64 graph gets a float32 gradient
+    t32 = Tensor(r, requires_grad=True)
+    sum_all(mul(cast(t32, np.float64), constant(a))).backward()
+    assert t32.grad.dtype == np.float32 and np.array_equal(t32.grad, a.astype(np.float32))
+    # a float64 -> float64 cast is exact, in value and in gradient
+    t = Tensor(a, requires_grad=True)
+    same = cast(t, np.float64)
+    assert same.values.dtype == np.float64 and np.array_equal(same.values, a)
+    sum_all(mul(same, constant(a))).backward()
+    assert np.array_equal(t.grad, a)
+    # a Tensor keeps float32 values; anything else becomes float64
+    assert Tensor(r).values.dtype == np.float32
+    assert Tensor(np.arange(3)).values.dtype == np.float64
+    t32 = Tensor(r, requires_grad=True)
+    sum_all(take_index(t32, 1)).backward()
+    assert t32.grad.dtype == np.float32
 
 
 def test_conv2d_rejects_mismatched_kernel():

@@ -517,6 +517,17 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     assert bad.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_thread_count_that_is_not_a_positive_integer_is_one_error_line(
+        tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("CARDIOMOTION_THREADS", threads)
+    out = tmp_path / "ref.json"
+    assert main(["config-reference", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: CARDIOMOTION_THREADS must be a positive integer, got {threads!r}\n"
+    assert not out.exists()
+
+
 # one child process per BLAS thread count: the CLI copies CARDIOMOTION_THREADS
 # into the BLAS variables before numpy loads, so each count needs a fresh process
 _PIPELINE_SCRIPT = """

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import cardiomotion.nn.networks as networks
+from cardiomotion.container import read_container
 from cardiomotion.nn.networks import (MotionDecoder, NoisePredictor, RegistrationNet,
                                       UNetConfig, encoder_forward, sinusoidal_embedding)
-from cardiomotion.nn.params import ParameterStore
-from cardiomotion.nn.tensor import Tensor, no_grad, sum_all
+from cardiomotion.nn.params import ParameterStore, adam_step, load_checkpoint, save_checkpoint
+from cardiomotion.nn.tensor import Tensor, add_n, constant, mul, no_grad, sum_all
 
 _CFG = UNetConfig(in_channels=2, base_channels=4, latent_channels=3, num_down=2,
                   time_embed_dim=8)
@@ -172,3 +174,108 @@ def test_gradients_reach_parameters():
     loss.backward()
     g = net.store["eps.out.w"].grad
     assert g is not None and np.any(g)
+
+
+# ---------------------------------------------------------------------------
+# precision: float32 networks over float64 master parameters
+# ---------------------------------------------------------------------------
+
+
+def _three_nets(seed):
+    """A registration net and a noise predictor/motion decoder pair on one store,
+    with random (not zero) output heads so every output depends on every layer."""
+    rng = np.random.default_rng(seed)
+    reg = RegistrationNet(_CFG, seed=seed)
+    store = ParameterStore()
+    eps = NoisePredictor(_CFG, num_frames=2, store=store, seed=seed + 1)
+    mot = MotionDecoder(_CFG, num_frames=2, height=16, width=16, store=store, seed=seed + 2)
+    for s in (reg.store, store):
+        for name, p in s.params.items():
+            if name.endswith("out.w"):
+                p.values = 0.1 * rng.standard_normal(p.values.shape)
+    pairs = rng.standard_normal((2, 2, 16, 16))
+    return reg, eps, mot, pairs
+
+
+def _weighted_sum(out, rng):
+    return sum_all(mul(out, constant(rng.standard_normal(out.values.shape))))
+
+
+def test_nets_compute_in_float32_and_return_float64(monkeypatch):
+    reg, eps, mot, pairs = _three_nets(20)
+    conv_dtypes, grad_dtypes = [], []
+    conv2d = networks.conv2d
+
+    def recording_conv2d(*args):
+        y = conv2d(*args)
+        conv_dtypes.append(y.values.dtype)
+        if y._vjp is not None:
+            vjp = y._vjp
+
+            def recording_vjp(g):
+                grads = vjp(g)
+                grad_dtypes.extend([g.dtype] + [d.dtype for d in grads if d is not None])
+                return grads
+
+            y._vjp = recording_vjp
+        return y
+
+    monkeypatch.setattr(networks, "conv2d", recording_conv2d)
+    z = encoder_forward(reg, pairs)
+    outputs = [z, reg.forward(pairs), eps.forward(z.values, 3), mot.forward(z)]
+    assert [o.values.dtype for o in outputs] == [np.float64] * 4
+    # encoder 6, encoder and decoder 12, noise predictor 6, motion decoder 5
+    assert len(conv_dtypes) == 6 + 12 + 6 + 5
+    assert set(conv_dtypes) == {np.dtype(np.float32)}
+    _, skips = reg.encode(pairs)
+    assert [s.values.dtype for s in skips] == [np.float32] * 2
+    # the backward pass through the convolutions is float32 as well
+    rng = np.random.default_rng(20)
+    add_n([_weighted_sum(o, rng) for o in outputs[1:]]).backward()
+    assert len(grad_dtypes) > 12 + 6 + 5
+    assert set(grad_dtypes) == {np.dtype(np.float32)}
+
+
+def test_master_parameters_gradients_and_adam_moments_stay_float64():
+    reg, eps, mot, pairs = _three_nets(21)
+    rng = np.random.default_rng(21)
+    z = encoder_forward(reg, pairs)
+    _weighted_sum(reg.forward(pairs), rng).backward()
+    add_n([_weighted_sum(eps.forward(z.values, 2), rng),
+           _weighted_sum(mot.forward(z), rng)]).backward()
+    for store in (reg.store, eps.store):
+        for name, p in store.params.items():
+            assert p.grad.dtype == np.float64, name
+            assert np.all(np.isfinite(p.grad)), name
+        adam_step(store, 1e-3)
+        for name, p in store.params.items():
+            assert p.values.dtype == np.float64, name
+            assert store.moment1[name].dtype == np.float64, name
+            assert store.moment2[name].dtype == np.float64, name
+
+
+def test_checkpoint_of_trained_nets_round_trips_bit_exact_in_float64(tmp_path):
+    reg, eps, mot, pairs = _three_nets(22)
+    rng = np.random.default_rng(22)
+    z = encoder_forward(reg, pairs)
+    add_n([_weighted_sum(eps.forward(z.values, 2), rng),
+           _weighted_sum(mot.forward(z), rng)]).backward()
+    adam_step(eps.store, 1e-3)
+    path = tmp_path / "model.lmf1"
+    save_checkpoint(eps.store, path)
+    records = read_container(path)
+    assert {r.dtype for r in records.values()} == {np.dtype(np.float64)}
+
+    store = ParameterStore()
+    eps2 = NoisePredictor(_CFG, num_frames=2, store=store, seed=0)
+    mot2 = MotionDecoder(_CFG, num_frames=2, height=16, width=16, store=store, seed=0)
+    load_checkpoint(store, path)
+    assert store.step_count == eps.store.step_count == 1
+    for name, p in eps.store.params.items():
+        q = store[name]
+        assert q.values.dtype == np.float64 and np.array_equal(q.values, p.values), name
+        assert np.array_equal(store.moment1[name], eps.store.moment1[name]), name
+        assert np.array_equal(store.moment2[name], eps.store.moment2[name]), name
+    with no_grad():
+        assert np.array_equal(eps2.forward(z.values, 2).values, eps.forward(z.values, 2).values)
+        assert np.array_equal(mot2.forward(z).values, mot.forward(z).values)
