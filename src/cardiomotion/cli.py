@@ -41,9 +41,9 @@ from .errors import ConfigError, IntegrationDivergedError
 from .geodesic import ShootingConfig
 from .grid import FieldSequence, Grid2, VectorField
 from .metric import MetricOperator, SmoothingKernel
-from .nn import (MotionDecoder, NoisePredictor, ParameterStore, RegistrationNet, UNetConfig,
-                 load_checkpoint, no_grad, save_checkpoint)
-from .nn.params import checkpoint_records
+from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, UNetConfig
+from .nn.params import ParameterStore, checkpoint_records, load_checkpoint, save_checkpoint
+from .nn.tensor import no_grad
 from .phantom import DatasetRanges, PhantomConfig, load_sample, make_dataset, save_sample
 from .registration import (RegistrationConfig, build_pairs, energy, pair_stack, register_pair,
                            train_registration_network)
@@ -137,6 +137,19 @@ def _load_split(dataset_dir: str, split: str) -> list:
     else:
         names = manifest[split]
     return [(name, load_sample(os.path.join(dataset_dir, name))) for name in names]
+
+
+def _common_grid(items) -> Grid2:
+    """The grid of the first loaded sample, after checking that every sample shares it."""
+    first, sample = items[0]
+    grid = sample.images.grid
+    for name, s in items[1:]:
+        g = s.images.grid
+        if g != grid:
+            raise ConfigError(
+                f"{name}: grid {g.height}x{g.width} at {g.spacing:g} mm/px differs from "
+                f"{grid.height}x{grid.width} at {grid.spacing:g} mm/px of {first}")
+    return grid
 
 
 def _motions_from_file(path, grid: Grid2, num_frames: int) -> FieldSequence:
@@ -240,6 +253,7 @@ def cmd_register(args) -> int:
     items = _load_split(args.dataset, args.split)
     if not items:
         raise ConfigError(f"split {args.split!r} is empty")
+    _common_grid(items)
     mode = {"direct": _register_direct, "train": _register_train, "apply": _register_apply}
     containers, log_name, rows, summary = mode[args.mode](args, cfg, items)
     os.makedirs(args.out, exist_ok=True)
@@ -257,11 +271,13 @@ def cmd_train(args) -> int:
     val_items = _load_split(args.dataset, "validation")
     if not train_items:
         raise ConfigError("training split is empty")
-    grid = train_items[0][1].images.grid
-    num_frames = len(train_items[0][1].motions)
+    grid = _common_grid(train_items + val_items)
+    first, sample = train_items[0]
+    num_frames = len(sample.motions)
     for name, s in train_items + val_items:
-        if s.images.grid != grid or len(s.motions) != num_frames:
-            raise ConfigError(f"{name}: inconsistent grid or frame count")
+        if len(s.motions) != num_frames:
+            raise ConfigError(f"{name}: {len(s.motions)} frames differ from {num_frames} "
+                              f"of {first}")
 
     reg, eps_net, mot_net = _refinement_nets(cfg, grid, num_frames, args.registration_model,
                                              args.resume)

@@ -64,9 +64,9 @@ class ShootingConfig:
 
 @dataclass
 class GeodesicPath:
-    """Per-step velocities and the endpoint maps of one geodesic."""
+    """The (N, 2, H, W) per-step velocities and the endpoint maps of one geodesic."""
 
-    velocities: list
+    velocities: np.ndarray
     inverse_map: MapField
     forward_map: MapField
 
@@ -257,7 +257,7 @@ def shoot(cfg: ShootingConfig, v0: VectorField) -> GeodesicPath:
     inverse = integrate_inverse_flow(cfg, velocities)
     forward = integrate_forward_flow(cfg, velocities)
     return GeodesicPath(
-        velocities=[VectorField(grid, *v) for v in velocities.values],
+        velocities=velocities.values,
         inverse_map=MapField(grid, *inverse.values),
         forward_map=MapField(grid, *forward.values),
     )

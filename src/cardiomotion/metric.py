@@ -86,23 +86,6 @@ class MetricOperator:
             raise GridMismatchError("vector field grid does not match operator grid")
 
 
-def apply_L(op: MetricOperator, v: VectorField) -> VectorField:
-    """Momentum m = L v (per-component spectral multiplication)."""
-    op._check(v)
-    return VectorField(v.grid, *op.multiply(v.values))
-
-
-def apply_K(op: MetricOperator, m: VectorField) -> VectorField:
-    """Velocity v = K m, the exact inverse of apply_L."""
-    op._check(m)
-    return VectorField(m.grid, *op.multiply(m.values, inverse=True))
-
-
-def metric_norm(op: MetricOperator, v: VectorField) -> float:
-    """<Lv, v> summed over pixels and components; the geodesic energy of v."""
-    return float(np.sum(apply_L(op, v).values * v.values))
-
-
 @dataclass
 class SmoothingKernel:
     """Normalized 1-D Gaussian cut at radius (default ceil(3*std)) for separable 2-D smoothing."""

@@ -45,16 +45,16 @@ _EPS = 1e-8
 def adam_step(
     store: ParameterStore,
     learning_rate: float,
-    weight_decay=0.0,
+    weight_decay=None,
 ) -> None:
     """One Adam update with decoupled weight decay over every parameter.
 
     Decay multiplies each parameter by (1 - lr*decay) independently of the
     gradient path, so a parameter receiving only zero gradients shrinks
-    geometrically.  ``weight_decay`` is a float, or a callable mapping a
-    parameter name to its decay (for stores holding several models with
-    different regularization weights).  Gradients are consumed: they are
-    cleared on return.
+    geometrically.  ``weight_decay`` is None (no decay) or a callable
+    mapping a parameter name to its decay rate, so that a store holding
+    several models can give each its own.  Gradients are consumed: they
+    are cleared on return.
     """
     for name, p in store.params.items():
         if p.grad is None:
@@ -73,7 +73,7 @@ def adam_step(
         m1 += (1.0 - _BETA1) * g
         m2 *= _BETA2
         m2 += (1.0 - _BETA2) * (g * g)
-        decay = weight_decay(name) if callable(weight_decay) else weight_decay
+        decay = weight_decay(name) if weight_decay is not None else 0.0
         if decay:
             p.values *= 1.0 - learning_rate * decay
         p.values -= learning_rate * (m1 / bc1) / (np.sqrt(m2 / bc2) + _EPS)

@@ -1,4 +1,4 @@
-"""Shared test utilities: directional finite-difference gradient probes."""
+"""Shared test utilities: directional finite-difference gradient probes and the metric norm."""
 
 import numpy as np
 
@@ -13,6 +13,11 @@ def force_node(v, m):
     work = np.empty((6,) + vv.shape)
     return _make(epdiff_force_values(vv, mv, work), (v, m),
                  lambda g: epdiff_force_adjoint(vv, mv, g, work))
+
+
+def metric_norm(op, v):
+    """<L v, v> summed over pixels and components of a (..., 2, H, W) array v."""
+    return float(np.sum(op.multiply(v) * v))
 
 
 def directional_probe_check(f, leaves, rng, probes=4, eps=1e-6, rtol=1e-5):

@@ -7,9 +7,8 @@ from cardiomotion.grid import Grid2, ddx, ddy
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, cast, concat_channels,
-                                    constant, conv2d, linear, mul, nearest_upsample2, neg,
-                                    no_grad, relu, reshape, scale_shift, smul, sqrt, sub, sum_all,
-                                    take_index)
+                                    constant, conv2d, linear, mul, nearest_upsample2, no_grad,
+                                    relu, reshape, scale_shift, smul, sub, sum_all, take_index)
 from helpers import directional_probe_check, force_node, keep_away_from, keep_off_lattice
 
 
@@ -43,7 +42,7 @@ def test_broadcast_operands_get_gradients_of_their_own_shape():
 def test_smul_neg_gradients():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))
-    _probe(lambda ts: sum_all(neg(smul(ts[0], 2.5))), [a], 3)
+    _probe(lambda ts: sum_all(smul(ts[0], -2.5)), [a], 3)
     t = Tensor(a, requires_grad=True)
     sum_all(smul(t, -3.0)).backward()
     assert np.allclose(t.grad, -3.0)
@@ -68,15 +67,6 @@ def test_relu_gradient_masks_negatives():
     t = Tensor(np.array([[-1.0, 2.0]]), requires_grad=True)
     sum_all(relu(t)).backward()
     assert np.array_equal(t.grad, np.array([[0.0, 1.0]]))
-
-
-def test_sqrt_gradient():
-    rng = np.random.default_rng(8)
-    a = 0.5 + rng.random((4, 5))
-    _probe(lambda ts: sum_all(mul(sqrt(ts[0]), sqrt(ts[0]))), [a], 9)
-    t = Tensor(np.array([4.0]), requires_grad=True)
-    sum_all(sqrt(t)).backward()
-    assert np.allclose(t.grad, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +251,25 @@ def test_nearest_upsample2_gradients():
     t = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
     sum_all(nearest_upsample2(t)).backward()
     assert np.allclose(t.grad, 4.0)  # each source pixel feeds 4 outputs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_and_upsample_adjoint_equal_the_reshape_reductions(dtype):
+    # avgpool2 and the upsampling VJP add each 2x2 block in the order of numpy's
+    # reduction over the reshaped block axes: the same bits, at any magnitude
+    rng = np.random.default_rng(26)
+    for n, c, h, w in ((1, 1, 4, 4), (2, 3, 6, 10), (3, 5, 8, 4), (1, 7, 32, 36)):
+        for scale in (1e-30, 1.0, 1e30):
+            spread = 10.0 ** rng.integers(-6, 7, (n, c, h, w))
+            x = (scale * spread * rng.standard_normal((n, c, h, w))).astype(dtype)
+            blocks = x.reshape(n, c, h // 2, 2, w // 2, 2)
+            pooled = avgpool2(Tensor(x)).values
+            assert pooled.dtype == dtype
+            assert np.array_equal(pooled, blocks.mean(axis=(3, 5)))
+            t = Tensor(np.zeros((n, c, h // 2, w // 2), dtype), requires_grad=True)
+            sum_all(mul(nearest_upsample2(t), constant(x))).backward()
+            assert t.grad.dtype == dtype
+            assert np.array_equal(t.grad, blocks.sum(axis=(3, 5)))
 
 
 def test_linear_gradients():

@@ -320,6 +320,41 @@ def test_register_over_a_dataset_names_its_defective_sample(pipeline, tmp_path, 
     assert not out.exists()
 
 
+def _mixed_grid_dataset(pipeline, tmp_path):
+    """A copy of the pipeline's dataset whose sample_001 (validation) is on a 36x36 grid."""
+    cfg = tmp_path / "cfg36.json"
+    cfg.write_text(json.dumps(dict(_CFG, grid={"height": 36, "width": 36})))
+    other = tmp_path / "data36"
+    assert main(["phantom", "--config", str(cfg), "--out", str(other), "--n", "3"]) == 0
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    shutil.copyfile(other / "sample_001.lmf1", data / "sample_001.lmf1")
+    return data
+
+
+@pytest.mark.parametrize("command", [["register", "--mode", "direct", "--split", "all"],
+                                     ["register", "--mode", "train", "--split", "all",
+                                      "--epochs", "1"],
+                                     ["train"]],
+                         ids=["register-direct", "register-train", "train"])
+def test_dataset_with_mixed_grids_is_one_error_line_naming_the_file(pipeline, tmp_path, capsys,
+                                                                     command):
+    # refused before any registration or training, whichever sample comes first
+    data = _mixed_grid_dataset(pipeline, tmp_path)
+    out, model = tmp_path / "o", tmp_path / "reg.lmf1"
+    argv = command + ["--config", pipeline["cfg"], "--dataset", str(data), "--out", str(out)]
+    if command[0] == "register":
+        argv += ["--model-out", str(model)]
+    else:
+        argv += ["--registration-model", pipeline["regmodel"]]
+    capsys.readouterr()
+    assert main(argv) == 1
+    _single_error_line(capsys.readouterr().err,
+                       "sample_001.lmf1: grid 36x36 at 1 mm/px differs from 32x32 at 1 mm/px "
+                       "of sample_000.lmf1")
+    assert not out.exists() and not model.exists()
+
+
 def test_register_on_list_manifest_is_one_error_line(pipeline, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)

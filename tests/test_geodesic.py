@@ -10,19 +10,20 @@ from cardiomotion.geodesic import (GeodesicPath, ShootingConfig, epdiff_force_va
                                    integrate_inverse_flow, shoot)
 from cardiomotion.grid import (Grid2, VectorField, coordinate_arrays, jacobian_determinant,
                                warp_vector)
-from cardiomotion.metric import MetricOperator, apply_K, metric_norm
-from cardiomotion.nn import (Tensor, add, add_n, bilinear_warp, constant, mul, smul,
-                             spectral_multiply, sub, sum_all, take_index)
-from helpers import force_node
+from cardiomotion.metric import MetricOperator
+from cardiomotion.nn.fieldops import bilinear_warp, spectral_multiply
+from cardiomotion.nn.tensor import (Tensor, add, add_n, constant, mul, smul, sub, sum_all,
+                                    take_index)
+from helpers import force_node, metric_norm
 
 
 def _smooth_field(grid, rng, scale=1.0):
     # white noise pushed through K gives a smooth velocity with unit-ish norm
     op = MetricOperator(grid, alpha=3.0, gamma=1.0, power=3)
     raw = VectorField(grid, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape))
-    v = apply_K(op, raw)
+    v = op.multiply(raw.values, inverse=True)
     n = np.sqrt(metric_norm(op, v))
-    return VectorField(grid, scale * v.x_component / n, scale * v.y_component / n)
+    return VectorField(grid, scale * v[0] / n, scale * v[1] / n)
 
 
 def _tensor(v):
@@ -109,8 +110,7 @@ def test_metric_norm_conserved_along_geodesic():
     rng = np.random.default_rng(11)
     for _ in range(3):
         v0 = _smooth_field(grid, rng, scale=1.0)
-        velocities = integrate_epdiff(cfg, _tensor(v0), op.multiply(v0.values))
-        vs = [VectorField(grid, *v) for v in velocities.values]
+        vs = integrate_epdiff(cfg, _tensor(v0), op.multiply(v0.values)).values
         n0 = metric_norm(op, vs[0])
         drift = max(abs(metric_norm(op, v) - n0) for v in vs) / n0
         assert drift < 0.02
@@ -150,8 +150,16 @@ def test_shoot_returns_path_with_all_parts():
     cfg = ShootingConfig(num_steps=3, operator=MetricOperator(grid))
     path = shoot(cfg, VectorField(grid, np.zeros(grid.shape), np.zeros(grid.shape)))
     assert isinstance(path, GeodesicPath)
-    assert len(path.velocities) == 3
+    assert path.velocities.shape == (3, 2) + grid.shape
     assert path.forward_map.grid == grid and path.inverse_map.grid == grid
+
+
+def test_shoot_returns_the_velocity_stack_of_integrate_epdiff():
+    grid = Grid2(16, 12)
+    cfg = ShootingConfig(num_steps=5, operator=MetricOperator(grid))
+    v0 = _smooth_field(grid, np.random.default_rng(19), scale=0.8)
+    stack = integrate_epdiff(cfg, _tensor(v0), cfg.operator.multiply(v0.values)).values
+    assert np.array_equal(shoot(cfg, v0).velocities, stack)
 
 
 def test_flows_of_a_stack_match_each_field():
@@ -167,8 +175,8 @@ def test_flows_of_a_stack_match_each_field():
     for t, v0 in enumerate(fields):
         path = shoot(cfg, v0)
         for w, v in zip(velocities.values, path.velocities):
-            assert np.allclose(w[t, 0], v.x_component, rtol=0, atol=1e-12)
-            assert np.allclose(w[t, 1], v.y_component, rtol=0, atol=1e-12)
+            assert np.allclose(w[t, 0], v[0], rtol=0, atol=1e-12)
+            assert np.allclose(w[t, 1], v[1], rtol=0, atol=1e-12)
         for p, phi in ((inverse, path.inverse_map), (forward, path.forward_map)):
             assert np.allclose(p.values[t, 0], phi.x, rtol=0, atol=1e-12)
             assert np.allclose(p.values[t, 1], phi.y, rtol=0, atol=1e-12)

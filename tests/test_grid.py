@@ -9,7 +9,6 @@ from cardiomotion.grid import (Grid2, MapField, ScalarField, VectorField, FieldS
                                bilinear_sample, coordinate_arrays, ddx, ddx_adjoint,
                                ddy, ddy_adjoint, jacobian, jacobian_determinant,
                                map_to_displacement, warp_vector)
-from cardiomotion.metric import MetricOperator, apply_K, apply_L
 from cardiomotion.strain import Mask, epe
 
 
@@ -321,9 +320,3 @@ def test_field_kernels_equal_their_per_component_formulas(shape):
     mask = Mask(g, rng.uniform(size=shape) < 0.5)
     dist = np.hypot(v.x_component - w.x_component, v.y_component - w.y_component)
     assert epe(v, w, mask) == float(dist[mask.labels].mean() * g.spacing)
-
-    op = MetricOperator(g)
-    for apply, inverse in ((apply_L, False), (apply_K, True)):
-        out = apply(op, v)
-        assert np.array_equal(out.x_component, op.multiply(v.x_component, inverse=inverse))
-        assert np.array_equal(out.y_component, op.multiply(v.y_component, inverse=inverse))

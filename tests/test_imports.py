@@ -86,3 +86,12 @@ def test_geodesic_takes_only_the_tensor_engine_from_nn():
     from_nn = {m for m in _imported_modules(_PACKAGE / "geodesic.py")
                if m.split(".")[0] == "nn"}
     assert from_nn and all(m.split(".")[:2] == ["nn", "tensor"] for m in from_nn), from_nn
+
+
+def test_nn_package_binds_no_public_name():
+    # its modules are imported by their own names, never through the package
+    tree = ast.parse((_PACKAGE / "nn" / "__init__.py").read_text())
+    assert len(tree.body) == 1 and isinstance(tree.body[0], ast.Expr)  # the docstring
+    import cardiomotion.nn as nn
+    submodules = {p.stem for p in (_PACKAGE / "nn").glob("*.py")}
+    assert {name for name in vars(nn) if not name.startswith("_")} <= submodules

@@ -51,7 +51,7 @@ def test_decoupled_decay_shrinks_without_gradient_signal():
     p = store.add("p", np.array([2.0]))
     for _ in range(10):
         smul(sum_all(p), 0.0).backward()  # zero gradient everywhere
-        adam_step(store, 0.1, weight_decay=0.5)
+        adam_step(store, 0.1, weight_decay=lambda name: 0.5)
     assert np.allclose(p.values, 2.0 * (1.0 - 0.1 * 0.5) ** 10, atol=1e-12)
 
 
