@@ -32,7 +32,8 @@ from .grid import FieldSequence
 from .metric import SmoothingKernel, smooth_noise
 from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, encoder_forward
 from .nn.params import adam_step
-from .nn.tensor import Tensor, add_n, constant, mul, no_grad, smul, sub, sum_all
+from .nn.tensor import (Tensor, _keep_heap_mapped, add_n, constant, mul, no_grad, smul, sub,
+                        sum_all)
 from .registration import pair_stack
 
 
@@ -190,7 +191,8 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
     motion decoder consumes the clean encoder latents during training
     (the reverse chain runs only at inference).  Early stopping tracks
     validation l_total with fixed validation noise; the best parameters
-    are restored before returning.
+    are restored before returning.  Each batch's graph is freed before the
+    next one is built.
     """
     if eps_net.store is not mot_net.store:
         raise ValueError("noise predictor and motion decoder must share a parameter store")
@@ -205,6 +207,7 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
     def decay(name: str) -> float:
         return cfg.lambda_eps if name.startswith(eps_net.prefix) else cfg.lambda_m
 
+    _keep_heap_mapped()
     result = TrainResult()
     best_params = None
     since_best = 0
@@ -223,6 +226,7 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
             adam_step(store, learning_rate, decay)
             ep_diff += l_diff.item()
             ep_mot += l_mot.item()
+            del total, l_diff, l_mot
             n_batches += 1
         ep_diff /= n_batches
         ep_mot /= n_batches

@@ -18,6 +18,8 @@ spectral multipliers, finite differences) live in ``fieldops``.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import platform
 
 import numpy as np
 
@@ -37,7 +39,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         values = np.asarray(values)
@@ -97,6 +99,30 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
+
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_mapped() -> None:
+    """Let glibc keep freed graph memory mapped for the next training step.
+
+    A training loop frees each step's graph before building the next one.
+    By default glibc then returns the freed top of the heap to the system,
+    and serves the large arrays by mmap, so every step faults all of its
+    pages in again.  Fixed thresholds keep the heap: blocks up to 32 MB come
+    from it, and it is trimmed only above 1 GB of free space.  Both are set,
+    because a fixed trim threshold alone also switches off glibc's dynamic
+    mmap threshold.  The setting is process-wide and stays; elsewhere than
+    glibc this does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 def constant(values) -> Tensor:

@@ -31,7 +31,8 @@ from .geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff, integrate
 from .grid import FieldSequence, Grid2, ScalarField, VectorField
 from .nn.fieldops import bilinear_warp, spectral_multiply
 from .nn.params import ParameterStore, adam_step
-from .nn.tensor import Tensor, _as_tensor, add, constant, mul, smul, sub, sum_all, take_index
+from .nn.tensor import (Tensor, _as_tensor, _keep_heap_mapped, add, constant, mul, smul, sub,
+                        sum_all, take_index)
 
 
 # the x and y coordinates of a (..., 2, H, W) map, as (..., H, W) fields
@@ -121,14 +122,16 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
     Stops at max_iterations or when the relative energy decrease between
     consecutive iterations falls below convergence_tol (increases do not
     trigger the stop; the optimizer is allowed to recover from them).
+    Each iteration's energy graph is freed before the next one is built.
     """
     grid = _check_pair(cfg, source, target)
     store = ParameterStore()
     v = store.add("v0", np.zeros((2,) + grid.shape))
 
+    _keep_heap_mapped()
     trace: list[float] = []
     for it in range(cfg.max_iterations + 1):
-        total, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)
+        total = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)[0]
         e = total.item()
         if not np.isfinite(e):
             raise IntegrationDivergedError(it, "registration energy")
@@ -139,6 +142,7 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
             break
         total.backward()
         adam_step(store, cfg.learning_rate)
+        del total
 
     v0 = VectorField(grid, *v.values)
     return RegistrationResult(
@@ -189,10 +193,12 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
     """Amortized registration: fit the encoder/decoder to minimize mean energy.
 
     sequences: list of (T, 2, H, W) pair stacks.  Returns the per-epoch
-    mean training loss.
+    mean training loss.  Each step's graph is freed before the next one is
+    built.
     """
     lr = cfg.learning_rate if learning_rate is None else learning_rate
     rng = np.random.default_rng(seed)
+    _keep_heap_mapped()
     history: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(len(sequences))
@@ -205,6 +211,7 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
                 raise IntegrationDivergedError(epoch, "registration network training")
             loss.backward()
             adam_step(net.store, lr)
+            del loss
             total += value
         history.append(total / len(sequences))
     return history

@@ -1,4 +1,10 @@
-"""Shared test utilities: directional finite-difference gradient probes and the metric norm."""
+"""Shared test utilities: directional finite-difference gradient probes, the metric
+norm, and probes of graph lifetime and page faults."""
+
+import contextlib
+import gc
+import resource
+import weakref
 
 import numpy as np
 
@@ -71,3 +77,48 @@ def keep_off_lattice(coords, margin=0.05, nudge=0.1):
     close = np.abs(out - np.round(out)) < margin
     out[close] = out[close] + nudge
     return out
+
+
+@contextlib.contextmanager
+def graph_lifetimes(module, name, scalar=lambda out: out):
+    """Patch the graph builder ``module.name`` to record, at each call, whether the
+    scalar node returned by the previous call is still alive.
+
+    ``scalar`` picks that node from the builder's return value.  Yields the
+    list of those flags, one per call after the first.  The cycle collector
+    is off inside the block, so only reference counting frees a node.
+    """
+    build = getattr(module, name)
+    last, alive = [], []
+
+    def tracked(*args, **kwargs):
+        if last:
+            alive.append(last.pop()() is not None)
+        out = build(*args, **kwargs)
+        last.append(weakref.ref(scalar(out)))
+        return out
+
+    collecting = gc.isenabled()
+    setattr(module, name, tracked)
+    gc.disable()
+    try:
+        yield alive
+    finally:
+        setattr(module, name, build)
+        if collecting:
+            gc.enable()
+
+
+class MinorFaults:
+    """Minor page faults of this process, every thread counted, inside a ``with`` block.
+
+    ``count`` holds the number once the block has exited.
+    """
+
+    def __enter__(self):
+        self.count = None
+        self._start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        return self
+
+    def __exit__(self, *exc):
+        self.count = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - self._start

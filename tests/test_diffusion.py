@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cardiomotion import diffusion
 from cardiomotion.diffusion import (DiffusionConfig, NoiseSchedule, diffusion_loss,
                                     forward_sample, forward_step, infer, make_schedule,
                                     motion_loss, reverse_step, train)
@@ -11,6 +12,7 @@ from cardiomotion.metric import SmoothingKernel, smooth_noise
 from cardiomotion.nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, UNetConfig
 from cardiomotion.nn.params import ParameterStore
 from cardiomotion.nn.tensor import Tensor
+from helpers import graph_lifetimes
 
 _CFG = UNetConfig(in_channels=2, base_channels=4, latent_channels=3, num_down=1,
                   time_embed_dim=8)
@@ -254,6 +256,17 @@ def test_train_early_stops():
                    learning_rate=0.1, patience=3, seed=0)  # big lr oscillates quickly
     assert result.stopped_early
     assert len(result.history) < 200
+
+
+def test_train_frees_each_batch_graph_before_the_next():
+    _, reg, eps_net, mot_net, pairs, truth = _tiny_setup(4)
+    cfg = DiffusionConfig(schedule=make_schedule(2, 0.01, 0.2), kernel=SmoothingKernel(1.0),
+                          batch_size=1, max_epochs=2)
+    with graph_lifetimes(diffusion, "diffusion_loss") as alive:
+        train(reg, eps_net, mot_net, [(pairs, truth), (pairs, -truth)], [(pairs, truth)], cfg,
+              learning_rate=1e-3, seed=0)
+    # per epoch, two training batches and one validation pass
+    assert alive == [False] * 5
 
 
 def test_infer_is_deterministic_given_rng_and_passthrough_at_m0():

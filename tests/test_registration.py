@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cardiomotion import registration
 from cardiomotion.errors import GridMismatchError
 from cardiomotion.geodesic import ShootingConfig, shoot
 from cardiomotion.grid import FieldSequence, Grid2, ScalarField, VectorField, bilinear_sample
@@ -12,7 +13,7 @@ from cardiomotion.nn.tensor import Tensor, no_grad
 from cardiomotion.registration import (RegistrationConfig, build_pairs, energy, energy_gradient,
                                        pair_stack, register_pair, registration_network_loss,
                                        train_registration_network)
-from helpers import metric_norm
+from helpers import graph_lifetimes, metric_norm
 
 
 def _cfg(grid, num_steps=5, sigma=0.05, lr=0.01, max_iter=50, tol=1e-9):
@@ -154,6 +155,14 @@ def test_register_pair_reports_final_state_when_iterations_run_out():
     assert res.energy_trace[-1] == energy(cfg, res.v0, source, target)[0]
 
 
+def test_register_pair_frees_each_energy_graph_before_the_next():
+    grid = Grid2(12, 12)
+    cfg = _cfg(grid, num_steps=4, sigma=0.1, max_iter=5, tol=1e-300)
+    with graph_lifetimes(registration, "_energy_terms", scalar=lambda terms: terms[0]) as alive:
+        register_pair(cfg, _blob(grid, 5.0, 6.0), _blob(grid, 6.0, 6.0))
+    assert alive == [False] * cfg.max_iterations
+
+
 def test_register_pair_identical_images_stays_put():
     grid = Grid2(12, 12)
     cfg = _cfg(grid, max_iter=30, tol=1e-8)
@@ -247,6 +256,18 @@ def test_train_registration_network_reduces_loss():
     with no_grad():
         v = net.forward(stack)
     assert v.values.shape == stack.shape
+
+
+def test_train_registration_network_frees_each_loss_graph_before_the_next():
+    grid = Grid2(16, 16)
+    cfg = _cfg(grid, num_steps=3, sigma=0.1)
+    stacks = [pair_stack(FieldSequence([_blob(grid, 7.0 + s * t, 8.0) for t in range(3)]))
+              for s in (0.4, 0.6)]
+    net = RegistrationNet(UNetConfig(in_channels=2, base_channels=4, latent_channels=4,
+                                     num_down=2, time_embed_dim=4), seed=0)
+    with graph_lifetimes(registration, "registration_network_loss") as alive:
+        train_registration_network(net, stacks, cfg, epochs=2, learning_rate=1e-3, seed=0)
+    assert alive == [False] * 3
 
 
 def test_trained_network_beats_zero_velocity_loss():
