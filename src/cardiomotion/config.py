@@ -103,6 +103,13 @@ _SECTIONS = {
 }
 
 
+def _json_int(value, where: str) -> int:
+    """A JSON integer; anything else is a ConfigError naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer")
+    return value
+
+
 def _finite_float(value, where: str, expected: str) -> float:
     """A JSON number as a finite float; anything else is a ConfigError naming ``where``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -129,8 +136,7 @@ def _build_section(cls, data: dict, path: str):
                 raise ConfigError(f"{where} must be a two-element list")
             value = tuple(_finite_float(x, where, "a list of two numbers") for x in value)
         elif f.type == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{where} must be an integer")
+            value = _json_int(value, where)
         elif f.type == "float":
             value = _finite_float(value, where, "a number")
         kwargs[key] = value
@@ -143,9 +149,7 @@ def config_from_dict(data: dict) -> RunConfig:
     kwargs = {}
     for key, value in data.items():
         if key == "seed":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError("seed must be an integer")
-            kwargs["seed"] = value
+            kwargs["seed"] = _json_int(value, "seed")
         elif key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key} must be a JSON object")

@@ -32,7 +32,7 @@ from .grid import FieldSequence
 from .metric import SmoothingKernel, smooth_noise
 from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, encoder_forward
 from .nn.params import adam_step
-from .nn.tensor import (Tensor, _keep_heap_mapped, add_n, constant, mul, no_grad, smul, sub,
+from .nn.tensor import (Tensor, _keep_heap_mapped, add, constant, mul, no_grad, smul, sub,
                         sum_all)
 from .registration import pair_stack
 
@@ -134,43 +134,40 @@ def diffusion_loss(latents_batch, model, schedule: NoiseSchedule, kernel: Smooth
 
     Per item: a uniform step m, one smoothed draw eps' = K(eps), the
     closed-form noisy latents at m, and the squared L2 distance between
-    eps' and the model's prediction.
+    eps' and the model's prediction.  The stacked items take one model call.
     """
     if len(latents_batch) == 0:
         raise ValueError("diffusion_loss requires a nonempty batch")
     if schedule.num_steps < 1:
         raise ValueError("diffusion_loss requires a schedule with at least 1 step")
-    terms = []
-    for z0 in latents_batch:
-        m = int(rng.integers(1, schedule.num_steps + 1))
-        eps = rng.standard_normal(z0.values.shape)
-        eps_prime = smooth_noise(kernel, eps)
-        ab = schedule.alpha_bar[m - 1]
-        z_m = np.sqrt(ab) * z0.values + np.sqrt(1.0 - ab) * eps_prime
-        diff = sub(model.forward(z_m, m), constant(eps_prime))
-        terms.append(sum_all(mul(diff, diff)))
-    return smul(add_n(terms), 1.0 / len(terms))
+    z0 = np.stack([z.values for z in latents_batch])
+    # each item draws its step, then its noise, so batching does not change the draws
+    steps, eps = zip(*[(rng.integers(1, schedule.num_steps + 1), rng.standard_normal(z.shape))
+                       for z in z0])
+    steps = np.array(steps)
+    eps_prime = smooth_noise(kernel, np.stack(eps))
+    ab = schedule.alpha_bar[steps - 1].reshape((-1,) + (1,) * (z0.ndim - 1))
+    z_m = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps_prime
+    diff = sub(model.forward(z_m, steps), constant(eps_prime))
+    return smul(sum_all(mul(diff, diff)), 1.0 / len(z0))
 
 
 def motion_loss(latents_batch, truth_batch, model) -> Tensor:
-    """Mean over sequences, sum over frames, of squared L2 displacement error."""
+    """Mean over sequences, sum over frames, of squared L2 displacement error; one model call."""
     if len(latents_batch) != len(truth_batch):
         raise ValueError(
             f"batch sizes differ: {len(latents_batch)} latents vs {len(truth_batch)} truths"
         )
     if len(latents_batch) == 0:
         raise ValueError("motion_loss requires a nonempty batch")
-    terms = []
-    for z, truth in zip(latents_batch, truth_batch):
-        truth = np.asarray(truth, dtype=np.float64)
-        pred = model.forward(z)
-        if pred.values.shape != truth.shape:
-            raise ValueError(
-                f"decoded motion shape {pred.values.shape} does not match truth {truth.shape}"
-            )
-        diff = sub(pred, constant(truth))
-        terms.append(sum_all(mul(diff, diff)))
-    return smul(add_n(terms), 1.0 / len(terms))
+    truth = np.stack([np.asarray(u, dtype=np.float64) for u in truth_batch])
+    pred = model.forward(np.stack([z.values for z in latents_batch]))
+    if pred.values.shape != truth.shape:
+        raise ValueError(
+            f"decoded motion shape {pred.values.shape[1:]} does not match truth {truth.shape[1:]}"
+        )
+    diff = sub(pred, constant(truth))
+    return smul(sum_all(mul(diff, diff)), 1.0 / len(truth))
 
 
 @dataclass
@@ -221,7 +218,7 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
             latents = [train_z[i] for i in batch]
             l_diff = diffusion_loss(latents, eps_net, cfg.schedule, cfg.kernel, rng)
             l_mot = motion_loss(latents, [train_u[i] for i in batch], mot_net)
-            total = add_n([l_diff, smul(l_mot, cfg.loss_alpha)])
+            total = add(l_diff, smul(l_mot, cfg.loss_alpha))
             total.backward()
             adam_step(store, learning_rate, decay)
             ep_diff += l_diff.item()
@@ -233,12 +230,20 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
         ep_total = ep_diff + cfg.loss_alpha * ep_mot
 
         # fixed validation noise: same seed each epoch, so early stopping
-        # compares parameters rather than draws
+        # compares parameters rather than draws; the items go in training-size
+        # batches and each batch's mean counts by its size
         val_rng = np.random.default_rng([seed, 0x5EED])
         if val_z:
+            v_diff = v_mot = 0.0
             with no_grad():
-                v_diff = diffusion_loss(val_z, eps_net, cfg.schedule, cfg.kernel, val_rng).item()
-                v_mot = motion_loss(val_z, val_u, mot_net).item()
+                for start in range(0, len(val_z), cfg.batch_size):
+                    z = val_z[start : start + cfg.batch_size]
+                    u = val_u[start : start + cfg.batch_size]
+                    v_diff += len(z) * diffusion_loss(z, eps_net, cfg.schedule, cfg.kernel,
+                                                      val_rng).item()
+                    v_mot += len(z) * motion_loss(z, u, mot_net).item()
+            v_diff /= len(val_z)
+            v_mot /= len(val_z)
         else:
             v_diff, v_mot = ep_diff, ep_mot
         v_total = v_diff + cfg.loss_alpha * v_mot

@@ -44,7 +44,7 @@ from .grid import (MapField, VectorField, bilinear_adjoint_field, bilinear_apply
                    bilinear_coord_derivatives, bilinear_prepare, bilinear_sample,
                    coordinate_arrays, ddx, ddx_adjoint, ddy, ddy_adjoint)
 from .metric import MetricOperator
-from .nn.tensor import Tensor, _as_tensor, _make, constant
+from .nn.tensor import Tensor, _as_tensor, _make
 
 # one component of a (..., 2, H, W) stack, kept as a (..., 1, H, W) axis
 _X, _Y = np.s_[..., 0:1, :, :], np.s_[..., 1:2, :, :]
@@ -235,18 +235,18 @@ def integrate_inverse_flow(cfg: ShootingConfig, velocities) -> Tensor:
     return _make(phi, (velocities,), vjp)
 
 
-def integrate_forward_flow(cfg: ShootingConfig, velocities) -> Tensor:
+def integrate_forward_flow(cfg: ShootingConfig, velocities) -> np.ndarray:
     """phi_1 accumulated by Euler steps along the velocity at the mapped point.
 
     ``velocities`` is the (N, ..., 2, H, W) stack of ``integrate_epdiff``.
-    The map is returned as a constant Tensor: nothing differentiates it.
+    The map is returned as a (..., 2, H, W) array: nothing differentiates it.
     """
     velocities = _as_tensor(velocities)
     phi = np.array(_identity(cfg, velocities))
     dt = 1.0 / cfg.num_steps
     for w in velocities.values:
         phi += bilinear_sample(w, phi[_X], phi[_Y]) * dt
-    return constant(phi)
+    return phi
 
 
 def shoot(cfg: ShootingConfig, v0: VectorField) -> GeodesicPath:
@@ -259,15 +259,5 @@ def shoot(cfg: ShootingConfig, v0: VectorField) -> GeodesicPath:
     return GeodesicPath(
         velocities=velocities.values,
         inverse_map=MapField(grid, *inverse.values),
-        forward_map=MapField(grid, *forward.values),
+        forward_map=MapField(grid, *forward),
     )
-
-
-__all__ = [
-    "ShootingConfig",
-    "GeodesicPath",
-    "integrate_epdiff",
-    "integrate_inverse_flow",
-    "integrate_forward_flow",
-    "shoot",
-]

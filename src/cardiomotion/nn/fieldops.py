@@ -23,15 +23,14 @@ from ..metric import MetricOperator
 from .tensor import Tensor, _as_tensor, _make, _unbroadcast
 
 
-def spectral_multiply(op: MetricOperator, x, inverse: bool = False) -> Tensor:
-    """Apply the metric multiplier (or its inverse) to an (..., H, W) tensor.
+def spectral_multiply(op: MetricOperator, x) -> Tensor:
+    """Apply the metric multiplier L to an (..., H, W) tensor.
 
     The operator is real and self-adjoint, so the backward pass is the
     same multiplication applied to the incoming gradient.
     """
     x = _as_tensor(x)
-    y = op.multiply(x.values, inverse=inverse)
-    return _make(y, (x,), lambda g: (op.multiply(g, inverse=inverse),))
+    return _make(op.multiply(x.values), (x,), lambda g: (op.multiply(g),))
 
 
 def fd_dx(x) -> Tensor:

@@ -10,7 +10,8 @@ coordinates so smooth global motions are cheap to represent.
 
 Frames are handled per the temporal contract: the registration nets treat
 frames as batch items (no cross-frame mixing); the diffusion-stage nets
-fold frames into channels so convolutions mix motion across time.
+fold frames into channels so convolutions mix motion across time, and take
+one (T, C, h, w) sequence or a (B, T, C, h, w) batch of them in one call.
 
 Precision: the nets compute in float32 over float64 master parameters.
 Each forward casts every parameter it uses to float32 once, and its
@@ -58,14 +59,14 @@ class UNetConfig:
                 raise ValueError(f"{field} must be a positive integer")
 
 
-def sinusoidal_embedding(step: int, dim: int) -> np.ndarray:
-    """Classic sin/cos positional code of an integer step, shape (dim,)."""
+def sinusoidal_embedding(steps, dim: int) -> np.ndarray:
+    """Classic sin/cos positional code of N integer steps, one (N, dim) row each."""
     if dim < 2 or dim % 2:
         raise ValueError("time_embed_dim must be an even integer >= 2")
     half = dim // 2
     freqs = 10000.0 ** (-np.arange(half) / half)
-    angles = step * freqs
-    return np.concatenate([np.sin(angles), np.cos(angles)])
+    angles = np.reshape(steps, (-1, 1)) * freqs
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
 def _kaiming_linear(rng: np.random.Generator, f_in: int, f_out: int) -> np.ndarray:
@@ -73,13 +74,13 @@ def _kaiming_linear(rng: np.random.Generator, f_in: int, f_out: int) -> np.ndarr
     return rng.uniform(-bound, bound, size=(f_in, f_out))
 
 
-def _fold_frames(z, num_frames: int, channels: int) -> Tensor:
-    """(T, C, h, w) latents as one float32 (1, T*C, h, w) stack, after checking T and C."""
+def _fold_frames(z, num_frames: int, channels: int) -> tuple[Tensor, tuple]:
+    """(..., T, C, h, w) latents as one float32 (N, T*C, h, w) stack, and their leading shape."""
     z = cast(z, np.float32)
     shape = z.values.shape
-    if len(shape) != 4 or shape[:2] != (num_frames, channels):
-        raise ValueError(f"expected latents ({num_frames}, {channels}, h, w), got {shape}")
-    return reshape(z, (1, num_frames * channels) + shape[2:])
+    if len(shape) < 4 or shape[-4:-2] != (num_frames, channels):
+        raise ValueError(f"expected latents (..., {num_frames}, {channels}, h, w), got {shape}")
+    return reshape(z, (-1, num_frames * channels) + shape[-2:]), shape[:-4]
 
 
 class _Net:
@@ -217,12 +218,17 @@ class NoisePredictor(_Net):
             self._add_conv(rng, f"up{i}", ch, 2 * ch)
         self._add("out.w", np.zeros((tc, hid, 3, 3)))
 
-    def forward(self, z_noisy, step: int) -> Tensor:
-        if step < 1:
+    def forward(self, z_noisy, step) -> Tensor:
+        """Predicted noise of (..., T, C, h, w) latents at one step, or one step per item."""
+        x, lead = _fold_frames(z_noisy, self.num_frames, self.config.latent_channels)
+        n = x.values.shape[0]
+        steps = np.reshape(step, -1)
+        if steps.size not in (1, n):
+            raise ValueError(f"expected 1 or {n} diffusion steps, got {steps.size}")
+        if np.any(steps < 1):
             raise ValueError(f"diffusion step must be >= 1, got {step}")
-        x = _fold_frames(z_noisy, self.num_frames, self.config.latent_channels)
-        emb = sinusoidal_embedding(step, self.config.time_embed_dim).astype(np.float32)
-        emb = constant(emb[None, :])
+        emb = sinusoidal_embedding(np.broadcast_to(steps, (n,)), self.config.time_embed_dim)
+        emb = constant(emb.astype(np.float32))
         x = relu(self._conv(x, "in"))
         x = self._film(x, "film0", emb)
         stack = [x]
@@ -237,7 +243,7 @@ class NoisePredictor(_Net):
             x = relu(add(x, stack[i]))
         out = conv2d(x, self._get("out.w"))
         t, c = self.num_frames, self.config.latent_channels
-        return cast(reshape(out, (t, c) + out.values.shape[2:]), np.float64)
+        return cast(reshape(out, lead + (t, c) + out.values.shape[2:]), np.float64)
 
 
 class MotionDecoder(_Net):
@@ -247,8 +253,8 @@ class MotionDecoder(_Net):
     latent statistics modulate every stage (per-channel scale and shift),
     and two fixed coordinate channels join before the head so smooth
     position-dependent motion does not have to be synthesized from
-    upsampled noise.  Output (T, 2, H, W) holds (x, y) displacement in
-    pixels per frame.
+    upsampled noise.  Output (..., T, 2, H, W) holds (x, y) displacement
+    in pixels per frame.
     """
 
     prefix = "mot"
@@ -278,21 +284,19 @@ class MotionDecoder(_Net):
         self._add("out.w", np.zeros((2 * num_frames, hid, 3, 3)))
 
         ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-        coords = np.stack(
-            [2 * xs / (width - 1) - 1, 2 * ys / (height - 1) - 1]
-        )[None]
+        coords = np.stack([2 * xs / (width - 1) - 1, 2 * ys / (height - 1) - 1])
         self._coords = coords.astype(np.float32)
 
     def forward(self, z) -> Tensor:
-        x = _fold_frames(z, self.num_frames, self.config.latent_channels)
-        _, tc, h, w = x.values.shape
+        x, lead = _fold_frames(z, self.num_frames, self.config.latent_channels)
+        n, tc, h, w = x.values.shape
         if h * 2**self.config.num_down != self.height or w * 2**self.config.num_down != self.width:
             raise ValueError(
                 f"latent dims {h}x{w} do not upsample to {self.height}x{self.width} "
                 f"in {self.config.num_down} steps"
             )
         mean_w = constant(np.full((h * w, 1), 1.0 / (h * w), dtype=np.float32))
-        pooled = reshape(linear(reshape(x, (tc, h * w)), mean_w), (1, tc))
+        pooled = reshape(linear(reshape(x, (n * tc, h * w)), mean_w), (n, tc))
 
         x = relu(self._conv(x, "in"))
         x = self._film(x, "film_in", pooled)
@@ -300,11 +304,11 @@ class MotionDecoder(_Net):
             x = nearest_upsample2(x)
             x = relu(self._conv(x, f"up{i}"))
             x = self._film(x, f"film{i}", pooled)
-        x = concat_channels([x, constant(self._coords)])
+        x = concat_channels([x, constant(np.broadcast_to(self._coords, (n,) + self._coords.shape))])
         x = relu(self._conv(x, "head"))
         x = self._film(x, "film_head", pooled)
         out = conv2d(x, self._get("out.w"))
-        return cast(reshape(out, (self.num_frames, 2, self.height, self.width)), np.float64)
+        return cast(reshape(out, lead + (self.num_frames, 2, self.height, self.width)), np.float64)
 
 
 def encoder_forward(net: RegistrationNet, image_pairs: np.ndarray) -> Tensor:

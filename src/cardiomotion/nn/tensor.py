@@ -203,14 +203,6 @@ def sum_all(a) -> Tensor:
     return _make(np.asarray(a.values.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def add_n(tensors) -> Tensor:
-    """Sum of a non-empty list of same-shape tensors."""
-    out = tensors[0]
-    for t in tensors[1:]:
-        out = add(out, t)
-    return out
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.values > 0

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import _finite_float, _json_int
 from .container import read_container, write_container
 from .grid import FieldSequence, Grid2, ScalarField, VectorField, coordinate_arrays
 from .strain import Mask
@@ -225,29 +226,24 @@ def save_sample(path, sample: PhantomSample) -> None:
     write_container(path, records)
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    kinds = int if integer else (int, float)
-    return (isinstance(value, kinds) and not isinstance(value, bool)
-            and (isinstance(value, int) or np.isfinite(value)))
+def _meta_number(value, integer: bool, where: str):
+    return _json_int(value, where) if integer else _finite_float(value, where, "a number")
 
 
 def _meta_field(meta: dict, key: str, integers=False):
     """A meta value: a number, or a list of numbers when ``integers`` is a tuple.
 
-    ``integers`` flags which values must be integers.
+    ``integers`` flags which values must be integers; the others are read as
+    finite floats.  Both are read as the config loader reads its numbers.
     """
     if key not in meta:
         raise ValueError(f"sample meta lacks field {key!r}")
-    value = meta[key]
-    if isinstance(integers, tuple):
-        if (not isinstance(value, list) or len(value) != len(integers)
-                or not all(_is_number(v, i) for v, i in zip(value, integers))):
-            raise ValueError(f"sample meta field {key!r} must be a list of {len(integers)} "
-                             f"finite numbers, got {value!r}")
-    elif not _is_number(value, integers):
-        kind = "an integer" if integers else "a finite number"
-        raise ValueError(f"sample meta field {key!r} must be {kind}, got {value!r}")
-    return value
+    value, where = meta[key], f"sample meta field {key!r}"
+    if not isinstance(integers, tuple):
+        return _meta_number(value, integers, where)
+    if not isinstance(value, list) or len(value) != len(integers):
+        raise ValueError(f"{where} must be a list of {len(integers)} numbers, got {value!r}")
+    return [_meta_number(v, i, where) for v, i in zip(value, integers)]
 
 
 def load_sample(path) -> PhantomSample:
@@ -267,7 +263,7 @@ def _sample_from_records(records: dict) -> PhantomSample:
     if not isinstance(meta, dict):
         raise ValueError("sample meta must be a JSON object")
     gh, gw, spacing = _meta_field(meta, "grid", (True, True, False))
-    grid = Grid2(gh, gw, float(spacing))
+    grid = Grid2(gh, gw, spacing)
     cfg = PhantomConfig(grid=grid, num_frames=_meta_field(meta, "num_frames", True),
                         **{key: _meta_field(meta, key) for key in (
                             "r_inner", "r_outer", "contraction_amp", "twist_amp",
@@ -286,4 +282,4 @@ def _sample_from_records(records: dict) -> PhantomSample:
     images = FieldSequence([ScalarField(grid, v) for v in records["images"]])
     motions = FieldSequence([VectorField(grid, *m) for m in records["motions"]])
     mask = Mask(grid, records["mask"].astype(bool))
-    return PhantomSample(images, motions, mask, float(angle), (float(cx), float(cy)), cfg)
+    return PhantomSample(images, motions, mask, angle, (cx, cy), cfg)

@@ -29,7 +29,7 @@ from cardiomotion.metric import MetricOperator, SmoothingKernel, _convolve_axis,
 from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from cardiomotion.nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, UNetConfig
 from cardiomotion.nn.params import ParameterStore
-from cardiomotion.nn.tensor import (Tensor, add, add_n, avgpool2, concat_channels, constant,
+from cardiomotion.nn.tensor import (Tensor, add, avgpool2, concat_channels, constant,
                                     conv2d, linear, mul, nearest_upsample2, no_grad, relu,
                                     reshape, scale_shift, smul, sub, sum_all, take_index)
 from cardiomotion.phantom import (DatasetRanges, PhantomConfig, generate, make_dataset,
@@ -76,7 +76,7 @@ def test_criterion_1_gradient_fidelity():
         ("mul", lambda ts: sum_all(mul(ts[0], ts[1])), [f2, g2]),
         ("smul", lambda ts: sum_all(smul(mul(ts[0], ts[0]), 1.7)), [f2]),
         ("sum_all", lambda ts: mul(sum_all(ts[0]), sum_all(ts[0])), [f2]),
-        ("add_n", lambda ts: sum_all(mul(add_n(ts), ts[0])), [f2, g2, f2 * 0.5]),
+        ("add3", lambda ts: sum_all(mul(add(add(*ts[:2]), ts[2]), ts[0])), [f2, g2, f2 * 0.5]),
         ("relu", lambda ts: sum_all(mul(relu(ts[0]), ts[1])),
          [keep_away_from(f2, 0.0), g2]),
         ("reshape", lambda ts: sum_all(mul(reshape(ts[0], (h * w,)),
@@ -95,8 +95,6 @@ def test_criterion_1_gradient_fidelity():
          [rng.standard_normal((2, 3, h, w)), ss, ss[::-1].copy()]),
         ("spectral_multiply_L", lambda ts: sum_all(mul(spectral_multiply(op, ts[0]), ts[0])),
          [f2]),
-        ("spectral_multiply_K",
-         lambda ts: sum_all(mul(spectral_multiply(op, ts[0], inverse=True), ts[0])), [f2]),
         ("fd_dx", lambda ts: sum_all(mul(fd_dx(ts[0]), ts[0])), [f2]),
         ("fd_dy", lambda ts: sum_all(mul(fd_dy(ts[0]), ts[0])), [f2]),
         ("bilinear_warp", lambda ts: sum_all(mul(bilinear_warp(*ts), bilinear_warp(*ts))),
@@ -106,6 +104,10 @@ def test_criterion_1_gradient_fidelity():
     for name, f, leaves in cases:
         rel = directional_probe_check(f, leaves, rng, probes=8, eps=1e-6, rtol=tol)
         worst = max(worst, rel)
+        if name == "spectral_multiply_L":
+            # the eight directions of the K-multiply probe, which went with the
+            # node, so that the later checks keep their draws
+            rng.standard_normal((8, h, w))
     # the fused EPDiff force on a (2, H, W) velocity and momentum, probed from a
     # generator of its own so that it leaves the draws of the other checks alone
     frng = np.random.default_rng(102)

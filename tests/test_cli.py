@@ -249,12 +249,16 @@ def test_strain_on_malformed_sample_meta_is_one_error_line(pipeline, tmp_path, c
     assert not list(tmp_path.glob("x_*"))
 
 
-# a meta edit that writes a non-finite number -> the field that the message names
+# a meta edit that writes a non-finite number, or an integer beyond the float
+# range -> the field that the message names
 _NON_FINITE_META = {
     "angle_nan": (lambda meta: meta.update(insertion_angle=float("nan")), "insertion_angle"),
     "angle_inf": (lambda meta: meta.update(insertion_angle=float("inf")), "insertion_angle"),
+    "angle_huge": (lambda meta: meta.update(insertion_angle=10**400), "insertion_angle"),
     "spacing_inf": (lambda meta: meta["grid"].__setitem__(2, float("inf")), "grid"),
+    "spacing_huge": (lambda meta: meta["grid"].__setitem__(2, 10**400), "grid"),
     "center_nan": (lambda meta: meta["center"].__setitem__(0, float("nan")), "center"),
+    "center_huge": (lambda meta: meta["center"].__setitem__(0, 10**400), "center"),
 }
 
 

@@ -23,13 +23,13 @@ def _latents(rng, t=2, c=3, h=6, w=6):
 
 
 class _OracleEps:
-    """Perfect noise predictor for a known injected eps'."""
+    """Perfect noise predictor for a known injected eps', for one sequence or a batch."""
 
     def __init__(self, eps_prime):
         self.eps_prime = eps_prime
 
     def forward(self, values, step):
-        return Tensor(self.eps_prime)
+        return Tensor(np.broadcast_to(self.eps_prime, np.shape(values)))
 
 
 def test_schedule_recursion_and_validation():
@@ -195,7 +195,7 @@ def test_motion_loss_oracle():
 
     class _Fixed:
         def forward(self, z):
-            return Tensor(np.ones(shape))
+            return Tensor(np.ones(np.shape(z)[:-4] + shape))
 
     truth = rng.standard_normal(shape)
     z = [_latents(rng, t=2, c=3, h=4, w=4)]
@@ -207,6 +207,41 @@ def test_motion_loss_oracle():
         motion_loss([], [], _Fixed())
     with pytest.raises(ValueError):
         motion_loss(z, [truth[..., :-1]], _Fixed())
+
+
+class _Counting:
+    """A net whose ``forward`` calls are counted."""
+
+    def __init__(self, net):
+        self.net, self.calls = net, 0
+
+    def forward(self, *args):
+        self.calls += 1
+        return self.net.forward(*args)
+
+
+def test_each_loss_calls_its_net_once_per_batch():
+    _, reg, eps_net, mot_net, pairs, truth = _tiny_setup(5)
+    eps, mot = _Counting(eps_net), _Counting(mot_net)
+    rng = np.random.default_rng(5)
+    latents = [_latents(rng, t=2, c=3, h=4, w=4) for _ in range(3)]
+    loss = diffusion_loss(latents, eps, make_schedule(4), SmoothingKernel(1.0), rng)
+    assert eps.calls == 1 and loss.shape == ()
+    loss = motion_loss(latents, [truth] * 3, mot)
+    assert mot.calls == 1 and loss.shape == ()
+
+
+def test_diffusion_loss_of_a_batch_is_the_mean_of_its_items():
+    # the same draws, in the same order, as one call per item
+    _, _, eps_net, _, _, _ = _tiny_setup(6)
+    eps_net.store["eps.out.w"].values = 0.1 * np.random.default_rng(6).standard_normal(
+        eps_net.store["eps.out.w"].values.shape)
+    s, k = make_schedule(5, 0.01, 0.3), SmoothingKernel(1.0)
+    latents = [_latents(np.random.default_rng([6, i]), t=2, c=3, h=4, w=4) for i in range(3)]
+    batched = diffusion_loss(latents, eps_net, s, k, np.random.default_rng(60)).item()
+    rng = np.random.default_rng(60)
+    items = [diffusion_loss([z], eps_net, s, k, rng).item() for z in latents]
+    assert batched == pytest.approx(np.mean(items), rel=1e-6)
 
 
 def _tiny_setup(seed=0):

@@ -2,9 +2,12 @@
 
 ``nn`` (autodiff, field ops, networks) sits below the pipeline modules and
 imports none of them; ``geodesic`` takes only the Tensor engine from ``nn``.
+Every public top-level function and class is named by the program or the
+benchmark somewhere besides its own definition.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -95,3 +98,51 @@ def test_nn_package_binds_no_public_name():
     import cardiomotion.nn as nn
     submodules = {p.stem for p in (_PACKAGE / "nn").glob("*.py")}
     assert {name for name in vars(nn) if not name.startswith("_")} <= submodules
+
+
+_BENCH = _PACKAGE.parent.parent / "bench"
+
+# public names that only the tests and the README call, kept on purpose
+_KEPT_UNCALLED = {
+    "forward_step": "criterion 5 checks the iterated chain that it defines",
+    "map_to_displacement": "the README's library example uses it",
+}
+
+
+def _definitions(path: Path) -> set[str]:
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def _named(path: Path) -> set[str]:
+    """Identifiers that ``path`` refers to: names, attributes, imports and the words of its
+    strings (the benchmark lists traced functions by name), but not docstrings, ``__all__``
+    or the names it defines."""
+    tree = ast.parse(path.read_text())
+    skip = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+            skip.add(id(body[0].value))  # a docstring
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            skip |= {id(c) for c in ast.walk(node.value)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            found |= set(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def test_every_public_function_and_class_is_named_by_the_program_or_the_benchmark():
+    named = set().union(*(_named(p) for p in _MODULES + sorted(_BENCH.glob("*.py"))))
+    unnamed = [f"{path.stem}.{name}" for path in _MODULES for name in sorted(_definitions(path))
+               if name not in named and name not in _KEPT_UNCALLED]
+    assert unnamed == []

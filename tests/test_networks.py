@@ -8,7 +8,7 @@ from cardiomotion.container import read_container
 from cardiomotion.nn.networks import (MotionDecoder, NoisePredictor, RegistrationNet,
                                       UNetConfig, encoder_forward, sinusoidal_embedding)
 from cardiomotion.nn.params import ParameterStore, adam_step, load_checkpoint, save_checkpoint
-from cardiomotion.nn.tensor import Tensor, add_n, constant, mul, no_grad, sum_all
+from cardiomotion.nn.tensor import Tensor, add, constant, mul, no_grad, sum_all
 
 _CFG = UNetConfig(in_channels=2, base_channels=4, latent_channels=3, num_down=2,
                   time_embed_dim=8)
@@ -23,9 +23,12 @@ def test_unet_config_validation():
 
 def test_sinusoidal_embedding():
     e = sinusoidal_embedding(0, 8)
-    assert e.shape == (8,)
-    assert np.allclose(e[:4], 0.0) and np.allclose(e[4:], 1.0)
-    assert not np.allclose(sinusoidal_embedding(3, 8), sinusoidal_embedding(4, 8))
+    assert e.shape == (1, 8)
+    assert np.allclose(e[0, :4], 0.0) and np.allclose(e[0, 4:], 1.0)
+    rows = sinusoidal_embedding(np.array([3, 4, 3]), 8)
+    assert rows.shape == (3, 8)
+    assert np.array_equal(rows[0], sinusoidal_embedding(3, 8)[0])
+    assert np.array_equal(rows[0], rows[2]) and not np.allclose(rows[0], rows[1])
     with pytest.raises(ValueError):
         sinusoidal_embedding(1, 7)
 
@@ -231,7 +234,8 @@ def test_nets_compute_in_float32_and_return_float64(monkeypatch):
     assert [s.values.dtype for s in skips] == [np.float32] * 2
     # the backward pass through the convolutions is float32 as well
     rng = np.random.default_rng(20)
-    add_n([_weighted_sum(o, rng) for o in outputs[1:]]).backward()
+    add(add(*[_weighted_sum(o, rng) for o in outputs[1:3]]),
+        _weighted_sum(outputs[3], rng)).backward()
     assert len(grad_dtypes) > 12 + 6 + 5
     assert set(grad_dtypes) == {np.dtype(np.float32)}
 
@@ -241,8 +245,8 @@ def test_master_parameters_gradients_and_adam_moments_stay_float64():
     rng = np.random.default_rng(21)
     z = encoder_forward(reg, pairs)
     _weighted_sum(reg.forward(pairs), rng).backward()
-    add_n([_weighted_sum(eps.forward(z.values, 2), rng),
-           _weighted_sum(mot.forward(z), rng)]).backward()
+    add(_weighted_sum(eps.forward(z.values, 2), rng),
+        _weighted_sum(mot.forward(z), rng)).backward()
     for store in (reg.store, eps.store):
         for name, p in store.params.items():
             assert p.grad.dtype == np.float64, name
@@ -258,8 +262,8 @@ def test_checkpoint_of_trained_nets_round_trips_bit_exact_in_float64(tmp_path):
     reg, eps, mot, pairs = _three_nets(22)
     rng = np.random.default_rng(22)
     z = encoder_forward(reg, pairs)
-    add_n([_weighted_sum(eps.forward(z.values, 2), rng),
-           _weighted_sum(mot.forward(z), rng)]).backward()
+    add(_weighted_sum(eps.forward(z.values, 2), rng),
+        _weighted_sum(mot.forward(z), rng)).backward()
     adam_step(eps.store, 1e-3)
     path = tmp_path / "model.lmf1"
     save_checkpoint(eps.store, path)
@@ -279,3 +283,39 @@ def test_checkpoint_of_trained_nets_round_trips_bit_exact_in_float64(tmp_path):
     with no_grad():
         assert np.array_equal(eps2.forward(z.values, 2).values, eps.forward(z.values, 2).values)
         assert np.array_equal(mot2.forward(z).values, mot.forward(z).values)
+
+
+# ---------------------------------------------------------------------------
+# the diffusion-stage nets on a (B, T, C, h, w) batch of sequences
+# ---------------------------------------------------------------------------
+
+
+def _close32(a, b):
+    return np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
+
+
+def test_batched_forward_matches_one_sequence_calls():
+    _, eps, mot, _ = _three_nets(12)
+    z = np.random.default_rng(12).standard_normal((3, 2, 3, 4, 4))
+    steps = np.array([7, 1, 30])
+    with no_grad():
+        noise = eps.forward(z, steps).values
+        motion = mot.forward(z).values
+        one_step = eps.forward(z, 5).values
+        assert noise.shape == (3, 2, 3, 4, 4) and motion.shape == (3, 2, 2, 16, 16)
+        for b in range(3):
+            # the same float32 arithmetic per item, up to its round-off
+            assert _close32(noise[b], eps.forward(z[b], steps[b]).values)
+            assert _close32(motion[b], mot.forward(z[b]).values)
+            assert _close32(one_step[b], eps.forward(z[b], 5).values)
+    assert np.abs(noise).max() > 1e-2 and np.abs(motion).max() > 1e-2
+
+
+def test_noise_predictor_takes_one_step_or_one_per_item():
+    net = NoisePredictor(_CFG, num_frames=2, seed=14)
+    z = np.zeros((3, 2, 3, 4, 4))
+    for steps in (np.array([1, 2]), np.array([1, 2, 3, 4]), []):
+        with pytest.raises(ValueError, match="diffusion steps"):
+            net.forward(z, steps)
+    with pytest.raises(ValueError, match=">= 1"):
+        net.forward(z, np.array([1, 0, 2]))
