@@ -14,9 +14,8 @@ dv/dt = -K f(v, L v): L K = I on the periodic grid, so L v_{k+1} =
 m_{k+1} in exact arithmetic, and each step needs one K multiply
 instead of recomputing m = L v.  The force f and its adjoint are array
 functions (``epdiff_force_values``, ``epdiff_force_adjoint``) that the
-EPDiff node calls once per Euler step, with one scratch stack for all
-steps.  The deformation maps are accumulated from the per-step
-velocities:
+EPDiff node calls once per Euler step.  The deformation maps are
+accumulated from the per-step velocities:
 
     forward:  phi_{k+1} = phi_k + dt * (v_k o phi_k)
     inverse:  phi_{k+1}^-1 (x) = phi_k^-1 (x - dt * v_k(x))
@@ -76,53 +75,39 @@ def _sum_components(a, out):
     return np.add(a[..., 0, :, :], a[..., 1, :, :], out=out)
 
 
-def _derivatives(v, m, work):
-    """d/dx and d/dy of each component of v and of m, written to work[0:4].
-
-    Component c of the first is dv_c/dx, of the second dv_c/dy.
-    """
-    dvx, dvy, dmx, dmy = work[:4]
-    ddx(v, out=dvx)
-    ddy(v, out=dvy)
-    ddx(m, out=dmx)
-    ddy(m, out=dmy)
-    return dvx, dvy, dmx, dmy
-
-
-def epdiff_force_values(v, m, work):
+def epdiff_force_values(v, m):
     """The EPDiff force (Dv)^T m + (Dm) v + m div v of (..., 2, H, W) arrays v and m.
 
     Rows r of the terms are sum_c dv_c/dx_r m_c, sum_c dm_r/dx_c v_c and
-    m_r div v.  ``work`` is scratch of six arrays shaped like v, which a
-    caller that loops over steps allocates once; the result is a new array.
+    m_r div v.  Each derivative array is reused as scratch once it has been
+    read; the result is a new array.
     """
-    dvx, dvy, dmx, dmy = _derivatives(v, m, work)
-    t = work[4]
-    div = np.add(dvx[_X], dvy[_Y], out=t[_X])
+    dvx, dvy, dmx, dmy = ddx(v), ddy(v), ddx(m), ddy(m)
     f = np.multiply(dmx, v[_X])
-    f += np.multiply(dmy, v[_Y], out=dmx)
+    f += np.multiply(dmy, v[_Y], out=dmy)
+    div = np.add(dvx[_X], dvy[_Y], out=dmx[_X])
     f += np.multiply(m, div, out=dmy)
     for r, d in ((0, dvx), (1, dvy)):
-        f[..., r, :, :] += _sum_components(np.multiply(d, m, out=d), t[..., 1, :, :])
+        f[..., r, :, :] += _sum_components(np.multiply(d, m, out=d), dmx[..., 1, :, :])
     return f
 
 
-def epdiff_force_adjoint(v, m, g, work):
+def epdiff_force_adjoint(v, m, g):
     """(g_v, g_m): the gradients of <g, epdiff_force_values(v, m)> with respect to v and m.
 
     The derivatives of v and m are recomputed rather than kept.  The terms
     that a finite-difference adjoint acts on are summed before applying it:
     one d/dx and one d/dy adjoint of a (..., 2, H, W) stack for each input.
-    ``work`` is as for ``epdiff_force_values``; the results are new arrays.
+    The results are new arrays.
     """
-    dvx, dvy, dmx, dmy = _derivatives(v, m, work)
-    p, q = work[4], work[5]
+    dvx, dvy, dmx, dmy = ddx(v), ddy(v), ddx(m), ddy(m)
+    p, q = np.empty((2,) + v.shape)
     vx, vy = v[_X], v[_Y]
     gx, gy = g[_X], g[_Y]
     # momentum: the d/dx and d/dy adjoints of g vx and g vy, plus
     # gx dv/dx + gy dv/dy + g div v
     gm = ddx_adjoint(np.multiply(g, vx, out=p))
-    gm += ddy_adjoint(np.multiply(g, vy, out=p), out=q)
+    gm += ddy_adjoint(np.multiply(g, vy, out=p))
     local = np.multiply(gx, dvx, out=p)
     local += np.multiply(gy, dvy, out=q)
     div = np.add(dvx[_X], dvy[_Y], out=q[_X])
@@ -136,7 +121,7 @@ def epdiff_force_adjoint(v, m, g, work):
     py = np.multiply(gy, m, out=q)
     py[..., 1, :, :] += s
     gv = ddx_adjoint(px)
-    gv += ddy_adjoint(py, out=p)
+    gv += ddy_adjoint(py)
     for r, d in ((0, dmx), (1, dmy)):
         gv[..., r, :, :] += _sum_components(np.multiply(g, d, out=d), dvy[..., 0, :, :])
     return gv, gm
@@ -160,11 +145,10 @@ def integrate_epdiff(cfg: ShootingConfig, v, m) -> Tensor:
     vs = np.empty((n,) + v.shape)
     ms = np.empty((n - 1,) + v.shape)  # m_0 .. m_{N-2}: the last momentum drives no step
     vs[0] = v.values
-    work = np.empty((6,) + v.shape)
     m_k = m.values
     for k in range(n - 1):
         ms[k] = m_k
-        f = epdiff_force_values(vs[k], ms[k], work)
+        f = epdiff_force_values(vs[k], ms[k])
         np.subtract(vs[k], op.multiply(f, inverse=True) * dt, out=vs[k + 1])
         if not np.all(np.isfinite(vs[k + 1])):
             raise IntegrationDivergedError(k + 1, "EPDiff integration")
@@ -172,14 +156,13 @@ def integrate_epdiff(cfg: ShootingConfig, v, m) -> Tensor:
         m_k = np.subtract(ms[k], f, out=f)
 
     def vjp(g):
-        work = np.empty((6,) + v.shape)
         a_v = g[n - 1].copy()
         a_m = np.zeros(v.shape)
         for k in range(n - 2, -1, -1):
             g_f = op.multiply(a_v, inverse=True)
             g_f += a_m
             g_f *= -dt
-            g_v, g_m = epdiff_force_adjoint(vs[k], ms[k], g_f, work)
+            g_v, g_m = epdiff_force_adjoint(vs[k], ms[k], g_f)
             a_v += g_v
             a_v += g[k]
             a_m += g_m

@@ -229,24 +229,20 @@ def bilinear_coord_derivatives(values: np.ndarray, idx, tx, ty, inx, iny):
 
 
 # Each kernel reads a C-contiguous copy of its input (a view when it already
-# is one) and writes into ``out``, a C-contiguous float64 array of the
-# input's shape, allocated when not given.  The x kernels run their interior
-# formula over the flat array, across row ends, and then overwrite the first
-# and last column of every row; the y kernels run row blocks.
+# is one) and writes a new C-contiguous float64 array of the input's shape.
+# The x kernels run their interior formula over the flat array, across row
+# ends, and then overwrite the first and last column of every row; the y
+# kernels run row blocks.
 
 
-def _buffers(a: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _buffers(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.ascontiguousarray(a)
-    if out is None:
-        return a, np.empty(a.shape)
-    if out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {a.shape}")
-    return a, out
+    return a, np.empty(a.shape)
 
 
-def ddx(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def ddx(a: np.ndarray) -> np.ndarray:
     """d/dx (along columns): central interior, one-sided at the edges."""
-    a, out = _buffers(a, out)
+    a, out = _buffers(a)
     flat = out.reshape(-1)
     np.subtract(a.reshape(-1)[2:], a.reshape(-1)[:-2], out=flat[1:-1])
     flat[1:-1] *= 0.5
@@ -255,9 +251,9 @@ def ddx(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def ddy(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def ddy(a: np.ndarray) -> np.ndarray:
     """d/dy (along rows): central interior, one-sided at the edges."""
-    a, out = _buffers(a, out)
+    a, out = _buffers(a)
     inner = out[..., 1:-1, :]
     np.subtract(a[..., 2:, :], a[..., :-2, :], out=inner)
     inner *= 0.5
@@ -273,8 +269,8 @@ def ddy(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # out_{n-1} = h_{n-2} + h_{n-1}.
 
 
-def ddx_adjoint(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    g, out = _buffers(g, out)
+def ddx_adjoint(g: np.ndarray) -> np.ndarray:
+    g, out = _buffers(g)
     h = g * 0.5
     h[..., 0] = g[..., 0]
     h[..., -1] = g[..., -1]
@@ -285,8 +281,8 @@ def ddx_adjoint(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def ddy_adjoint(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    g, out = _buffers(g, out)
+def ddy_adjoint(g: np.ndarray) -> np.ndarray:
+    g, out = _buffers(g)
     h = g * 0.5
     h[..., 0, :] = g[..., 0, :]
     h[..., -1, :] = g[..., -1, :]

@@ -16,9 +16,7 @@ def force_node(v, m):
     """The EPDiff force of (..., 2, H, W) Tensors v and m as one graph node."""
     v, m = _as_tensor(v), _as_tensor(m)
     vv, mv = v.values, m.values
-    work = np.empty((6,) + vv.shape)
-    return _make(epdiff_force_values(vv, mv, work), (v, m),
-                 lambda g: epdiff_force_adjoint(vv, mv, g, work))
+    return _make(epdiff_force_values(vv, mv), (v, m), lambda g: epdiff_force_adjoint(vv, mv, g))
 
 
 def metric_norm(op, v):

@@ -190,9 +190,9 @@ def test_carried_momentum_stays_the_metric_of_the_velocity(monkeypatch):
     v0 = _smooth_field(grid, np.random.default_rng(33), scale=1.0)
     seen = []
 
-    def recording(v, m, work):
+    def recording(v, m):
         seen.append((v, m))
-        return epdiff_force_values(v, m, work)
+        return epdiff_force_values(v, m)
 
     monkeypatch.setattr(geodesic, "epdiff_force_values", recording)
     velocities = integrate_epdiff(cfg, _tensor(v0), op.multiply(v0.values))

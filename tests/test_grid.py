@@ -170,11 +170,7 @@ def test_finite_differences_are_bit_identical_to_row_formulas(layout):
     for op, fn in (("ddy", ddy), ("ddy_adjoint", ddy_adjoint)):
         assert np.array_equal(fn(a), np.swapaxes(_rows(op.replace("y", "x"), t), -1, -2)), op
     for fn in (ddx, ddy, ddx_adjoint, ddy_adjoint):
-        out = np.empty(a.shape)
-        assert fn(a, out=out) is out and np.array_equal(out, fn(a)), fn.__name__
-        assert fn(a).flags.c_contiguous
-        with pytest.raises(ValueError):
-            fn(a, out=np.empty(a.shape[:-2] + a.shape[:-3:-1]).swapaxes(-1, -2))
+        assert fn(a).flags.c_contiguous, fn.__name__
 
 
 @pytest.mark.parametrize("lead", [(), (3,)])
