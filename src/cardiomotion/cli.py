@@ -70,7 +70,11 @@ def _run_config(args) -> RunConfig:
 
 
 def _seed(cfg: RunConfig, args) -> int:
-    return cfg.seed if args.seed is None else args.seed
+    if args.seed is None:
+        return cfg.seed
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def _check_learning_rate(name: str, lr: float) -> None:

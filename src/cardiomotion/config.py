@@ -150,6 +150,8 @@ def config_from_dict(data: dict) -> RunConfig:
     for key, value in data.items():
         if key == "seed":
             kwargs["seed"] = _json_int(value, "seed")
+            if value < 0:
+                raise ConfigError(f"seed must be non-negative, got {value}")
         elif key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key} must be a JSON object")

@@ -195,6 +195,8 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
         raise ValueError("noise predictor and motion decoder must share a parameter store")
     if not train_items:
         raise ValueError("no training items")
+    if patience < 0:
+        raise ValueError(f"patience must be non-negative, got {patience}")
     store = eps_net.store
     train_z = [encoder_forward(reg_net, pairs) for pairs, _ in train_items]
     train_u = [truth for _, truth in train_items]

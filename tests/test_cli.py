@@ -398,6 +398,19 @@ def test_register_train_rejects_learning_rate_not_positive(pipeline, tmp_path, c
     assert not model.exists() and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("config_seed, flag, needle", [
+    (-1, [], "seed must be non-negative, got -1"),
+    (0, ["--seed", "-4"], "--seed must be non-negative, got -4"),
+], ids=["config", "flag"])
+def test_negative_seed_is_one_error_line_naming_it(tmp_path, capsys, config_seed, flag, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_CFG, seed=config_seed)))
+    out = tmp_path / "d"
+    assert main(["phantom", "--config", str(cfg), "--out", str(out), "--n", "3"] + flag) == 1
+    _single_error_line(capsys.readouterr().err, needle)
+    assert not out.exists()
+
+
 def test_strain_with_empty_window_writes_nothing(pipeline, tmp_path, capsys):
     prefix = str(tmp_path / "s")
     for window in (["--window-low=1", "--window-high=1"],
@@ -418,7 +431,8 @@ def _train_argv(pipeline, cfg, out):
     ("learning_rate", 0, "diffusion.learning_rate must be positive and finite"),
     ("learning_rate", -1, "diffusion.learning_rate must be positive and finite"),
     ("loss_alpha", float("nan"), "diffusion.loss_alpha must be finite"),
-], ids=["learning_rate=0", "learning_rate=-1", "loss_alpha=NaN"])
+    ("patience", -3, "patience must be non-negative"),
+], ids=["learning_rate=0", "learning_rate=-1", "loss_alpha=NaN", "patience=-3"])
 def test_train_rejects_bad_config_before_any_output(pipeline, tmp_path, capsys, key, value,
                                                     needle):
     cfg = tmp_path / "cfg.json"

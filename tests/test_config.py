@@ -44,6 +44,12 @@ def test_type_validation():
         config_from_dict([1, 2])
 
 
+def test_negative_seed_rejected_by_name():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        config_from_dict({"seed": -1})
+    assert config_from_dict({"seed": 0}).seed == 0
+
+
 def test_non_finite_numbers_rejected(tmp_path):
     nan, inf = float("nan"), float("inf")
     for section, key, value in (("metric", "alpha", nan), ("diffusion", "loss_alpha", inf),

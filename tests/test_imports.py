@@ -1,4 +1,5 @@
-"""Package imports: every imported name is used or exported, and the layers stay apart.
+"""Package imports: every imported name is used or exported, the package needs
+nothing beyond numpy and the standard library, and the layers stay apart.
 
 ``nn`` (autodiff, field ops, networks) sits below the pipeline modules and
 imports none of them; ``geodesic`` takes only the Tensor engine from ``nn``.
@@ -8,6 +9,7 @@ benchmark somewhere besides its own definition.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,42 @@ def test_an_unused_import_is_reported():
               "def f(x: Tensor) -> np.ndarray:\n"
               "    return x\n")
     assert _unused_imports(source) == ["line 3: no_grad"]
+
+
+# the only runtime dependency besides the standard library
+_ALLOWED = {"numpy", "cardiomotion"} | set(sys.stdlib_module_names)
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules that ``source`` imports from outside numpy, the standard
+    library and the package (a relative import is the package's own)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] not in _ALLOWED]
+    return found
+
+
+@pytest.mark.parametrize("path", _MODULES,
+                         ids=[str(p.relative_to(_PACKAGE)) for p in _MODULES])
+def test_module_imports_only_numpy_and_the_standard_library(path):
+    assert _foreign_imports(path.read_text()) == []
+
+
+def test_a_foreign_import_is_reported():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy.linalg\n"
+              "from . import grid\n"
+              "from .nn.tensor import Tensor\n"
+              "def f():\n"
+              "    import scipy.ndimage\n"
+              "    from hypothesis import given\n")
+    assert _foreign_imports(source) == ["line 6: scipy.ndimage", "line 7: hypothesis"]
 
 
 # pipeline modules that the autodiff package may not import
