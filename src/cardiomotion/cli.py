@@ -167,7 +167,7 @@ def _motions_from_file(path, grid: Grid2, num_frames: int) -> FieldSequence:
         raise ConfigError(f"{path}: motions shape {arr.shape}, the sample needs {expected}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}: motions contain non-finite values")
-    return FieldSequence([VectorField(grid, *a) for a in arr])
+    return FieldSequence(grid, arr)
 
 
 def cmd_phantom(args) -> int:

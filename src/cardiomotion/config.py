@@ -1,7 +1,8 @@
 """Run configuration: one JSON document driving every pipeline stage.
 
-The document has fixed sections (grid, metric, shooting, registration,
-nets, diffusion, phantom) plus a top-level seed.  Unknown keys are
+The document is RunConfig as JSON: one object per section field (grid,
+metric, shooting, registration, nets, diffusion, phantom), each holding
+its section dataclass's fields, plus a top-level seed.  Unknown keys are
 rejected with the full key path so typos fail loudly instead of
 silently falling back to defaults.  `write_reference` emits the
 complete default document; it is the single reference for every
@@ -92,17 +93,6 @@ class RunConfig:
     seed: int = 0
 
 
-_SECTIONS = {
-    "grid": GridSection,
-    "metric": MetricSection,
-    "shooting": ShootingSection,
-    "registration": RegistrationSection,
-    "nets": NetsSection,
-    "diffusion": DiffusionSection,
-    "phantom": PhantomSection,
-}
-
-
 def _json_int(value, where: str) -> int:
     """A JSON integer; anything else is a ConfigError naming ``where``."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -146,28 +136,21 @@ def _build_section(cls, data: dict, path: str):
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
+    sections = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)
+                if f.default_factory is not dataclasses.MISSING}
     kwargs = {}
     for key, value in data.items():
         if key == "seed":
             kwargs["seed"] = _json_int(value, "seed")
             if value < 0:
                 raise ConfigError(f"seed must be non-negative, got {value}")
-        elif key in _SECTIONS:
+        elif key in sections:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key} must be a JSON object")
-            kwargs[key] = _build_section(_SECTIONS[key], value, key)
+            kwargs[key] = _build_section(sections[key], value, key)
         else:
             raise ConfigError(f"unknown config key: {key}")
     return RunConfig(**kwargs)
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for name in _SECTIONS:
-        section = dataclasses.asdict(getattr(cfg, name))
-        out[name] = {k: list(v) if isinstance(v, tuple) else v for k, v in section.items()}
-    out["seed"] = cfg.seed
-    return out
 
 
 def load_config(path) -> RunConfig:
@@ -183,5 +166,5 @@ def load_config(path) -> RunConfig:
 
 def write_reference(path) -> None:
     """Write the default configuration document (the tunables reference)."""
-    text = json.dumps(config_to_dict(RunConfig()), indent=2, sort_keys=False) + "\n"
+    text = json.dumps(dataclasses.asdict(RunConfig()), indent=2) + "\n"
     atomic_write(path, text.encode("utf-8"))

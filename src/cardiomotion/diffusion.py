@@ -189,7 +189,8 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
     (the reverse chain runs only at inference).  Early stopping tracks
     validation l_total with fixed validation noise; the best parameters
     are restored before returning.  Each batch's graph is freed before the
-    next one is built.
+    next one is built.  An epoch's losses are means over items, so each
+    batch's mean counts by its size.
     """
     if eps_net.store is not mot_net.store:
         raise ValueError("noise predictor and motion decoder must share a parameter store")
@@ -214,7 +215,6 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
         rng = np.random.default_rng([seed, epoch])
         order = rng.permutation(len(train_items))
         ep_diff = ep_mot = 0.0
-        n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             latents = [train_z[i] for i in batch]
@@ -223,12 +223,11 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
             total = add(l_diff, smul(l_mot, cfg.loss_alpha))
             total.backward()
             adam_step(store, learning_rate, decay)
-            ep_diff += l_diff.item()
-            ep_mot += l_mot.item()
+            ep_diff += len(batch) * l_diff.item()
+            ep_mot += len(batch) * l_mot.item()
             del total, l_diff, l_mot
-            n_batches += 1
-        ep_diff /= n_batches
-        ep_mot /= n_batches
+        ep_diff /= len(order)
+        ep_mot /= len(order)
         ep_total = ep_diff + cfg.loss_alpha * ep_mot
 
         # fixed validation noise: same seed each epoch, so early stopping

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * arrays are indexed ``[row, col]`` = ``[y, x]``; shapes are ``(height, width)``
 * a vector field is one ``(2, H, W)`` array in pixel units, the x
   component (along columns) first and the y component (along rows)
-  second; a sequence of T fields stacks to ``(T, 2, H, W)``
+  second; a sequence of T fields is one ``(T, 2, H, W)`` array, as a
+  sample stores it, and a sequence of images one ``(T+1, H, W)`` array
 * deformation maps store absolute target coordinates, so the identity map
   at pixel ``(i, j)`` is ``(x=j, y=i)``
 * sampling outside the domain clamps to the nearest edge pixel
@@ -89,38 +90,36 @@ class MapField(VectorField):
     y = VectorField.y_component
 
 
-@dataclass
 class FieldSequence:
-    """An ordered list of frames sharing one grid.
+    """An ordered run of frames on one grid, held as the one array a sample stores.
 
-    Image sequences have T+1 frames with frame 0 the reference; motion
-    sequences have T frames (frame-0-to-frame-tau displacements).
+    Image sequences are (T+1, H, W) with frame 0 the reference; motion
+    sequences are (T, 2, H, W) frame-0-to-frame-tau displacements.
+    ``values`` is that array; indexing builds the ScalarField or VectorField
+    of one frame.
     """
 
-    frames: list
-
-    def __post_init__(self):
-        if not self.frames:
-            raise ValueError("field sequence must contain at least one frame")
-        g = self.frames[0].grid
-        for k, f in enumerate(self.frames):
-            if f.grid != g:
-                raise GridMismatchError(f"frame {k} is on a different grid")
-
-    @property
-    def grid(self) -> Grid2:
-        return self.frames[0].grid
+    def __init__(self, grid: Grid2, values):
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.shape[1:] not in (grid.shape, (2,) + grid.shape) or not len(arr):
+            raise ValueError(f"field sequence has shape {arr.shape}, expected (T, H, W) or "
+                             f"(T, 2, H, W) with T >= 1 and (H, W) = {grid.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("field sequence contains non-finite values")
+        self.grid = grid
+        self.values = arr
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.values)
 
-    def __getitem__(self, k):
-        return self.frames[k]
+    def __getitem__(self, k: int):
+        if self.values.ndim == 3:
+            return ScalarField(self.grid, self.values[k])
+        return VectorField(self.grid, *self.values[k])
 
     @property
-    def values(self) -> np.ndarray:
-        """The frames stacked: (T+1, H, W) for images, (T, 2, H, W) for motions."""
-        return np.stack([f.values for f in self.frames])
+    def frames(self) -> list:
+        return [self[k] for k in range(len(self))]
 
 
 def coordinate_arrays(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
@@ -324,6 +323,5 @@ def map_to_displacement(phi: MapField) -> VectorField:
 
 def jacobian_determinant(phi: MapField) -> ScalarField:
     """det(D phi) per pixel; positive everywhere for a diffeomorphism."""
-    jxx, jyx = ddx(phi.values)
-    jxy, jyy = ddy(phi.values)
-    return ScalarField(phi.grid, jxx * jyy - jxy * jyx)
+    j = jacobian(phi)
+    return ScalarField(phi.grid, j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0])

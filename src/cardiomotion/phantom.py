@@ -6,11 +6,15 @@ rendered images are invariant to it while the ground-truth displacement
 fields are not: intensity-only registration cannot recover the
 tangential component, a supervised decoder can.  Frames are binary
 annuli (mirroring segmentation-mask preprocessing) with optional
-anti-aliased edges.
+anti-aliased edges.  A saved sample's ``images`` and ``motions`` records
+are its sequences' arrays, and its ``meta`` record holds its PhantomConfig's
+fields (the grid as ``[height, width, spacing]``), ``insertion_angle`` and
+``center``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, replace
@@ -137,12 +141,14 @@ def generate(cfg: PhantomConfig) -> PhantomSample:
         cy += rng.uniform(-cfg.center_jitter, cfg.center_jitter)
     insertion = float(rng.uniform(0.0, 2.0 * np.pi))
     center = (float(cx), float(cy))
-    images = FieldSequence([render_frame(cfg, t, center) for t in range(cfg.num_frames + 1)])
-    motions = FieldSequence([motion_model(cfg, t, center) for t in range(1, cfg.num_frames + 1)])
+    images = np.stack([render_frame(cfg, t, center).values for t in range(cfg.num_frames + 1)])
+    motions = np.stack([motion_model(cfg, t, center).values
+                        for t in range(1, cfg.num_frames + 1)])
     xs, ys = coordinate_arrays(cfg.grid)
     r = np.hypot(xs - center[0], ys - center[1])
     mask = Mask(cfg.grid, (r >= cfg.r_inner) & (r <= cfg.r_outer))
-    return PhantomSample(images, motions, mask, insertion, center, cfg)
+    return PhantomSample(FieldSequence(cfg.grid, images), FieldSequence(cfg.grid, motions), mask,
+                         insertion, center, cfg)
 
 
 @dataclass(frozen=True)
@@ -204,19 +210,9 @@ def make_dataset(n_sequences: int, base: PhantomConfig = PhantomConfig(),
 def save_sample(path, sample: PhantomSample) -> None:
     """Persist one sample as a motion-feature container."""
     cfg = sample.config
-    meta = {
-        "grid": [cfg.grid.height, cfg.grid.width, cfg.grid.spacing],
-        "num_frames": cfg.num_frames,
-        "r_inner": cfg.r_inner,
-        "r_outer": cfg.r_outer,
-        "contraction_amp": cfg.contraction_amp,
-        "twist_amp": cfg.twist_amp,
-        "center_jitter": cfg.center_jitter,
-        "smoothing_std": cfg.smoothing_std,
-        "seed": cfg.seed,
-        "insertion_angle": sample.insertion_angle,
-        "center": list(sample.center),
-    }
+    meta = dataclasses.asdict(cfg)
+    meta.update(grid=[cfg.grid.height, cfg.grid.width, cfg.grid.spacing],
+                insertion_angle=sample.insertion_angle, center=list(sample.center))
     records = {
         "images": sample.images.values,
         "motions": sample.motions.values,
@@ -262,13 +258,10 @@ def _sample_from_records(records: dict) -> PhantomSample:
     meta = json.loads(records["meta"].tobytes().decode("utf-8"))
     if not isinstance(meta, dict):
         raise ValueError("sample meta must be a JSON object")
-    gh, gw, spacing = _meta_field(meta, "grid", (True, True, False))
-    grid = Grid2(gh, gw, spacing)
-    cfg = PhantomConfig(grid=grid, num_frames=_meta_field(meta, "num_frames", True),
-                        **{key: _meta_field(meta, key) for key in (
-                            "r_inner", "r_outer", "contraction_amp", "twist_amp",
-                            "center_jitter", "smoothing_std")},
-                        seed=_meta_field(meta, "seed", True))
+    grid = Grid2(*_meta_field(meta, "grid", (True, True, False)))
+    cfg = PhantomConfig(grid=grid, **{f.name: _meta_field(meta, f.name, f.type == "int")
+                                      for f in dataclasses.fields(PhantomConfig)
+                                      if f.name != "grid"})
     angle = _meta_field(meta, "insertion_angle")
     cx, cy = _meta_field(meta, "center", (False, False))
     t = cfg.num_frames
@@ -279,7 +272,6 @@ def _sample_from_records(records: dict) -> PhantomSample:
                              f"expected {shape}")
         if not np.all(np.isfinite(records[name])):
             raise ValueError(f"sample record {name!r} contains non-finite values")
-    images = FieldSequence([ScalarField(grid, v) for v in records["images"]])
-    motions = FieldSequence([VectorField(grid, *m) for m in records["motions"]])
     mask = Mask(grid, records["mask"].astype(bool))
-    return PhantomSample(images, motions, mask, angle, (cx, cy), cfg)
+    return PhantomSample(FieldSequence(grid, records["images"]),
+                         FieldSequence(grid, records["motions"]), mask, angle, (cx, cy), cfg)

@@ -154,15 +154,18 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
 
 def build_pairs(seq: FieldSequence) -> list[tuple[ScalarField, ScalarField]]:
     """All (frame 0, frame tau) pairs of a sequence, tau = 1..T."""
-    frames = seq.frames
-    if len(frames) < 2:
-        raise ValueError(f"need at least 2 frames to build pairs, got {len(frames)}")
-    return [(frames[0], frames[t]) for t in range(1, len(frames))]
+    first, *rest = seq.frames
+    if not rest:
+        raise ValueError("need at least 2 frames to build pairs, got 1")
+    return [(first, f) for f in rest]
 
 
 def pair_stack(seq: FieldSequence) -> np.ndarray:
     """Pairs of build_pairs as one (T, 2, H, W) array (network input layout)."""
-    return np.stack([np.stack([s.values, t.values]) for s, t in build_pairs(seq)])
+    frames = seq.values
+    if len(frames) < 2:
+        raise ValueError("need at least 2 frames to build pairs, got 1")
+    return np.stack(np.broadcast_arrays(frames[:1], frames[1:]), axis=1)
 
 
 def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.ndarray) -> Tensor:

@@ -7,7 +7,7 @@ from cardiomotion import diffusion
 from cardiomotion.diffusion import (DiffusionConfig, NoiseSchedule, diffusion_loss,
                                     forward_sample, forward_step, infer, make_schedule,
                                     motion_loss, reverse_step, train)
-from cardiomotion.grid import FieldSequence, Grid2, ScalarField
+from cardiomotion.grid import FieldSequence, Grid2
 from cardiomotion.metric import SmoothingKernel, smooth_noise
 from cardiomotion.nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, UNetConfig
 from cardiomotion.nn.params import ParameterStore
@@ -247,8 +247,7 @@ def test_diffusion_loss_of_a_batch_is_the_mean_of_its_items():
 def _tiny_setup(seed=0):
     grid = Grid2(8, 8)
     rng = np.random.default_rng(seed)
-    frames = [ScalarField(grid, rng.standard_normal((8, 8))) for _ in range(3)]
-    seq = FieldSequence(frames)
+    seq = FieldSequence(grid, rng.standard_normal((3, 8, 8)))
     reg = RegistrationNet(_CFG, seed=seed)
     store = ParameterStore()
     eps_net = NoisePredictor(_CFG, num_frames=2, store=store, seed=seed + 1)
@@ -291,6 +290,26 @@ def test_train_early_stops():
                    learning_rate=0.1, patience=3, seed=0)  # big lr oscillates quickly
     assert result.stopped_early
     assert len(result.history) < 200
+
+
+def test_train_losses_weight_each_batch_by_its_size(monkeypatch):
+    _, reg, eps_net, mot_net, pairs, truth = _tiny_setup(5)
+    cfg = DiffusionConfig(schedule=make_schedule(2, 0.01, 0.2), kernel=SmoothingKernel(1.0),
+                          batch_size=2, max_epochs=1)
+    seen = {"diffusion_loss": [], "motion_loss": []}
+    for name, calls in seen.items():
+        def recording(latents, *args, _loss=getattr(diffusion, name), _calls=calls):
+            loss = _loss(latents, *args)
+            _calls.append(len(latents) * loss.item())
+            return loss
+        monkeypatch.setattr(diffusion, name, recording)
+    items = [(pairs, truth), (pairs, -truth), (pairs, 2.0 * truth)]
+    result = train(reg, eps_net, mot_net, items, [], cfg, learning_rate=1e-3, seed=0)
+    # three items in batches of two and one; no validation items, so only training calls
+    assert len(seen["diffusion_loss"]) == len(seen["motion_loss"]) == 2
+    _, l_diff, l_mot, *_ = result.history[0]
+    assert l_diff == pytest.approx(sum(seen["diffusion_loss"]) / 3, rel=1e-12)
+    assert l_mot == pytest.approx(sum(seen["motion_loss"]) / 3, rel=1e-12)
 
 
 def test_train_frees_each_batch_graph_before_the_next():

@@ -53,23 +53,30 @@ def test_vector_field_is_one_array_with_component_views():
     back = VectorField(g, *v.values)
     assert np.array_equal(back.values, v.values)
     assert not np.shares_memory(back.values, v.values)
-    images = FieldSequence([ScalarField(g, x), ScalarField(g, y), ScalarField(g, x)])
+    images = FieldSequence(g, np.stack([x, y, x]))
     assert images.values.shape == (3, 5, 7)
     assert np.array_equal(images.values[1], y)
-    motions = FieldSequence([v, VectorField(g, y, x)])
+    assert isinstance(images[1], ScalarField) and np.array_equal(images[1].values, y)
+    stored = np.stack([v.values, VectorField(g, y, x).values])
+    motions = FieldSequence(g, stored)
+    assert motions.values is stored
     assert motions.values.shape == (2, 2, 5, 7)
     assert np.array_equal(motions.values[0], v.values)
+    assert np.array_equal(motions[1].x_component, y) and len(motions.frames) == 2
 
 
 def test_field_sequence_grid_consistency():
     g = Grid2(4, 4)
-    a = ScalarField(g, np.zeros((4, 4)))
-    b = ScalarField(Grid2(4, 5), np.zeros((4, 5)))
-    with pytest.raises(GridMismatchError):
-        FieldSequence([a, b])
-    with pytest.raises(ValueError):
-        FieldSequence([])
-    assert len(FieldSequence([a, a])) == 2
+    with pytest.raises(ValueError, match="shape"):
+        FieldSequence(g, np.zeros((2, 3, 4, 4)))
+    with pytest.raises(ValueError, match="shape"):
+        FieldSequence(g, np.zeros((2, 4, 5)))
+    with pytest.raises(ValueError, match="shape"):
+        FieldSequence(g, np.zeros((0, 4, 4)))
+    with pytest.raises(ValueError, match="non-finite"):
+        FieldSequence(g, np.full((2, 2, 4, 4), np.nan))
+    seq = FieldSequence(g, np.zeros((2, 4, 4)))
+    assert len(seq) == 2 and seq.grid == g
 
 
 def _identity(g):

@@ -174,3 +174,7 @@ def test_sample_save_load_round_trip(tmp_path):
     assert back.insertion_angle == s.insertion_angle
     assert back.center == s.center
     assert back.config == s.config
+    # the loaded sample saves to the same bytes: the meta format is pinned
+    again = tmp_path / "again.lmf1"
+    save_sample(again, back)
+    assert again.read_bytes() == path.read_bytes()

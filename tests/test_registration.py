@@ -29,6 +29,10 @@ def _blob(grid, cx, cy, width=2.5):
     return ScalarField(grid, np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * width**2)))
 
 
+def _sequence(grid, frames):
+    return FieldSequence(grid, np.stack([f.values for f in frames]))
+
+
 def test_config_validation():
     grid = Grid2(8, 8)
     sc = ShootingConfig(num_steps=2, operator=MetricOperator(grid))
@@ -187,19 +191,21 @@ def test_register_pair_convergence_stop():
 def test_build_pairs_and_stack():
     grid = Grid2(8, 8)
     rng = np.random.default_rng(7)
-    frames = [ScalarField(grid, rng.standard_normal((8, 8))) for _ in range(9)]
-    seq = FieldSequence(frames)
+    frames = rng.standard_normal((9, 8, 8))
+    seq = FieldSequence(grid, frames)
     pairs = build_pairs(seq)
     assert len(pairs) == 8
     for t, (s, tgt) in enumerate(pairs, start=1):
-        assert s is frames[0]
-        assert tgt is frames[t]
+        assert s is pairs[0][0] and np.array_equal(s.values, frames[0])
+        assert np.array_equal(tgt.values, frames[t])
     stack = pair_stack(seq)
     assert stack.shape == (8, 2, 8, 8)
-    assert np.array_equal(stack[3, 0], frames[0].values)
-    assert np.array_equal(stack[3, 1], frames[4].values)
+    assert np.array_equal(stack[3, 0], frames[0])
+    assert np.array_equal(stack[3, 1], frames[4])
     with pytest.raises(ValueError):
-        build_pairs(FieldSequence(frames[:1]))
+        build_pairs(FieldSequence(grid, frames[:1]))
+    with pytest.raises(ValueError):
+        pair_stack(FieldSequence(grid, frames[:1]))
 
 
 def test_network_loss_is_mean_of_pair_energies():
@@ -207,7 +213,7 @@ def test_network_loss_is_mean_of_pair_energies():
     cfg = _cfg(grid, num_steps=3, sigma=0.1)
     rng = np.random.default_rng(9)
     frames = [_blob(grid, 3.0 + 0.4 * t, 4.0) for t in range(4)]
-    stack = pair_stack(FieldSequence(frames))
+    stack = pair_stack(_sequence(grid, frames))
     v0 = 0.05 * rng.standard_normal(stack.shape)
     loss = registration_network_loss(cfg, v0, stack)
     per_pair = [
@@ -223,7 +229,7 @@ def test_network_loss_gradient_is_mean_of_pair_gradients():
     cfg = _cfg(grid, num_steps=3, sigma=0.1)
     rng = np.random.default_rng(10)
     frames = [_blob(grid, 3.0 + 0.4 * t, 4.0 - 0.2 * t) for t in range(4)]
-    stack = pair_stack(FieldSequence(frames))
+    stack = pair_stack(_sequence(grid, frames))
     v0 = Tensor(0.05 * rng.standard_normal(stack.shape), requires_grad=True)
     registration_network_loss(cfg, v0, stack).backward()
     expected = np.zeros(stack.shape)
@@ -247,7 +253,7 @@ def test_train_registration_network_reduces_loss():
     grid = Grid2(16, 16)
     cfg = _cfg(grid, num_steps=3, sigma=0.1)
     frames = [_blob(grid, 7.0 + 0.5 * t, 8.0) for t in range(3)]
-    stack = pair_stack(FieldSequence(frames))
+    stack = pair_stack(_sequence(grid, frames))
     net = RegistrationNet(UNetConfig(in_channels=2, base_channels=4, latent_channels=4,
                                      num_down=2, time_embed_dim=4), seed=0)
     history = train_registration_network(net, [stack], cfg, epochs=8, learning_rate=1e-3, seed=0)
@@ -261,7 +267,7 @@ def test_train_registration_network_reduces_loss():
 def test_train_registration_network_frees_each_loss_graph_before_the_next():
     grid = Grid2(16, 16)
     cfg = _cfg(grid, num_steps=3, sigma=0.1)
-    stacks = [pair_stack(FieldSequence([_blob(grid, 7.0 + s * t, 8.0) for t in range(3)]))
+    stacks = [pair_stack(_sequence(grid, [_blob(grid, 7.0 + s * t, 8.0) for t in range(3)]))
               for s in (0.4, 0.6)]
     net = RegistrationNet(UNetConfig(in_channels=2, base_channels=4, latent_channels=4,
                                      num_down=2, time_embed_dim=4), seed=0)
@@ -274,7 +280,7 @@ def test_trained_network_beats_zero_velocity_loss():
     grid = Grid2(16, 16)
     cfg = _cfg(grid, num_steps=3, sigma=0.1)
     frames = [_blob(grid, 7.0 + 0.6 * t, 8.0) for t in range(3)]
-    stack = pair_stack(FieldSequence(frames))
+    stack = pair_stack(_sequence(grid, frames))
     net = RegistrationNet(UNetConfig(in_channels=2, base_channels=4, latent_channels=4,
                                      num_down=2, time_embed_dim=4), seed=1)
     train_registration_network(net, [stack], cfg, epochs=25, learning_rate=3e-3, seed=0)
