@@ -45,7 +45,7 @@ from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, UNetCon
 from .nn.params import ParameterStore, checkpoint_records, load_checkpoint, save_checkpoint
 from .nn.tensor import no_grad
 from .phantom import DatasetRanges, PhantomConfig, load_sample, make_dataset, save_sample
-from .registration import (RegistrationConfig, build_pairs, energy, pair_stack, register_pair,
+from .registration import (RegistrationConfig, energy, pair_stack, register_pair,
                            train_registration_network)
 from .strain import (check_window, epe, segment_mask, segmental_strain, segmental_strain_error,
                      strain_from_displacement, write_pgm)
@@ -180,10 +180,9 @@ def cmd_phantom(args) -> int:
                            r_inner=p.r_inner, r_outer=p.r_outer)
     splits = make_dataset(args.n, base, ranges, _seed(cfg, args))
     os.makedirs(args.out, exist_ok=True)
-    manifest = {"train": [], "validation": [], "test": []}
+    manifest = {split_name: [] for split_name in splits}
     index = 0
-    for split_name, samples in (("train", splits.train), ("validation", splits.validation),
-                                ("test", splits.test)):
+    for split_name, samples in splits.items():
         for sample in samples:
             name = f"sample_{index:03d}.lmf1"
             save_sample(os.path.join(args.out, name), sample)
@@ -206,8 +205,8 @@ def _register_direct(args, cfg: RunConfig, items):
     containers = {}
     for name, sample in items:
         fields = []
-        for k, (src, tgt) in enumerate(build_pairs(sample.images)):
-            result = register_pair(rcfg, src, tgt)
+        for k in range(len(sample.images) - 1):
+            result = register_pair(rcfg, sample.images[0], sample.images[k + 1])
             fields.append(result.v0.values)
             rows.append([name, k, len(result.energy_trace) - 1, _fmt(result.energy_trace[-1])])
         containers[os.path.join(args.out, f"v0_{name}")] = {"v0": np.stack(fields)}
@@ -240,8 +239,9 @@ def _register_apply(args, cfg: RunConfig, items):
     for name, sample in items:
         with no_grad():
             v0 = net.forward(pair_stack(sample.images)).values
-        for k, (src, tgt) in enumerate(build_pairs(sample.images)):
-            total, _, _ = energy(rcfg, VectorField(grid, *v0[k]), src, tgt)
+        for k, v in enumerate(v0):
+            total, _, _ = energy(rcfg, VectorField(grid, *v), sample.images[0],
+                                 sample.images[k + 1])
             rows.append([name, k, 0, _fmt(total)])
         containers[os.path.join(args.out, f"v0_{name}")] = {"v0": v0}
     return (containers, "energies.csv", rows,
@@ -333,7 +333,7 @@ def cmd_strain(args) -> int:
     rows = [["segment", "mean_ecc"]]
     rows += [[k + 1, _fmt(means[k]) if np.isfinite(means[k]) else "missing"] for k in range(6)]
     _atomic_text(args.out_prefix + "_strain.csv", _csv_text(rows))
-    ecc_masked = np.where(sample.mask.labels & smap.valid.labels, smap.ecc, np.nan)
+    ecc_masked = np.where(sample.mask.labels & smap.valid, smap.ecc, np.nan)
     write_pgm(args.out_prefix + "_ecc.pgm", ecc_masked, window)
     print(f"wrote {args.out_prefix}_strain.csv and {args.out_prefix}_ecc.pgm (frame {frame})")
     return 0

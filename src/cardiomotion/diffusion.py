@@ -175,7 +175,6 @@ class TrainResult:
     history: list = field(default_factory=list)
     best_epoch: int = -1
     best_val: float = float("inf")
-    stopped_early: bool = False
 
 
 def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDecoder,
@@ -259,7 +258,6 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
         else:
             since_best += 1
             if since_best > patience:
-                result.stopped_early = True
                 break
 
     if best_params is not None:

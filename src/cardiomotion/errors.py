@@ -1,10 +1,6 @@
 """Shared exception types."""
 
 
-class GridMismatchError(ValueError):
-    """Two fields that must share a grid do not."""
-
-
 class IntegrationDivergedError(RuntimeError):
     """A time integration produced non-finite values.
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
-
 
 @dataclass(frozen=True)
 class Grid2:
@@ -299,7 +297,7 @@ def ddy_adjoint(g: np.ndarray) -> np.ndarray:
 def warp_vector(field: VectorField, mapping: MapField) -> VectorField:
     """Per-component bilinear sampling of a vector field at map coordinates."""
     if field.grid != mapping.grid:
-        raise GridMismatchError(f"grids differ: {field.grid.shape} vs {mapping.grid.shape}")
+        raise ValueError(f"grids differ: {field.grid.shape} vs {mapping.grid.shape}")
     sampled = bilinear_sample(field.values, mapping.x[None], mapping.y[None])
     return VectorField(field.grid, *sampled)
 

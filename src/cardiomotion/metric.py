@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError
 from .grid import Grid2, VectorField
 
 
@@ -83,7 +82,7 @@ class MetricOperator:
 
     def _check(self, v: VectorField):
         if v.grid != self.grid:
-            raise GridMismatchError("vector field grid does not match operator grid")
+            raise ValueError("vector field grid does not match operator grid")
 
 
 @dataclass

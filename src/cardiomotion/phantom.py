@@ -167,13 +167,6 @@ class DatasetRanges:
                 raise ValueError(f"range {name} has lo > hi")
 
 
-@dataclass(frozen=True)
-class DatasetSplits:
-    train: list
-    validation: list
-    test: list
-
-
 def split_sizes(n_sequences: int) -> tuple[int, int, int]:
     """Deterministic (train, validation, test) counts at ~73/14/14%."""
     if n_sequences < 3:
@@ -184,12 +177,13 @@ def split_sizes(n_sequences: int) -> tuple[int, int, int]:
 
 
 def make_dataset(n_sequences: int, base: PhantomConfig = PhantomConfig(),
-                 ranges: DatasetRanges = DatasetRanges(), seed: int = 0) -> DatasetSplits:
+                 ranges: DatasetRanges = DatasetRanges(), seed: int = 0) -> dict[str, list]:
     """Generate n sequences with randomized geometry and split them.
 
     Each sequence draws (contraction, twist, radii) from the configured
     ranges using its own derived rng stream, so regenerating any prefix
-    of the dataset is stable under n.
+    of the dataset is stable under n.  The splits are keyed "train",
+    "validation" and "test", in that order.
     """
     n_train, n_val, n_test = split_sizes(n_sequences)
     samples = []
@@ -202,9 +196,8 @@ def make_dataset(n_sequences: int, base: PhantomConfig = PhantomConfig(),
         cfg = replace(base, contraction_amp=a, twist_amp=tw, r_inner=ri, r_outer=ro,
                       seed=int(rng.integers(0, 2**31)))
         samples.append(generate(cfg))
-    return DatasetSplits(samples[:n_train],
-                         samples[n_train : n_train + n_val],
-                         samples[n_train + n_val :])
+    return {"train": samples[:n_train], "validation": samples[n_train : n_train + n_val],
+            "test": samples[n_train + n_val :]}
 
 
 def save_sample(path, sample: PhantomSample) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, IntegrationDivergedError
+from .errors import IntegrationDivergedError
 from .geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff, integrate_inverse_flow,
                        shoot)
 from .grid import FieldSequence, Grid2, ScalarField, VectorField
@@ -88,9 +88,9 @@ def _check_pair(cfg: RegistrationConfig, source: ScalarField, target: ScalarFiel
     """The registration grid, after checking that the images and v0 (if given) lie on it."""
     grid = cfg.shooting.operator.grid
     if source.grid != grid or target.grid != grid:
-        raise GridMismatchError("source/target grids do not match the registration operator")
+        raise ValueError("source/target grids do not match the registration operator")
     if v0 is not None and v0.grid != grid:
-        raise GridMismatchError("v0 grid does not match the registration operator")
+        raise ValueError("v0 grid does not match the registration operator")
     return grid
 
 
@@ -152,16 +152,8 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
     )
 
 
-def build_pairs(seq: FieldSequence) -> list[tuple[ScalarField, ScalarField]]:
-    """All (frame 0, frame tau) pairs of a sequence, tau = 1..T."""
-    first, *rest = seq.frames
-    if not rest:
-        raise ValueError("need at least 2 frames to build pairs, got 1")
-    return [(first, f) for f in rest]
-
-
 def pair_stack(seq: FieldSequence) -> np.ndarray:
-    """Pairs of build_pairs as one (T, 2, H, W) array (network input layout)."""
+    """The (frame 0, frame tau) pairs, tau = 1..T, as one (T, 2, H, W) network input."""
     frames = seq.values
     if len(frames) < 2:
         raise ValueError("need at least 2 frames to build pairs, got 1")
@@ -186,7 +178,7 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.
         )
     grid = cfg.shooting.operator.grid
     if pairs.shape[2:] != grid.shape:
-        raise GridMismatchError("pair batch grid does not match the registration operator")
+        raise ValueError("pair batch grid does not match the registration operator")
     total, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v0_t, pairs[:, 0], pairs[:, 1])
     return smul(total, 1.0 / pairs.shape[0])
 
@@ -206,12 +198,13 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
     for epoch in range(epochs):
         order = rng.permutation(len(sequences))
         total = 0.0
-        for idx in order:
+        for position, idx in enumerate(order):
             pairs = sequences[idx]
             loss = registration_network_loss(cfg, net.forward(pairs), pairs)
             value = loss.item()
             if not np.isfinite(value):
-                raise IntegrationDivergedError(epoch, "registration network training")
+                raise IntegrationDivergedError(epoch * len(sequences) + position,
+                                               "registration network training")
             loss.backward()
             adam_step(net.store, lr)
             del loss

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import atomic_write
-from .errors import GridMismatchError
 from .grid import Grid2, VectorField, coordinate_arrays, jacobian
 
 
@@ -40,32 +39,15 @@ class Mask:
 
 
 @dataclass(frozen=True)
-class SegmentMap:
-    grid: Grid2
-    labels: np.ndarray
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels)
-        object.__setattr__(self, "labels", lab)
-        if lab.shape != self.grid.shape:
-            raise ValueError(f"segment map shape {lab.shape} does not match grid {self.grid.shape}")
-        if lab.min() < 0 or lab.max() > 6:
-            raise ValueError("segment labels must lie in 0..6")
-
-
-@dataclass(frozen=True)
 class StrainMap:
-    grid: Grid2
+    """Ecc and Err maps, (H, W) each; ``valid`` marks the pixels with a defined direction."""
+
     ecc: np.ndarray
     err: np.ndarray
-    valid: Mask
+    valid: np.ndarray
 
     def __post_init__(self):
-        for name in ("ecc", "err"):
-            a = getattr(self, name)
-            if a.shape != self.grid.shape:
-                raise ValueError(f"{name} shape {a.shape} does not match grid {self.grid.shape}")
-        bad = ~np.isfinite(self.ecc[self.valid.labels]) | ~np.isfinite(self.err[self.valid.labels])
+        bad = ~np.isfinite(self.ecc[self.valid]) | ~np.isfinite(self.err[self.valid])
         if bad.any():
             raise ValueError("strain values must be finite on valid pixels")
 
@@ -109,7 +91,7 @@ def circumferential_strain(grid: Grid2, e: np.ndarray, center: tuple[float, floa
     err = rx * rx * exx + 2.0 * rx * ry * exy + ry * ry * eyy
     ecc = np.where(valid, ecc, 0.0)
     err = np.where(valid, err, 0.0)
-    return StrainMap(grid, ecc, err, Mask(grid, valid))
+    return StrainMap(ecc, err, valid)
 
 
 def strain_from_displacement(u: VectorField, center: tuple[float, float]) -> StrainMap:
@@ -117,11 +99,12 @@ def strain_from_displacement(u: VectorField, center: tuple[float, float]) -> Str
     return circumferential_strain(u.grid, green_lagrange(deformation_gradient(u)), center)
 
 
-def segment_mask(mask: Mask, center: tuple[float, float], insertion_angle: float) -> SegmentMap:
+def segment_mask(mask: Mask, center: tuple[float, float], insertion_angle: float) -> np.ndarray:
     """Six half-open 60-degree bins counterclockwise from the insertion angle.
 
-    Angles are mathematical counterclockwise after flipping the image y
-    axis.  A pixel exactly on a bin boundary belongs to the upper segment.
+    Returns (H, W) int64 labels: 0 outside the mask, 1..6 inside.  Angles
+    are mathematical counterclockwise after flipping the image y axis.  A
+    pixel exactly on a bin boundary belongs to the upper segment.
     """
     cx, cy = center
     ys, xs = np.nonzero(mask.labels)
@@ -131,17 +114,14 @@ def segment_mask(mask: Mask, center: tuple[float, float], insertion_angle: float
     seg = np.minimum(seg, 6)
     labels = np.zeros(mask.grid.shape, dtype=np.int64)
     labels[ys, xs] = seg
-    return SegmentMap(mask.grid, labels)
+    return labels
 
 
-def segmental_strain(s: StrainMap, seg: SegmentMap) -> np.ndarray:
-    """Mean Ecc over the valid pixels of each segment; NaN marks an empty one."""
-    if s.grid != seg.grid:
-        raise GridMismatchError("strain map and segment map grids differ")
+def segmental_strain(s: StrainMap, seg: np.ndarray) -> np.ndarray:
+    """Mean Ecc over the valid pixels of each segment of ``seg``; NaN marks an empty one."""
     out = np.full(6, np.nan)
-    usable = s.valid.labels
     for k in range(1, 7):
-        sel = (seg.labels == k) & usable
+        sel = (seg == k) & s.valid
         if sel.any():
             out[k - 1] = s.ecc[sel].mean()
     return out
@@ -150,12 +130,12 @@ def segmental_strain(s: StrainMap, seg: SegmentMap) -> np.ndarray:
 def epe(pred: VectorField, truth: VectorField, mask: Mask) -> float:
     """Masked mean end-point error in millimetres."""
     if pred.grid != truth.grid or pred.grid != mask.grid:
-        raise GridMismatchError("end-point error requires matching grids")
+        raise ValueError("end-point error requires matching grids")
     dist = np.hypot(*(pred.values - truth.values))[mask.labels]
     return float(dist.mean() * pred.grid.spacing)
 
 
-def segmental_strain_error(pred: StrainMap, truth: StrainMap, seg: SegmentMap) -> np.ndarray:
+def segmental_strain_error(pred: StrainMap, truth: StrainMap, seg: np.ndarray) -> np.ndarray:
     """|mean_pred - mean_truth| per segment; NaN propagates from empty segments."""
     return np.abs(segmental_strain(pred, seg) - segmental_strain(truth, seg))
 

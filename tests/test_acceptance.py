@@ -398,12 +398,12 @@ def test_criterion_6_refinement_beats_registration():
     rcfg = RegistrationConfig(ShootingConfig(10, op), sigma=0.01, learning_rate=0.001,
                               max_iterations=60, convergence_tol=1e-6)
     splits = make_dataset(30, PhantomConfig(), DatasetRanges(), seed=2026)
-    assert (len(splits.train), len(splits.validation), len(splits.test)) == (22, 4, 4)
+    assert (len(splits["train"]), len(splits["validation"]), len(splits["test"])) == (22, 4, 4)
 
     ucfg = UNetConfig(in_channels=2, base_channels=8, latent_channels=8, num_down=2,
                       time_embed_dim=16)
     reg = RegistrationNet(ucfg, seed=0)
-    train_registration_network(reg, [pair_stack(s.images) for s in splits.train], rcfg,
+    train_registration_network(reg, [pair_stack(s.images) for s in splits["train"]], rcfg,
                                epochs=30, learning_rate=1e-3, seed=0)
 
     store = ParameterStore()
@@ -414,8 +414,8 @@ def test_criterion_6_refinement_beats_registration():
     dcfg = DiffusionConfig(schedule=schedule, kernel=kernel, loss_alpha=1e-2, batch_size=4,
                            max_epochs=500)
     train_diffusion(reg, eps_net, mot_net,
-                    [(pair_stack(s.images), s.motions.values) for s in splits.train],
-                    [(pair_stack(s.images), s.motions.values) for s in splits.validation],
+                    [(pair_stack(s.images), s.motions.values) for s in splits["train"]],
+                    [(pair_stack(s.images), s.motions.values) for s in splits["validation"]],
                     dcfg, learning_rate=1e-3, patience=75, seed=0)
 
     def registration_epe(sample):
@@ -428,23 +428,31 @@ def test_criterion_6_refinement_beats_registration():
                             sample.mask))
         return float(np.mean(errs))
 
+    def refined_epe(sample, chain_schedule, rng):
+        pred = infer_motion(sample.images, reg, eps_net, mot_net, chain_schedule, kernel, rng)
+        return float(np.mean([epe(VectorField(grid, *u), truth, sample.mask)
+                              for u, truth in zip(pred, sample.motions.frames)]))
+
     improvements = []
     wins = 0
-    for i, sample in enumerate(splits.test):
+    for i, sample in enumerate(splits["test"]):
         base = registration_epe(sample)
-        pred = infer_motion(sample.images, reg, eps_net, mot_net, schedule, kernel,
-                            np.random.default_rng([9, i]))
-        refined = float(np.mean([epe(VectorField(grid, *u), truth, sample.mask)
-                                 for u, truth in zip(pred, sample.motions.frames)]))
+        refined = refined_epe(sample, schedule, np.random.default_rng([9, i]))
         wins += refined < base
         improvements.append(1.0 - refined / base)
+        # what the chain adds: the decoder on the clean encoder latents (an empty
+        # chain), and the spread of the chain's EPE over 5 more draws; not gated
+        decoder_only = refined_epe(sample, make_schedule(0), np.random.default_rng(0))
+        draws = [refined_epe(sample, schedule, np.random.default_rng([10, i, d]))
+                 for d in range(5)]
         print(f"held-out {i}: registration {base:.3f} refined {refined:.3f} "
-              f"improvement {100.0 * improvements[-1]:.1f}%")
+              f"improvement {100.0 * improvements[-1]:.1f}% decoder-only {decoder_only:.3f} "
+              f"chain over 5 draws {min(draws):.3f}-{max(draws):.3f}")
 
     elapsed = time.monotonic() - t0
-    assert wins / len(splits.test) >= 0.8  # measured 4/4
-    assert float(np.median(improvements)) >= 0.20  # measured 73%
-    assert elapsed < 7200.0  # measured ~7 min
+    assert wins / len(splits["test"]) >= 0.8  # measured 4/4
+    assert float(np.median(improvements)) >= 0.20  # measured 69.0%
+    assert elapsed < 7200.0  # measured 142 s with two BLAS threads, 151 s with one (2-core VM)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +475,7 @@ def test_criterion_7_strain_analytics():
                         np.sin(theta) * dx + np.cos(theta) * dy - dy)
     rigid = strain_from_displacement(rot_u, center)
     rr = np.sqrt(dx**2 + dy**2)
-    ring = Mask(grid, (rr >= 10.0) & (rr <= 25.0) & rigid.valid.labels)
+    ring = Mask(grid, (rr >= 10.0) & (rr <= 25.0) & rigid.valid)
     assert np.abs(rigid.ecc[ring.labels]).max() < 1e-6
 
     sample = generate(PhantomConfig(contraction_amp=0.1))
@@ -484,7 +492,7 @@ def test_criterion_7_strain_analytics():
     e = green_lagrange(f)
     trace = e[..., 0, 0] + e[..., 1, 1]
     total = strain.ecc + strain.err
-    assert np.abs((total - trace)[strain.valid.labels]).max() < 1e-10
+    assert np.abs((total - trace)[strain.valid]).max() < 1e-10
 
     truth = VectorField(grid, np.zeros(grid.shape), np.zeros(grid.shape))
     pred = VectorField(grid, np.full(grid.shape, 3.0), np.full(grid.shape, 4.0))

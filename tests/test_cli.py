@@ -17,6 +17,8 @@ from cardiomotion.cli import _diffusion_parts, main
 from cardiomotion.config import config_from_dict
 from cardiomotion.container import read_container, write_container
 from cardiomotion.errors import IntegrationDivergedError
+from cardiomotion.nn.networks import MotionDecoder, NoisePredictor, UNetConfig
+from cardiomotion.nn.params import ParameterStore, save_checkpoint
 from cardiomotion.phantom import load_sample
 
 _CFG = {
@@ -457,6 +459,31 @@ def test_train_failing_mid_run_leaves_no_output(pipeline, tmp_path, capsys, monk
     _single_error_line(capsys.readouterr().err, "injected optimizer failure")
     assert len(calls) == 3
     assert not (tmp_path / "o").exists()
+
+
+def test_train_resume_carries_the_optimizer_on(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_CFG, diffusion=dict(_CFG["diffusion"], max_epochs=2,
+                                                         patience=2))))
+    first = str(tmp_path / "a" / "model.lmf1")
+    assert main(_train_argv(pipeline, cfg, tmp_path / "a")) == 0
+    assert main(_train_argv(pipeline, cfg, tmp_path / "b") + ["--resume", first]) == 0
+    step_a = read_container(first)["meta/step"].item()
+    step_b = read_container(str(tmp_path / "b" / "model.lmf1"))["meta/step"].item()
+    assert step_a > 0 and step_b == 2 * step_a
+
+    # a checkpoint of nets with another latent width does not fit the configured nets
+    ucfg = UNetConfig(in_channels=2, base_channels=4, latent_channels=2, num_down=2,
+                      time_embed_dim=8)
+    store = ParameterStore()
+    NoisePredictor(ucfg, 4, store, seed=1)
+    MotionDecoder(ucfg, 4, 32, 32, store, seed=2)
+    other = str(tmp_path / "other.lmf1")
+    save_checkpoint(store, other)
+    capsys.readouterr()
+    assert main(_train_argv(pipeline, cfg, tmp_path / "c") + ["--resume", other]) == 1
+    _single_error_line(capsys.readouterr().err, other)
+    assert not (tmp_path / "c").exists()
 
 
 def test_diffusion_parts_derive_kernel_radius_from_std():

@@ -288,8 +288,7 @@ def test_train_early_stops():
                           batch_size=2, max_epochs=200)
     result = train(reg, eps_net, mot_net, [(pairs, truth)], [(pairs, truth)], cfg,
                    learning_rate=0.1, patience=3, seed=0)  # big lr oscillates quickly
-    assert result.stopped_early
-    assert len(result.history) < 200
+    assert len(result.history) < cfg.max_epochs
 
 
 def test_train_losses_weight_each_batch_by_its_size(monkeypatch):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cardiomotion.errors import GridMismatchError
 from cardiomotion.geodesic import ShootingConfig, shoot
 from cardiomotion.grid import Grid2, VectorField
 from cardiomotion.metric import MetricOperator, SmoothingKernel, smooth_noise
@@ -117,7 +116,7 @@ def test_operator_validation():
         MetricOperator(grid, alpha=1e200, power=2)
     op = MetricOperator(grid)
     other = VectorField(Grid2(9, 9), np.zeros((9, 9)), np.zeros((9, 9)))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="does not match operator grid"):
         shoot(ShootingConfig(1, op), other)
 
 

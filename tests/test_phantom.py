@@ -142,10 +142,10 @@ def test_make_dataset_is_deterministic_and_within_ranges():
     base = _cfg()
     a = make_dataset(6, base, ranges, seed=5)
     b = make_dataset(6, base, ranges, seed=5)
-    all_a = a.train + a.validation + a.test
-    all_b = b.train + b.validation + b.test
+    all_a = a["train"] + a["validation"] + a["test"]
+    all_b = b["train"] + b["validation"] + b["test"]
     assert len(all_a) == 6
-    assert (len(a.train), len(a.validation), len(a.test)) == split_sizes(6)
+    assert tuple(len(part) for part in a.values()) == split_sizes(6)
     for sa, sb in zip(all_a, all_b):
         assert np.array_equal(sa.images.frames[1].values, sb.images.frames[1].values)
     for s in all_a:
@@ -157,7 +157,7 @@ def test_make_dataset_is_deterministic_and_within_ranges():
     # distinct seeds give distinct sequences
     c = make_dataset(6, base, ranges, seed=6)
     assert not np.array_equal(all_a[0].images.frames[1].values,
-                              (c.train + c.validation + c.test)[0].images.frames[1].values)
+                              c["train"][0].images.frames[1].values)
 
 
 def test_sample_save_load_round_trip(tmp_path):

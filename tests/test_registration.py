@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cardiomotion import registration
-from cardiomotion.errors import GridMismatchError
+from cardiomotion.errors import IntegrationDivergedError
 from cardiomotion.geodesic import ShootingConfig, shoot
 from cardiomotion.grid import FieldSequence, Grid2, ScalarField, VectorField, bilinear_sample
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.networks import RegistrationNet, UNetConfig
-from cardiomotion.nn.tensor import Tensor, no_grad
-from cardiomotion.registration import (RegistrationConfig, build_pairs, energy, energy_gradient,
+from cardiomotion.nn.tensor import Tensor, constant, no_grad
+from cardiomotion.registration import (RegistrationConfig, energy, energy_gradient,
                                        pair_stack, register_pair, registration_network_loss,
                                        train_registration_network)
 from helpers import graph_lifetimes, metric_norm
@@ -120,11 +120,11 @@ def test_grid_mismatch_rejected():
     img10 = _blob(other, 4.0, 4.0)
     zero8 = VectorField(Grid2(8, 8), np.zeros((8, 8)), np.zeros((8, 8)))
     zero10 = VectorField(other, np.zeros((10, 10)), np.zeros((10, 10)))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="source/target grids do not match"):
         energy(cfg, zero8, img10, img10)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="v0 grid does not match"):
         energy(cfg, zero10, img8, img8)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="v0 grid does not match"):
         energy_gradient(cfg, zero10, img8, img8)
 
 
@@ -188,22 +188,15 @@ def test_register_pair_convergence_stop():
     assert n_loose < n_tight
 
 
-def test_build_pairs_and_stack():
+def test_pair_stack():
     grid = Grid2(8, 8)
     rng = np.random.default_rng(7)
     frames = rng.standard_normal((9, 8, 8))
     seq = FieldSequence(grid, frames)
-    pairs = build_pairs(seq)
-    assert len(pairs) == 8
-    for t, (s, tgt) in enumerate(pairs, start=1):
-        assert s is pairs[0][0] and np.array_equal(s.values, frames[0])
-        assert np.array_equal(tgt.values, frames[t])
     stack = pair_stack(seq)
     assert stack.shape == (8, 2, 8, 8)
     assert np.array_equal(stack[3, 0], frames[0])
     assert np.array_equal(stack[3, 1], frames[4])
-    with pytest.raises(ValueError):
-        build_pairs(FieldSequence(grid, frames[:1]))
     with pytest.raises(ValueError):
         pair_stack(FieldSequence(grid, frames[:1]))
 
@@ -245,7 +238,7 @@ def test_network_loss_validates_shapes():
     cfg = _cfg(grid)
     with pytest.raises(ValueError):
         registration_network_loss(cfg, np.zeros((3, 2, 8, 8)), np.zeros((4, 2, 8, 8)))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="pair batch grid does not match"):
         registration_network_loss(cfg, np.zeros((2, 2, 12, 12)), np.zeros((2, 2, 12, 12)))
 
 
@@ -262,6 +255,27 @@ def test_train_registration_network_reduces_loss():
     with no_grad():
         v = net.forward(stack)
     assert v.values.shape == stack.shape
+
+
+def test_network_training_divergence_names_the_optimisation_step(monkeypatch):
+    grid = Grid2(16, 16)
+    cfg = _cfg(grid, num_steps=3, sigma=0.1)
+    stacks = [pair_stack(_sequence(grid, [_blob(grid, cx + 0.5 * t, 8.0) for t in range(3)]))
+              for cx in (7.0, 8.0)]
+    net = RegistrationNet(UNetConfig(in_channels=2, base_channels=4, latent_channels=4,
+                                     num_down=2, time_embed_dim=4), seed=0)
+    real_loss = registration.registration_network_loss
+    calls = []
+
+    def fourth_loss_is_nan(*args):
+        calls.append(None)
+        return constant(np.nan) if len(calls) == 4 else real_loss(*args)
+
+    monkeypatch.setattr(registration, "registration_network_loss", fourth_loss_is_nan)
+    # two sequences per epoch: the 4th step is epoch 1's second, zero-based step 3
+    with pytest.raises(IntegrationDivergedError, match=r"at step 3$"):
+        train_registration_network(net, stacks, cfg, epochs=3, learning_rate=1e-3, seed=0)
+    assert len(calls) == 4
 
 
 def test_train_registration_network_frees_each_loss_graph_before_the_next():
