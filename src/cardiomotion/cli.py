@@ -34,8 +34,8 @@ import json
 
 import numpy as np
 
-from .config import RunConfig, load_config, write_reference
-from .container import atomic_write, read_container, write_container
+from .config import RunConfig, load_config, read_json, write_reference
+from .container import atomic_write, checked_record, read_checked, write_container
 from .diffusion import DiffusionConfig, infer as diffusion_infer, make_schedule, train as diffusion_train
 from .errors import ConfigError, IntegrationDivergedError
 from .geodesic import ShootingConfig
@@ -118,13 +118,7 @@ def _refinement_nets(cfg: RunConfig, grid: Grid2, num_frames: int, registration_
 
 def _load_manifest(dataset_dir: str) -> dict:
     path = os.path.join(dataset_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"{path}: {e.strerror}") from e
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{path}: manifest must be a JSON object")
+    manifest = read_json(path)
     for split in ("train", "validation", "test"):
         if split not in manifest:
             raise ConfigError(f"{path}: manifest missing split {split!r}")
@@ -158,16 +152,8 @@ def _common_grid(items) -> Grid2:
 
 def _motions_from_file(path, grid: Grid2, num_frames: int) -> FieldSequence:
     """The displacements of a motions file, after checking them against the sample."""
-    records = read_container(path)
-    if "motions" not in records:
-        raise ConfigError(f"{path}: no 'motions' record")
-    arr = records["motions"]
-    expected = (num_frames, 2) + grid.shape
-    if arr.shape != expected:
-        raise ConfigError(f"{path}: motions shape {arr.shape}, the sample needs {expected}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}: motions contain non-finite values")
-    return FieldSequence(grid, arr)
+    return read_checked(path, lambda records: FieldSequence(
+        grid, checked_record(records, "motions", (num_frames, 2) + grid.shape)))
 
 
 def cmd_phantom(args) -> int:

@@ -4,9 +4,10 @@ The document is RunConfig as JSON: one object per section field (grid,
 metric, shooting, registration, nets, diffusion, phantom), each holding
 its section dataclass's fields, plus a top-level seed.  Unknown keys are
 rejected with the full key path so typos fail loudly instead of
-silently falling back to defaults.  `write_reference` emits the
-complete default document; it is the single reference for every
-tunable and its default value.
+silently falling back to defaults.  `read_json` parses every JSON input
+(config, dataset manifest, sample meta) and names its source in any
+error.  `write_reference` emits the complete default document; it is the
+single reference for every tunable and its default value.
 """
 
 from __future__ import annotations
@@ -153,15 +154,27 @@ def config_from_dict(data: dict) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def load_config(path) -> RunConfig:
+def read_json(source, data: bytes | None = None) -> dict:
+    """The JSON object in ``data``, or in the file ``source`` when ``data`` is None; an
+    unreadable file, text that is not UTF-8, malformed JSON, an integer of over 4,300
+    digits, nesting too deep to parse or a non-object is one ConfigError naming ``source``."""
+    if data is None:
+        try:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        except OSError as e:
+            raise ConfigError(f"{source}: {e.strerror}") from e
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e})") from e
-    except OSError as e:
-        raise ConfigError(f"{path}: {e.strerror}") from e
-    return config_from_dict(data)
+        document = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"{source}: invalid JSON ({e})") from e
+    if not isinstance(document, dict):
+        raise ConfigError(f"{source}: the document must be a JSON object")
+    return document
+
+
+def load_config(path) -> RunConfig:
+    return config_from_dict(read_json(path))
 
 
 def write_reference(path) -> None:

@@ -14,13 +14,18 @@ Layout (all integers little-endian):
 
 Round trips are bit-exact.  Malformed input is rejected with a
 ContainerFormatError whose message names the file and pins the byte
-offset of the first inconsistency.  Writes go through a temporary file
-in the destination directory and are renamed into place, so a crashed
-writer never leaves a half-written container behind.
+offset of the first inconsistency.  Each kind of file (sample,
+checkpoint, motions) is read by ``read_checked`` with its own parse of
+the records, which takes each record through ``checked_record``
+(present, of the expected shape, finite); any defect is one ValueError
+naming the file.  Writes go through a temporary file in the destination
+directory and are renamed into place, so a crashed writer never leaves a
+half-written container behind.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -77,79 +82,79 @@ def write_container(path, records) -> None:
     atomic_write(path, b"".join(parts))
 
 
-def _need(buf: bytes, offset: int, nbytes: int, what: str) -> None:
-    if offset + nbytes > len(buf):
-        raise ContainerFormatError(
-            f"truncated container: expected {nbytes} bytes for {what}", offset=offset
-        )
-
-
-def read_container(path) -> dict[str, np.ndarray]:
-    """Parse a container, returning records in file order."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+def read_checked(path, parse):
+    """``parse(records)`` of the container at ``path``, with ``path`` in front of
+    the message of any ValueError that the bytes or ``parse`` raise."""
     try:
-        return _parse(buf)
-    except ContainerFormatError as e:
+        with open(path, "rb") as fh:
+            return parse(_parse(fh.read()))
+    except ValueError as e:
         e.args = (f"{os.fspath(path)}: {e}",)
         raise
 
 
+def read_container(path) -> dict[str, np.ndarray]:
+    """Parse a container, returning records in file order."""
+    return read_checked(path, dict)
+
+
+def checked_record(records, name: str, shape: tuple | None) -> np.ndarray:
+    """Record ``name``, after checking that it is present, finite and, unless
+    ``shape`` is None, of that shape."""
+    if name not in records:
+        raise ValueError(f"missing record {name!r}")
+    arr = records[name]
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"record {name!r} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"record {name!r} contains non-finite values")
+    return arr
+
+
 def _parse(buf: bytes) -> dict[str, np.ndarray]:
-    _need(buf, 0, 4, "magic")
-    if buf[:4] != MAGIC:
+    view = memoryview(buf)
+    offset = 0
+
+    def take(nbytes: int, what: str) -> memoryview:
+        """The next ``nbytes`` bytes, which must exist, for the field ``what``."""
+        nonlocal offset
+        if offset + nbytes > len(buf):
+            raise ContainerFormatError(f"truncated container: expected {nbytes} bytes for {what}",
+                                       offset=offset)
+        offset += nbytes
+        return view[offset - nbytes : offset]
+
+    if take(4, "magic") != MAGIC:
         raise ContainerFormatError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}", offset=0)
-    offset = 4
-    _need(buf, offset, 4, "record count")
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+    (count,) = struct.unpack("<I", take(4, "record count"))
 
     records: dict[str, np.ndarray] = {}
     for i in range(count):
-        _need(buf, offset, 2, f"name length of record {i}")
-        (name_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
+        (name_len,) = struct.unpack("<H", take(2, f"name length of record {i}"))
         name_offset = offset
-        _need(buf, offset, name_len, f"name of record {i}")
         try:
-            name = buf[offset : offset + name_len].decode("utf-8")
+            name = str(take(name_len, f"name of record {i}"), "utf-8")
         except UnicodeDecodeError:
-            raise ContainerFormatError(
-                f"record {i} name is not valid UTF-8", offset=name_offset
-            ) from None
-        offset += name_len
+            raise ContainerFormatError(f"record {i} name is not valid UTF-8",
+                                       offset=name_offset) from None
         if name in records:
             raise ContainerFormatError(f"duplicate record name {name!r}", offset=name_offset)
 
-        _need(buf, offset, 1, f"rank of record {name!r}")
-        rank = buf[offset]
-        offset += 1
-        dims = []
-        for d in range(rank):
-            _need(buf, offset, 4, f"dimension {d} of record {name!r}")
-            dims.append(struct.unpack_from("<I", buf, offset)[0])
-            offset += 4
-
-        _need(buf, offset, 1, f"dtype of record {name!r}")
-        code = buf[offset]
+        (rank,) = take(1, f"rank of record {name!r}")
+        if rank > 32:  # numpy 1.x's ndarray limit; the writer never passes it
+            raise ContainerFormatError(f"rank {rank} of record {name!r} exceeds 32", offset - 1)
+        dims = [struct.unpack("<I", take(4, f"dimension {d} of record {name!r}"))[0]
+                for d in range(rank)]
+        (code,) = take(1, f"dtype of record {name!r}")
         if code not in _DTYPE_CODES:
-            raise ContainerFormatError(
-                f"unknown dtype code {code} in record {name!r}", offset=offset
-            )
-        offset += 1
-
+            raise ContainerFormatError(f"unknown dtype code {code} in record {name!r}",
+                                       offset=offset - 1)
         dtype = _DTYPE_CODES[code]
-        n_items = 1
-        for dim in dims:
-            n_items *= dim
-        nbytes = n_items * dtype.itemsize
-        _need(buf, offset, nbytes, f"payload of record {name!r}")
-        flat = np.frombuffer(buf, dtype=dtype, count=n_items, offset=offset)
-        records[name] = flat.reshape(dims).copy()
-        offset += nbytes
+        # Python ints: hostile dims cannot wrap around to a small byte count
+        payload = take(math.prod(dims) * dtype.itemsize, f"payload of record {name!r}")
+        records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
     if offset != len(buf):
-        raise ContainerFormatError(
-            f"{len(buf) - offset} trailing bytes after last record", offset=offset
-        )
+        raise ContainerFormatError(f"{len(buf) - offset} trailing bytes after last record",
+                                   offset=offset)
     return records

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import IntegrationDivergedError
 from .grid import FieldSequence
 from .metric import SmoothingKernel, smooth_noise
 from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, encoder_forward
@@ -189,7 +190,9 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
     validation l_total with fixed validation noise; the best parameters
     are restored before returning.  Each batch's graph is freed before the
     next one is built.  An epoch's losses are means over items, so each
-    batch's mean counts by its size.
+    batch's mean counts by its size.  A non-finite batch loss, or
+    validation total, raises IntegrationDivergedError naming the zero-based
+    optimisation step that produced it.
     """
     if eps_net.store is not mot_net.store:
         raise ValueError("noise predictor and motion decoder must share a parameter store")
@@ -209,7 +212,7 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
     _keep_heap_mapped()
     result = TrainResult()
     best_params = None
-    since_best = 0
+    since_best = steps = 0
     for epoch in range(cfg.max_epochs):
         rng = np.random.default_rng([seed, epoch])
         order = rng.permutation(len(train_items))
@@ -220,8 +223,11 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
             l_diff = diffusion_loss(latents, eps_net, cfg.schedule, cfg.kernel, rng)
             l_mot = motion_loss(latents, [train_u[i] for i in batch], mot_net)
             total = add(l_diff, smul(l_mot, cfg.loss_alpha))
+            if not np.isfinite(total.item()):
+                raise IntegrationDivergedError(steps, "diffusion training")
             total.backward()
             adam_step(store, learning_rate, decay)
+            steps += 1
             ep_diff += len(batch) * l_diff.item()
             ep_mot += len(batch) * l_mot.item()
             del total, l_diff, l_mot
@@ -247,6 +253,8 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
         else:
             v_diff, v_mot = ep_diff, ep_mot
         v_total = v_diff + cfg.loss_alpha * v_mot
+        if not np.isfinite(v_total):  # the last step's parameters have diverged
+            raise IntegrationDivergedError(steps - 1, "diffusion training")
 
         result.history.append((epoch, ep_diff, ep_mot, ep_total, v_diff, v_mot, v_total))
 
@@ -260,9 +268,8 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
             if since_best > patience:
                 break
 
-    if best_params is not None:
-        for k, p in store.params.items():
-            p.values = best_params[k]
+    for k, p in store.params.items():  # every epoch's total is finite, so one was best
+        p.values = best_params[k]
     return result
 
 

@@ -234,7 +234,8 @@ def integrate_forward_flow(cfg: ShootingConfig, velocities) -> np.ndarray:
 
 def shoot(cfg: ShootingConfig, v0: VectorField) -> GeodesicPath:
     """Integrate EPDiff from v0 and accumulate both endpoint maps."""
-    cfg.operator._check(v0)
+    if v0.grid != cfg.operator.grid:
+        raise ValueError("vector field grid does not match operator grid")
     grid = v0.grid
     velocities = integrate_epdiff(cfg, v0.values, cfg.operator.multiply(v0.values))
     inverse = integrate_inverse_flow(cfg, velocities)

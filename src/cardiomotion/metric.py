@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid2, VectorField
+from .grid import Grid2
 
 
 def _real_fourier_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,9 +52,6 @@ class MetricOperator:
         if power < 1:
             raise ValueError("power must be a positive integer")
         self.grid = grid
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
-        self.power = int(power)
         h, w = grid.shape
         k1 = np.arange(w)[None, :]
         k2 = np.arange(h)[:, None]
@@ -62,10 +59,10 @@ class MetricOperator:
             (1.0 - np.cos(2.0 * np.pi * k1 / w)) + (1.0 - np.cos(2.0 * np.pi * k2 / h))
         )
         with np.errstate(over="ignore"):
-            self.multipliers = lam**self.power
+            self.multipliers = lam ** int(power)
         if not np.all(np.isfinite(self.multipliers)):
-            raise ValueError(f"the metric symbol overflows at alpha={self.alpha}, "
-                             f"gamma={self.gamma}, power={self.power}")
+            raise ValueError(f"the metric symbol overflows at alpha={float(alpha)}, "
+                             f"gamma={float(gamma)}, power={int(power)}")
         self._qh, kh = _real_fourier_basis(h)
         self._qw, kw = _real_fourier_basis(w)
         self._qh_t = np.ascontiguousarray(self._qh.T)
@@ -79,10 +76,6 @@ class MetricOperator:
         coeffs = np.matmul(self._qh, np.matmul(a, self._qw_t))
         coeffs *= self._inv_lam if inverse else self._lam
         return np.matmul(self._qh_t, np.matmul(coeffs, self._qw))
-
-    def _check(self, v: VectorField):
-        if v.grid != self.grid:
-            raise ValueError("vector field grid does not match operator grid")
 
 
 @dataclass

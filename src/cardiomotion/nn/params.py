@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..container import read_container, write_container
+from ..container import checked_record, read_checked, write_container
 from .tensor import Tensor
 
 
@@ -99,35 +99,25 @@ def load_checkpoint(store: ParameterStore, path) -> None:
 
     The store must already contain the same parameter names with the same
     shapes (construct the models first, then load).  A missing, misshapen,
-    unexpected or non-finite record is an error naming ``path``.
+    unexpected or non-finite record is an error naming ``path``, and leaves
+    the store as it was.
     """
-    records = read_container(path)
-    if "meta/step" not in records:
-        raise ValueError(f"{path}: not a checkpoint (no meta/step record)")
-    step = records["meta/step"].reshape(-1)
-    if step.size != 1 or not (step[0] >= 0 and float(step[0]).is_integer()):
-        raise ValueError(f"{path}: meta/step must hold one non-negative integer, "
-                         f"got {step[:4].tolist()}")
-    expected = {"meta/step"}
-    for name, p in store.params.items():
-        for kind in ("param", "m1", "m2"):
-            key = f"{kind}/{name}"
-            expected.add(key)
-            if key not in records:
-                raise ValueError(f"{path}: missing record {key!r}")
-            if records[key].shape != p.values.shape:
-                raise ValueError(
-                    f"{path}: record {key!r} has shape {records[key].shape}, "
-                    f"expected {p.values.shape}"
-                )
-            if not np.all(np.isfinite(records[key])):
-                raise ValueError(f"{path}: record {key!r} contains non-finite values")
-    extra = set(records) - expected
-    if extra:
-        raise ValueError(f"{path}: unexpected records {sorted(extra)}")
-    store.step_count = int(step[0])
-    for name, p in store.params.items():
-        p.values = records[f"param/{name}"].astype(np.float64)
-        p.grad = None
-        store.moment1[name] = records[f"m1/{name}"].astype(np.float64)
-        store.moment2[name] = records[f"m2/{name}"].astype(np.float64)
+
+    def restore(records):
+        step = checked_record(records, "meta/step", None).reshape(-1)
+        if step.size != 1 or not (step[0] >= 0 and float(step[0]).is_integer()):
+            raise ValueError(f"meta/step must hold one non-negative integer, "
+                             f"got {step[:4].tolist()}")
+        arrays = {f"{kind}/{name}": checked_record(records, f"{kind}/{name}", p.values.shape)
+                  for name, p in store.params.items() for kind in ("param", "m1", "m2")}
+        extra = set(records) - set(arrays) - {"meta/step"}
+        if extra:
+            raise ValueError(f"unexpected records {sorted(extra)}")
+        store.step_count = int(step[0])
+        for name, p in store.params.items():
+            p.values = arrays[f"param/{name}"].astype(np.float64)
+            p.grad = None
+            store.moment1[name] = arrays[f"m1/{name}"].astype(np.float64)
+            store.moment2[name] = arrays[f"m2/{name}"].astype(np.float64)
+
+    read_checked(path, restore)

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import _finite_float, _json_int
-from .container import read_container, write_container
+from .config import _finite_float, _json_int, read_json
+from .container import checked_record, read_checked, write_container
 from .grid import FieldSequence, Grid2, ScalarField, VectorField, coordinate_arrays
 from .strain import Mask
 
@@ -237,20 +236,11 @@ def _meta_field(meta: dict, key: str, integers=False):
 
 def load_sample(path) -> PhantomSample:
     """Read a sample container; any defect of its records is a ValueError naming the file."""
-    records = read_container(path)
-    try:
-        return _sample_from_records(records)
-    except ValueError as e:
-        raise ValueError(f"{os.fspath(path)}: {e}") from e
+    return read_checked(path, _sample_from_records)
 
 
 def _sample_from_records(records: dict) -> PhantomSample:
-    for need in ("images", "motions", "mask", "meta"):
-        if need not in records:
-            raise ValueError(f"sample container missing record {need!r}")
-    meta = json.loads(records["meta"].tobytes().decode("utf-8"))
-    if not isinstance(meta, dict):
-        raise ValueError("sample meta must be a JSON object")
+    meta = read_json("sample meta", checked_record(records, "meta", None).tobytes())
     grid = Grid2(*_meta_field(meta, "grid", (True, True, False)))
     cfg = PhantomConfig(grid=grid, **{f.name: _meta_field(meta, f.name, f.type == "int")
                                       for f in dataclasses.fields(PhantomConfig)
@@ -258,13 +248,8 @@ def _sample_from_records(records: dict) -> PhantomSample:
     angle = _meta_field(meta, "insertion_angle")
     cx, cy = _meta_field(meta, "center", (False, False))
     t = cfg.num_frames
-    for name, shape in (("images", (t + 1,) + grid.shape), ("motions", (t, 2) + grid.shape),
-                        ("mask", grid.shape)):
-        if records[name].shape != shape:
-            raise ValueError(f"sample record {name!r} has shape {records[name].shape}, "
-                             f"expected {shape}")
-        if not np.all(np.isfinite(records[name])):
-            raise ValueError(f"sample record {name!r} contains non-finite values")
-    mask = Mask(grid, records["mask"].astype(bool))
-    return PhantomSample(FieldSequence(grid, records["images"]),
-                         FieldSequence(grid, records["motions"]), mask, angle, (cx, cy), cfg)
+    images = checked_record(records, "images", (t + 1,) + grid.shape)
+    motions = checked_record(records, "motions", (t, 2) + grid.shape)
+    mask = Mask(grid, checked_record(records, "mask", grid.shape).astype(bool))
+    return PhantomSample(FieldSequence(grid, images), FieldSequence(grid, motions), mask, angle,
+                         (cx, cy), cfg)

@@ -19,6 +19,7 @@ from cardiomotion.container import read_container, write_container
 from cardiomotion.errors import IntegrationDivergedError
 from cardiomotion.nn.networks import MotionDecoder, NoisePredictor, UNetConfig
 from cardiomotion.nn.params import ParameterStore, save_checkpoint
+from cardiomotion.nn.tensor import constant
 from cardiomotion.phantom import load_sample
 
 _CFG = {
@@ -285,10 +286,10 @@ def _drop_images_frames(records):
 
 # a defect of a sample's records -> the message that follows the file's path
 _SAMPLE_DEFECTS = {
-    "missing_record": (lambda records: records.pop("mask"),
-                       "sample container missing record 'mask'"),
+    "missing_record": (lambda records: records.pop("mask"), "missing record 'mask'"),
     "missing_meta_field": (None, "sample meta lacks field 'grid'"),
-    "wrong_shape": (_drop_images_frames, "sample record 'images' has shape (3, 32, 32)"),
+    "wrong_shape": (_drop_images_frames,
+                    "record 'images' has shape (3, 32, 32), expected (5, 32, 32)"),
 }
 
 
@@ -461,6 +462,27 @@ def test_train_failing_mid_run_leaves_no_output(pipeline, tmp_path, capsys, monk
     assert not (tmp_path / "o").exists()
 
 
+# the motion-loss call that returns NaN -> the zero-based optimisation step the error names;
+# one training sequence, so each epoch makes one training call, then one validation call
+@pytest.mark.parametrize("bad_call, step", [(3, 1), (2, 0)], ids=["training", "validation"])
+def test_train_diverging_is_one_error_line_naming_the_step(pipeline, tmp_path, capsys,
+                                                           monkeypatch, bad_call, step):
+    real_loss = cardiomotion.diffusion.motion_loss
+    calls = []
+
+    def diverging_loss(*args, **kwargs):
+        calls.append(None)
+        loss = real_loss(*args, **kwargs)
+        return constant(np.nan) if len(calls) == bad_call else loss
+
+    monkeypatch.setattr(cardiomotion.diffusion, "motion_loss", diverging_loss)
+    assert main(_train_argv(pipeline, pipeline["cfg"], tmp_path / "o")) == 1
+    _single_error_line(capsys.readouterr().err,
+                       f"diffusion training diverged (non-finite values) at step {step}")
+    assert len(calls) == bad_call
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_resume_carries_the_optimizer_on(pipeline, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_CFG, diffusion=dict(_CFG["diffusion"], max_epochs=2,
@@ -527,8 +549,10 @@ def test_motions_with_the_wrong_frame_count_are_one_error_line(pipeline, tmp_pat
     truth = load_sample(pipeline["sample"]).motions.values
     with_nan = truth.copy()
     with_nan[1, 0, 5, 5] = np.nan
-    for name, motions, needle in (("short.lmf1", truth[:2], "motions shape"),
-                                  ("nan.lmf1", with_nan, "motions contain non-finite values")):
+    for name, motions, needle in (
+            ("short.lmf1", truth[:2],
+             "record 'motions' has shape (2, 2, 32, 32), expected (4, 2, 32, 32)"),
+            ("nan.lmf1", with_nan, "record 'motions' contains non-finite values")):
         path = str(tmp_path / name)
         write_container(path, {"motions": motions})
         argv = {"strain": ["strain", "--sample", pipeline["sample"], "--motions", path,
@@ -549,7 +573,7 @@ def test_sample_with_a_non_finite_value_is_one_error_line(pipeline, tmp_path, ca
     assert main(["eval", "--sample", bad, "--pred", pipeline["pred"],
                  "--out", str(tmp_path / "e.csv")]) == 1
     _single_error_line(capsys.readouterr().err,
-                       f"{bad}: sample record '{record}' contains non-finite values")
+                       f"{bad}: record '{record}' contains non-finite values")
     assert not (tmp_path / "e.csv").exists()
 
 

@@ -122,6 +122,18 @@ def test_invalid_utf8_name_rejected(tmp_path):
     assert "UTF-8" in str(exc.value)
 
 
+def test_rank_beyond_numpy_limit_rejected(tmp_path):
+    # a rank of 105 whose first dimension is 0 needs no payload bytes
+    blob = MAGIC + struct.pack("<I", 1) + struct.pack("<H", 1) + b"x" + struct.pack("<B", 105)
+    path = tmp_path / "rank.lmf1"
+    path.write_bytes(blob + b"\x00" * (4 * 105 + 1))
+    with pytest.raises(ContainerFormatError) as exc:
+        read_container(path)
+    assert exc.value.offset == 11
+    assert "rank 105 of record 'x' exceeds 32" in str(exc.value)
+    assert str(path) in str(exc.value)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     good = _write(tmp_path, {"x": np.arange(2.0)})
     blob = good.read_bytes()
