@@ -358,16 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cardiac motion estimation: registration, latent refinement, strain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # options of every configured subcommand
+    run.add_argument("--config", help="run configuration JSON")
+    run.add_argument("--seed", type=int, help="override the config seed")
 
-    p = sub.add_parser("phantom", help="synthesize an annulus dataset with ground truth")
-    p.add_argument("--config", help="run configuration JSON")
+    p = sub.add_parser("phantom", parents=[run],
+                       help="synthesize an annulus dataset with ground truth")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n", type=int, required=True, help="number of sequences")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("register", help="LDDMM registration: direct, train, or apply")
-    p.add_argument("--config", help="run configuration JSON")
+    p = sub.add_parser("register", parents=[run],
+                       help="LDDMM registration: direct, train, or apply")
     p.add_argument("--dataset", required=True, help="dataset directory with manifest.json")
     p.add_argument("--mode", choices=("direct", "train", "apply"), required=True)
     p.add_argument("--split", default="train", choices=("train", "validation", "test", "all"))
@@ -377,25 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=50, help="train-mode epochs")
     p.add_argument("--learning-rate", type=float, default=None,
                    help="train-mode learning rate (default: registration lr)")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_register)
 
-    p = sub.add_parser("train", help="jointly train the noise predictor and motion decoder")
-    p.add_argument("--config", help="run configuration JSON")
+    p = sub.add_parser("train", parents=[run],
+                       help="jointly train the noise predictor and motion decoder")
     p.add_argument("--dataset", required=True)
     p.add_argument("--registration-model", required=True, help="pre-trained encoder checkpoint")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="refined displacement sequence for one sample")
-    p.add_argument("--config", help="run configuration JSON")
+    p = sub.add_parser("infer", parents=[run], help="refined displacement sequence for one sample")
     p.add_argument("--sample", required=True, help="phantom sample file")
     p.add_argument("--registration-model", required=True)
     p.add_argument("--model", required=True, help="refinement checkpoint")
     p.add_argument("--out", required=True, help="output displacement file")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("strain", help="strain map and segment means for one frame")
@@ -429,7 +427,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, IntegrationDivergedError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # a key or file name from the input may hold line breaks; the diagnostic is one line
+        print("error: " + "\\n".join(str(e).splitlines()), file=sys.stderr)
         return 1
 
 

@@ -5,9 +5,9 @@ metric, shooting, registration, nets, diffusion, phantom), each holding
 its section dataclass's fields, plus a top-level seed.  Unknown keys are
 rejected with the full key path so typos fail loudly instead of
 silently falling back to defaults.  `read_json` parses every JSON input
-(config, dataset manifest, sample meta) and names its source in any
-error.  `write_reference` emits the complete default document; it is the
-single reference for every tunable and its default value.
+(config, dataset manifest, sample meta); it and `load_config` name the
+file in any error.  `write_reference` emits the complete default
+document, the single reference for every tunable and its default value.
 """
 
 from __future__ import annotations
@@ -174,7 +174,11 @@ def read_json(source, data: bytes | None = None) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    return config_from_dict(read_json(path))
+    document = read_json(path)
+    try:
+        return config_from_dict(document)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def write_reference(path) -> None:

@@ -70,25 +70,18 @@ class GeodesicPath:
     forward_map: MapField
 
 
-def _sum_components(a, out):
-    """a_x + a_y of a (..., 2, H, W) stack, written to the (..., H, W) array ``out``."""
-    return np.add(a[..., 0, :, :], a[..., 1, :, :], out=out)
-
-
 def epdiff_force_values(v, m):
     """The EPDiff force (Dv)^T m + (Dm) v + m div v of (..., 2, H, W) arrays v and m.
 
     Rows r of the terms are sum_c dv_c/dx_r m_c, sum_c dm_r/dx_c v_c and
-    m_r div v.  Each derivative array is reused as scratch once it has been
-    read; the result is a new array.
+    m_r div v; the sums over c run over the component axis.
     """
     dvx, dvy, dmx, dmy = ddx(v), ddy(v), ddx(m), ddy(m)
-    f = np.multiply(dmx, v[_X])
-    f += np.multiply(dmy, v[_Y], out=dmy)
-    div = np.add(dvx[_X], dvy[_Y], out=dmx[_X])
-    f += np.multiply(m, div, out=dmy)
+    f = dmx * v[_X]
+    f += dmy * v[_Y]
+    f += m * (dvx[_X] + dvy[_Y])
     for r, d in ((0, dvx), (1, dvy)):
-        f[..., r, :, :] += _sum_components(np.multiply(d, m, out=d), dmx[..., 1, :, :])
+        f[..., r, :, :] += (d * m).sum(axis=-3)
     return f
 
 
@@ -98,32 +91,28 @@ def epdiff_force_adjoint(v, m, g):
     The derivatives of v and m are recomputed rather than kept.  The terms
     that a finite-difference adjoint acts on are summed before applying it:
     one d/dx and one d/dy adjoint of a (..., 2, H, W) stack for each input.
-    The results are new arrays.
     """
     dvx, dvy, dmx, dmy = ddx(v), ddy(v), ddx(m), ddy(m)
-    p, q = np.empty((2,) + v.shape)
-    vx, vy = v[_X], v[_Y]
     gx, gy = g[_X], g[_Y]
     # momentum: the d/dx and d/dy adjoints of g vx and g vy, plus
     # gx dv/dx + gy dv/dy + g div v
-    gm = ddx_adjoint(np.multiply(g, vx, out=p))
-    gm += ddy_adjoint(np.multiply(g, vy, out=p))
-    local = np.multiply(gx, dvx, out=p)
-    local += np.multiply(gy, dvy, out=q)
-    div = np.add(dvx[_X], dvy[_Y], out=q[_X])
-    local += np.multiply(g, div, out=dvx)
+    gm = ddx_adjoint(g * v[_X])
+    gm += ddy_adjoint(g * v[_Y])
+    local = gx * dvx
+    local += gy * dvy
+    local += g * (dvx[_X] + dvy[_Y])
     gm += local
     # velocity: the d/dx and d/dy adjoints of gx m + (s, 0) and gy m + (0, s),
     # s = <g, m> over components, plus (<g, dm/dx>, <g, dm/dy>)
-    s = _sum_components(np.multiply(g, m, out=p), dvy[..., 0, :, :])
-    px = np.multiply(gx, m, out=p)
+    s = (g * m).sum(axis=-3)
+    px = gx * m
     px[..., 0, :, :] += s
-    py = np.multiply(gy, m, out=q)
+    py = gy * m
     py[..., 1, :, :] += s
     gv = ddx_adjoint(px)
     gv += ddy_adjoint(py)
     for r, d in ((0, dmx), (1, dmy)):
-        gv[..., r, :, :] += _sum_components(np.multiply(g, d, out=d), dvy[..., 0, :, :])
+        gv[..., r, :, :] += (g * d).sum(axis=-3)
     return gv, gm
 
 
@@ -149,19 +138,16 @@ def integrate_epdiff(cfg: ShootingConfig, v, m) -> Tensor:
     for k in range(n - 1):
         ms[k] = m_k
         f = epdiff_force_values(vs[k], ms[k])
-        np.subtract(vs[k], op.multiply(f, inverse=True) * dt, out=vs[k + 1])
+        vs[k + 1] = vs[k] - op.multiply(f, inverse=True) * dt
         if not np.all(np.isfinite(vs[k + 1])):
             raise IntegrationDivergedError(k + 1, "EPDiff integration")
-        f *= dt
-        m_k = np.subtract(ms[k], f, out=f)
+        m_k = m_k - f * dt
 
     def vjp(g):
         a_v = g[n - 1].copy()
         a_m = np.zeros(v.shape)
         for k in range(n - 2, -1, -1):
-            g_f = op.multiply(a_v, inverse=True)
-            g_f += a_m
-            g_f *= -dt
+            g_f = (op.multiply(a_v, inverse=True) + a_m) * -dt
             g_v, g_m = epdiff_force_adjoint(vs[k], ms[k], g_f)
             a_v += g_v
             a_v += g[k]
@@ -196,8 +182,7 @@ def integrate_inverse_flow(cfg: ShootingConfig, velocities) -> Tensor:
     maps, samples = [], []
     phi = ident
     for w in vs:
-        q = w * -dt
-        q += ident
+        q = w * -dt + ident
         prep = bilinear_prepare(shape, q[_X], q[_Y])
         maps.append(phi)
         samples.append(prep)
@@ -206,13 +191,11 @@ def integrate_inverse_flow(cfg: ShootingConfig, velocities) -> Tensor:
     def vjp(g):
         grad = np.empty(vs.shape)
         for k in range(len(vs) - 1, -1, -1):
-            idx, tx, ty, _, _ = samples[k]
             for axis, d in zip((_X, _Y), bilinear_coord_derivatives(maps[k], *samples[k])):
-                d *= g
-                np.sum(d, axis=-3, keepdims=True, out=grad[k][axis])
+                grad[k][axis] = (d * g).sum(axis=-3, keepdims=True)
             grad[k] *= -dt
             if k:  # phi_0 is the identity, a constant
-                g = bilinear_adjoint_field(shape, idx, tx, ty, g)
+                g = bilinear_adjoint_field(shape, *samples[k][:3], g)
         return (grad,)
 
     return _make(phi, (velocities,), vjp)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cardiomotion.geodesic import epdiff_force_adjoint, epdiff_force_values
 from cardiomotion.grid import Grid2, ddx, ddy
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
@@ -361,10 +362,26 @@ def _epdiff_force_by_components(v, m):
     return out
 
 
-@pytest.mark.parametrize("shape", [(2, 5, 7), (3, 2, 6, 6)])
-def test_epdiff_force_value_gradient_and_adjoint(shape):
+# memory layouts of the force's inputs: C order, Fortran order, and C-order
+# data read through negative strides on both image axes
+_LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "reversed": lambda a: np.ascontiguousarray(a[..., ::-1, ::-1])[..., ::-1, ::-1],
+}
+
+
+@pytest.mark.parametrize("shape, layout", [
+    pytest.param(shape, layout, id=f"shape{i}" + ("" if layout == "C" else f"-{layout}"))
+    for layout in _LAYOUTS for i, shape in enumerate([(2, 5, 7), (3, 2, 6, 6)])])
+def test_epdiff_force_value_gradient_and_adjoint(shape, layout):
     rng = np.random.default_rng(51)
-    v, m, g = (rng.standard_normal(shape) for _ in range(3))
+    v, m, g = (_LAYOUTS[layout](rng.standard_normal(shape)) for _ in range(3))
+    # the layout moves no bit of the force or of its adjoint
+    dense = [np.ascontiguousarray(a) for a in (v, m, g)]
+    assert np.array_equal(epdiff_force_values(v, m), epdiff_force_values(*dense[:2]))
+    for a, b in zip(epdiff_force_adjoint(v, m, g), epdiff_force_adjoint(*dense)):
+        assert np.array_equal(a, b)
     f = force_node(constant(v), constant(m)).values
     ref = _epdiff_force_by_components(v, m)
     assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -414,6 +414,20 @@ def test_negative_seed_is_one_error_line_naming_it(tmp_path, capsys, config_seed
     assert not out.exists()
 
 
+@pytest.mark.parametrize("document", [
+    {"grdi": {}}, {"seed": -1}, {"grid": {"height": "x"}}, {"metric": []}, {"gr\nid": {}},
+], ids=["unknown_key", "negative_seed", "height_not_integer", "section_not_object",
+        "key_with_line_break"])
+def test_bad_config_key_or_value_is_one_error_line_naming_the_file(tmp_path, capsys, document):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    out = tmp_path / "d"
+    assert main(["phantom", "--config", str(cfg), "--out", str(out), "--n", "3"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: "), lines
+    assert lines[0].count(str(cfg)) == 1 and not out.exists()
+
+
 def test_strain_with_empty_window_writes_nothing(pipeline, tmp_path, capsys):
     prefix = str(tmp_path / "s")
     for window in (["--window-low=1", "--window-high=1"],
