@@ -16,7 +16,11 @@ derivative of the discrete objective (discretize-then-optimize), and
 number of steps.  The momentum L v0 of the regulariser is the one EPDiff
 starts from, so the energy multiplies by L once and by K once per Euler
 step, and its gradient as often again.  v0 is a (2, H, W) Tensor, or
-(T, 2, H, W) for T pairs, with the (x, y) components on axis -3.
+(T, 2, H, W) for T pairs, with the (x, y) components on axis -3.  The
+two shooting nodes shoot T pairs as one chunk of pairs per CPU in the
+process's affinity mask, each on its own thread, with bit-identical
+output at any CPU count; a single pair (``register_pair``, ``energy``,
+``energy_gradient``) runs inline.
 """
 
 from __future__ import annotations
