@@ -31,6 +31,12 @@ the forward pass kept; the forward flow, which only ``shoot`` needs,
 runs on the bilinear kernels and records no graph.  The registration
 energy records the EPDiff and inverse-flow nodes as its graph.
 
+Every array the two nodes allocate (velocities, momenta, maps, their
+gradients and the identity coordinates) takes the dtype of the velocity,
+and the kernels they call keep it: registration-net training shoots in
+float32, while ``shoot`` and the direct registration path shoot in
+float64.
+
 The fields of a (T, 2, H, W) stack are independent geodesics, and every
 operation of the two nodes acts on one field at a time.  So both nodes,
 forward and backward, run their step loops over contiguous chunks of the
@@ -203,8 +209,9 @@ def integrate_epdiff(cfg: ShootingConfig, v, m) -> Tensor:
     v, m = _as_tensor(v), _as_tensor(m)
     op = cfg.operator
     n, dt = cfg.num_steps, 1.0 / cfg.num_steps
-    vs = np.empty((n,) + v.shape)
-    ms = np.empty((n - 1,) + v.shape)  # m_0 .. m_{N-2}: the last momentum drives no step
+    dtype = v.values.dtype
+    vs = np.empty((n,) + v.shape, dtype)
+    ms = np.empty((n - 1,) + v.shape, dtype)  # m_0 .. m_{N-2}: the last momentum drives no step
     vs[0] = v.values
     chunks = _pair_chunks(v.shape)
 
@@ -222,7 +229,7 @@ def integrate_epdiff(cfg: ShootingConfig, v, m) -> Tensor:
 
     def vjp(g):
         a_v = g[n - 1].copy()
-        a_m = np.zeros(v.shape)
+        a_m = np.zeros(v.shape, dtype)
 
         def adjoint_steps(p):
             for k in range(n - 2, -1, -1):
@@ -239,11 +246,12 @@ def integrate_epdiff(cfg: ShootingConfig, v, m) -> Tensor:
 
 
 def _identity(cfg: ShootingConfig, velocities: Tensor) -> np.ndarray:
-    """Identity map coordinates shaped like one velocity, after checking the velocity count."""
+    """Identity map coordinates in the shape and dtype of one velocity, after checking the count."""
     if velocities.shape[0] != cfg.num_steps:
         raise ValueError(f"expected {cfg.num_steps} velocities, got {velocities.shape[0]}")
     xs, ys = coordinate_arrays(cfg.operator.grid)
-    return np.broadcast_to(np.stack([xs, ys]), velocities.shape[1:])
+    return np.broadcast_to(np.stack([xs, ys]).astype(velocities.values.dtype, copy=False),
+                           velocities.shape[1:])
 
 
 def integrate_inverse_flow(cfg: ShootingConfig, velocities) -> Tensor:
@@ -260,7 +268,7 @@ def integrate_inverse_flow(cfg: ShootingConfig, velocities) -> Tensor:
     ident = _identity(cfg, velocities)
     vs = velocities.values
     dt = 1.0 / cfg.num_steps
-    phi = np.empty(ident.shape)
+    phi = np.empty(ident.shape, ident.dtype)
     chunks = _pair_chunks(ident.shape)
 
     def steps(p):
@@ -279,7 +287,7 @@ def integrate_inverse_flow(cfg: ShootingConfig, velocities) -> Tensor:
     kept = _run_chunks(steps, chunks)
 
     def vjp(g):
-        grad = np.empty(vs.shape)
+        grad = np.empty(vs.shape, vs.dtype)
 
         def adjoint_steps(p, state):
             maps, samples = state

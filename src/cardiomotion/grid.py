@@ -146,11 +146,12 @@ def bilinear_prepare(shape: tuple[int, ...], mx: np.ndarray, my: np.ndarray):
     *lead, h, w = shape
     cx = np.clip(mx, 0.0, w - 1.0)
     cy = np.clip(my, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(cx), w - 2).astype(np.intp)
-    y0 = np.minimum(np.floor(cy), h - 2).astype(np.intp)
-    tx = cx - x0
-    ty = cy - y0
-    idx = y0 * w + x0
+    # the fractions come from the floored float coordinates, so they keep their dtype
+    fx = np.minimum(np.floor(cx), w - 2)
+    fy = np.minimum(np.floor(cy), h - 2)
+    tx = cx - fx
+    ty = cy - fy
+    idx = fy.astype(np.intp) * w + fx.astype(np.intp)
     if lead:
         if idx.ndim < len(lead) or any(
                 n not in (1, k) for n, k in zip(idx.shape[: len(lead)], lead)):
@@ -201,7 +202,8 @@ def bilinear_adjoint_field(shape, idx, tx, ty, g: np.ndarray) -> np.ndarray:
     out[1:] += np.bincount(idx, (top * tx).reshape(-1), n - 1)
     out[w:] += np.bincount(idx, (bottom * (1 - tx)).reshape(-1), n - w)
     out[w + 1:] += np.bincount(idx, (bottom * tx).reshape(-1), n - w - 1)
-    return out.reshape(shape)
+    # bincount sums in float64
+    return out.reshape(shape).astype(g.dtype, copy=False)
 
 
 def bilinear_coord_derivatives(values: np.ndarray, idx, tx, ty, inx, iny):
@@ -226,7 +228,8 @@ def bilinear_coord_derivatives(values: np.ndarray, idx, tx, ty, inx, iny):
 
 
 # Each kernel reads a C-contiguous copy of its input (a view when it already
-# is one) and writes a new C-contiguous float64 array of the input's shape.
+# is one) and writes a new C-contiguous array of the input's shape: float32
+# for a float32 input, float64 for any other.
 # The x kernels run their interior formula over the flat array, across row
 # ends, and then overwrite the first and last column of every row; the y
 # kernels run row blocks.
@@ -234,7 +237,7 @@ def bilinear_coord_derivatives(values: np.ndarray, idx, tx, ty, inx, iny):
 
 def _buffers(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.ascontiguousarray(a)
-    return a, np.empty(a.shape)
+    return a, np.empty(a.shape, np.float32 if a.dtype == np.float32 else np.float64)
 
 
 def ddx(a: np.ndarray) -> np.ndarray:

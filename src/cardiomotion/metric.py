@@ -44,7 +44,7 @@ def _real_fourier_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MetricOperator:
-    """L and its inverse K as cached real, positive Fourier multipliers."""
+    """L and its inverse K as cached real, positive Fourier multipliers, in float64 and float32."""
 
     def __init__(self, grid: Grid2, alpha: float = 3.0, gamma: float = 1.0, power: int = 3):
         if alpha <= 0 or gamma <= 0:
@@ -58,24 +58,34 @@ class MetricOperator:
         lam = gamma + 2.0 * alpha * (
             (1.0 - np.cos(2.0 * np.pi * k1 / w)) + (1.0 - np.cos(2.0 * np.pi * k2 / h))
         )
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             self.multipliers = lam ** int(power)
-        if not np.all(np.isfinite(self.multipliers)):
-            raise ValueError(f"the metric symbol overflows at alpha={float(alpha)}, "
-                             f"gamma={float(gamma)}, power={int(power)}")
-        self._qh, kh = _real_fourier_basis(h)
-        self._qw, kw = _real_fourier_basis(w)
-        self._qh_t = np.ascontiguousarray(self._qh.T)
-        self._qw_t = np.ascontiguousarray(self._qw.T)
-        # the symbol at the frequencies of each pair of real modes, and its reciprocal
-        self._lam = self.multipliers[np.ix_(kh, kw)]
-        self._inv_lam = 1.0 / self._lam
+            # float32 multiplies need the symbol and its reciprocal in float32
+            # range, so one range of parameters holds for both dtypes
+            lam32 = self.multipliers.astype(np.float32)
+            for values, what in ((lam32, "overflows"), (1 / lam32, "underflows")):
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(f"the metric symbol {what} at alpha={float(alpha)}, "
+                                     f"gamma={float(gamma)}, power={int(power)}")
+        qh, kh = _real_fourier_basis(h)
+        qw, kw = _real_fourier_basis(w)
+        # the symbol at the frequencies of each pair of real modes
+        lam = self.multipliers[np.ix_(kh, kw)]
+        # Q_h, Q_w^T, Q_h^T, Q_w, the symbol and its reciprocal, in float64 and float32
+        self._factors64 = (qh, np.ascontiguousarray(qw.T), np.ascontiguousarray(qh.T), qw, lam,
+                           1.0 / lam)
+        self._factors32 = tuple(f.astype(np.float32) for f in self._factors64)
 
     def multiply(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Apply the multiplier (or its reciprocal) to an (..., H, W) array."""
-        coeffs = np.matmul(self._qh, np.matmul(a, self._qw_t))
-        coeffs *= self._inv_lam if inverse else self._lam
-        return np.matmul(self._qh_t, np.matmul(coeffs, self._qw))
+        """Apply the multiplier (or its reciprocal) to an (..., H, W) array.
+
+        A float32 array is multiplied in float32, anything else in float64.
+        """
+        qh, qw_t, qh_t, qw, lam, inv_lam = (self._factors32 if a.dtype == np.float32
+                                            else self._factors64)
+        coeffs = np.matmul(qh, np.matmul(a, qw_t))
+        coeffs *= inv_lam if inverse else lam
+        return np.matmul(qh_t, np.matmul(coeffs, qw))
 
 
 @dataclass

@@ -16,8 +16,11 @@ one (T, C, h, w) sequence or a (B, T, C, h, w) batch of them in one call.
 Precision: the nets compute in float32 over float64 master parameters.
 Each forward casts every parameter it uses to float32 once, and its
 inputs too; the public outputs (``forward``, ``encoder_forward``) are
-cast back to float64, so the gradients, the Adam state, the checkpoints
-and everything downstream of the nets stay float64.
+cast back to float64, so the parameter gradients, the Adam state, the
+checkpoints and whatever consumes those outputs (the direct registration
+path, ``shoot``, strain) stay float64.  Registration-net training alone
+takes the float32 decoder output (``decode(*encode(pairs))``) and runs
+the registration energy on it in float32.
 """
 
 from __future__ import annotations

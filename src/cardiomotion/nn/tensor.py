@@ -4,7 +4,9 @@ A Tensor wraps a numpy array plus an optional gradient slot.  A float32
 input stays float32 and anything else becomes float64; a gradient comes
 back in its tensor's dtype, and ``cast`` moves a value between the two
 (its gradient goes back in the source dtype).  The networks compute in
-float32; every other graph is float64.  Operations record a
+float32, and so does the registration energy in registration-net
+training; the direct registration path, ``shoot``, strain and the
+checkpoints are float64.  Operations record a
 vector-Jacobian product closure; ``backward()`` on a scalar traverses the
 graph in reverse topological order and accumulates exact gradients into
 every reachable leaf with ``requires_grad`` set.  The

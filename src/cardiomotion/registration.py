@@ -20,7 +20,10 @@ step, and its gradient as often again.  v0 is a (2, H, W) Tensor, or
 two shooting nodes shoot T pairs as one chunk of pairs per CPU in the
 process's affinity mask, each on its own thread, with bit-identical
 output at any CPU count; a single pair (``register_pair``, ``energy``,
-``energy_gradient``) runs inline.
+``energy_gradient``) runs inline.  The graph computes in the dtype of
+v0: registration-net training passes the decoder's float32 output, so
+its energy and gradients are float32, while the single-pair functions
+take float64 fields and stay float64.
 """
 
 from __future__ import annotations
@@ -173,9 +176,12 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.
     v0_batch: (T, 2, H, W) tensor (typically a decoder output, so the
     loss is differentiable with respect to the network parameters).
     pair_batch: matching (T, 2, H, W) array, channel 0 = source, 1 = target.
+    The loss is computed in v0's dtype (float32 or float64), and the
+    images are cast to it.
     """
     v0_t = _as_tensor(v0_batch)
-    pairs = np.asarray(pair_batch, dtype=np.float64)
+    # in v0's dtype: a float64 image would promote a float32 graph to float64
+    pairs = np.asarray(pair_batch, dtype=v0_t.values.dtype)
     if v0_t.values.shape != pairs.shape:
         raise ValueError(
             f"velocity batch shape {v0_t.values.shape} does not match pair batch {pairs.shape}"
@@ -192,8 +198,9 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
     """Amortized registration: fit the encoder/decoder to minimize mean energy.
 
     sequences: list of (T, 2, H, W) pair stacks.  Returns the per-epoch
-    mean training loss.  Each step's graph is freed before the next one is
-    built.
+    mean training loss.  The energy takes the decoder's float32 output
+    as is, so a step runs in float32 up to the float64 master parameters.
+    Each step's graph is freed before the next one is built.
     """
     lr = cfg.learning_rate if learning_rate is None else learning_rate
     rng = np.random.default_rng(seed)
@@ -204,7 +211,7 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
         total = 0.0
         for position, idx in enumerate(order):
             pairs = sequences[idx]
-            loss = registration_network_loss(cfg, net.forward(pairs), pairs)
+            loss = registration_network_loss(cfg, net.decode(*net.encode(pairs)), pairs)
             value = loss.item()
             if not np.isfinite(value):
                 raise IntegrationDivergedError(epoch * len(sequences) + position,

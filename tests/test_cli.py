@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,24 @@ def test_register_with_an_overflowing_metric_is_one_error_line(pipeline, tmp_pat
     assert main(["register", "--config", str(cfg), "--dataset", pipeline["data"],
                  "--mode", "direct", "--out", str(out)]) == 1
     _single_error_line(capsys.readouterr().err, "metric symbol overflows at alpha=1e+200")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha, power", [(1e200, 1), (1e150, 2)])
+def test_register_with_a_metric_beyond_float32_is_one_error_line(pipeline, tmp_path, capsys,
+                                                                   alpha, power):
+    # finite in float64 but not in float32: refused by name, before any shooting
+    # could overflow
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_CFG, "metric": {"alpha": alpha, "gamma": 1.0, "power": power}}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["register", "--config", str(cfg), "--dataset", pipeline["data"],
+                     "--mode", "direct", "--out", str(out)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    _single_error_line(capsys.readouterr().err,
+                       f"metric symbol overflows at alpha={alpha}, gamma=1.0, power={power}")
     assert not out.exists()
 
 

@@ -114,6 +114,15 @@ def test_operator_validation():
     # (1 + 8e200)^2 overflows: refused by name rather than left to blow up shooting
     with pytest.raises(ValueError, match=r"alpha=1e\+200, gamma=1.0, power=2"):
         MetricOperator(grid, alpha=1e200, power=2)
+    # training multiplies in float32, so the symbol (up to 1 + 8 alpha here) and
+    # its reciprocal must be finite there too; the largest float32 is about 3.4e38
+    with pytest.raises(ValueError, match=r"symbol overflows at alpha=1e\+38, gamma=1.0, power=1"):
+        MetricOperator(grid, alpha=1e38, power=1)
+    with pytest.raises(ValueError, match=r"underflows at alpha=1e-30, gamma=1e-20, power=2"):
+        MetricOperator(grid, alpha=1e-30, gamma=1e-20, power=2)
+    a = np.random.default_rng(0).standard_normal((2, 8, 8)).astype(np.float32)
+    big = MetricOperator(grid, alpha=1e36, power=1)
+    assert np.all(np.isfinite(big.multiply(a))) and np.all(np.isfinite(big.multiply(a, True)))
     op = MetricOperator(grid)
     other = VectorField(Grid2(9, 9), np.zeros((9, 9)), np.zeros((9, 9)))
     with pytest.raises(ValueError, match="does not match operator grid"):

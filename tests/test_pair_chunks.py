@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cardiomotion.geodesic as geodesic
+import cardiomotion.registration as registration
 from cardiomotion.errors import IntegrationDivergedError
 from cardiomotion.geodesic import ShootingConfig, integrate_epdiff, integrate_inverse_flow
 from cardiomotion.grid import Grid2
@@ -76,23 +77,37 @@ def _shooting_outputs(cfg, v0, g_v, g_phi):
 
 
 def _loss_outputs(cfg, v0, pairs):
-    v = Tensor(v0, requires_grad=True)
-    loss = registration_network_loss(cfg, v, pairs)
-    loss.backward()
-    return [loss.values.tobytes(), v.grad.tobytes()]
+    """The loss and v0 gradient in float64 and in float32, as bytes."""
+    out = []
+    for dtype in (np.float64, np.float32):
+        v = Tensor(v0.astype(dtype), requires_grad=True)
+        loss = registration_network_loss(cfg, v, pairs)
+        loss.backward()
+        out += [loss.values.tobytes(), v.grad.tobytes()]
+    return out
 
 
-def _training_outputs(cfg, pairs):
+def _training_outputs(cfg, pairs, monkeypatch):
+    """The loss history and trained weights, as bytes; every training loss is float32."""
+    losses = []
+
+    def recording(*args):
+        losses.append(registration_network_loss(*args))
+        return losses[-1]
+
     net = RegistrationNet(UNetConfig(in_channels=2, base_channels=4, latent_channels=4,
                                      num_down=2, time_embed_dim=4), seed=0)
-    history = train_registration_network(net, [pairs], cfg, epochs=2, learning_rate=1e-3,
-                                         seed=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(registration, "registration_network_loss", recording)
+        history = train_registration_network(net, [pairs], cfg, epochs=2, learning_rate=1e-3,
+                                             seed=0)
+    assert len(losses) == 2 and all(loss.values.dtype == np.float32 for loss in losses)
     return [np.array(history).tobytes()] + [p.values.tobytes()
                                             for p in net.store.params.values()]
 
 
 @pytest.mark.parametrize("t", [2, 3, 5, 8])
-def test_outputs_are_the_same_bits_at_any_worker_count(workers, t):
+def test_outputs_are_the_same_bits_at_any_worker_count(workers, monkeypatch, t):
     cfg = _cfg()
     rng = np.random.default_rng(100 + t)
     op = cfg.shooting.operator
@@ -104,7 +119,7 @@ def test_outputs_are_the_same_bits_at_any_worker_count(workers, t):
     for n in WORKERS:
         counts = workers(n)
         results[n] = (_shooting_outputs(cfg, v0, g_v, g_phi), _loss_outputs(cfg, v0, pairs),
-                      _training_outputs(cfg, pairs))
+                      _training_outputs(cfg, pairs, monkeypatch))
         # every node call, forward and backward, split the stack as asked
         assert counts and set(counts) == {min(n, t)}
     for n in WORKERS[1:]:
