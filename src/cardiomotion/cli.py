@@ -28,25 +28,22 @@ if _threads and _threads_error(_threads) is None:
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 
 import numpy as np
 
-from .config import RunConfig, load_config, read_json, write_reference
-from .container import atomic_write, checked_record, read_checked, write_container
-from .diffusion import DiffusionConfig, infer as diffusion_infer, make_schedule, train as diffusion_train
+from .config import RunConfig, load_config, write_reference
+from .container import atomic_write, checked_record, read_checked, read_json, write_container
+from .diffusion import infer as diffusion_infer, train as diffusion_train
 from .errors import ConfigError, IntegrationDivergedError
-from .geodesic import ShootingConfig
 from .grid import FieldSequence, Grid2, VectorField
-from .metric import MetricOperator, SmoothingKernel
-from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, UNetConfig
-from .nn.params import ParameterStore, checkpoint_records, load_checkpoint, save_checkpoint
+from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet
+from .nn.params import (ParameterStore, check_learning_rate, checkpoint_records, load_checkpoint,
+                        save_checkpoint)
 from .nn.tensor import no_grad
-from .phantom import DatasetRanges, PhantomConfig, load_sample, make_dataset, save_sample
-from .registration import (RegistrationConfig, energy, pair_stack, register_pair,
-                           train_registration_network)
+from .phantom import load_sample, make_dataset, save_sample
+from .registration import energy, pair_stack, register_pair, train_registration_network
 from .strain import (check_window, epe, segment_mask, segmental_strain, segmental_strain_error,
                      strain_from_displacement, write_pgm)
 
@@ -65,10 +62,6 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _run_config(args) -> RunConfig:
-    return load_config(args.config) if args.config else RunConfig()
-
-
 def _seed(cfg: RunConfig, args) -> int:
     if args.seed is None:
         return cfg.seed
@@ -77,35 +70,11 @@ def _seed(cfg: RunConfig, args) -> int:
     return args.seed
 
 
-def _check_learning_rate(name: str, lr: float) -> None:
-    if not (np.isfinite(lr) and lr > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {lr}")
-
-
-def _reg_config(cfg: RunConfig, grid: Grid2) -> RegistrationConfig:
-    op = MetricOperator(grid, **dataclasses.asdict(cfg.metric))
-    shooting = ShootingConfig(cfg.shooting.num_steps, op)
-    return RegistrationConfig(shooting, **dataclasses.asdict(cfg.registration))
-
-
-def _unet_config(cfg: RunConfig) -> UNetConfig:
-    return UNetConfig(in_channels=2, **dataclasses.asdict(cfg.nets))
-
-
-def _diffusion_parts(cfg: RunConfig):
-    d = cfg.diffusion
-    schedule = make_schedule(d.num_steps, d.beta_start, d.beta_end)
-    kernel = SmoothingKernel(d.kernel_std)
-    return DiffusionConfig(schedule=schedule, kernel=kernel, loss_alpha=d.loss_alpha,
-                           lambda_eps=d.lambda_eps, lambda_m=d.lambda_m,
-                           batch_size=d.batch_size, max_epochs=d.max_epochs)
-
-
 def _refinement_nets(cfg: RunConfig, grid: Grid2, num_frames: int, registration_model: str,
                      model: str | None):
     """Registration net from its checkpoint, then the noise predictor and motion
     decoder on one store, restored from ``model`` unless it is None."""
-    ucfg = _unet_config(cfg)
+    ucfg = cfg.unet_config()
     reg = RegistrationNet(ucfg, seed=cfg.seed)
     load_checkpoint(reg.store, registration_model)
     store = ParameterStore()
@@ -116,24 +85,17 @@ def _refinement_nets(cfg: RunConfig, grid: Grid2, num_frames: int, registration_
     return reg, eps_net, mot_net
 
 
-def _load_manifest(dataset_dir: str) -> dict:
+def _load_split(dataset_dir: str, split: str) -> list:
     path = os.path.join(dataset_dir, "manifest.json")
     manifest = read_json(path)
-    for split in ("train", "validation", "test"):
-        if split not in manifest:
-            raise ConfigError(f"{path}: manifest missing split {split!r}")
-        names = manifest[split]
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise ConfigError(f"{path}: manifest split {split!r} must be a list of file names")
-    return manifest
-
-
-def _load_split(dataset_dir: str, split: str) -> list:
-    manifest = _load_manifest(dataset_dir)
-    if split == "all":
-        names = manifest["train"] + manifest["validation"] + manifest["test"]
-    else:
-        names = manifest[split]
+    for name in ("train", "validation", "test"):
+        if name not in manifest:
+            raise ConfigError(f"{path}: manifest missing split {name!r}")
+        files = manifest[name]
+        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+            raise ConfigError(f"{path}: manifest split {name!r} must be a list of file names")
+    names = (manifest["train"] + manifest["validation"] + manifest["test"] if split == "all"
+             else manifest[split])
     return [(name, load_sample(os.path.join(dataset_dir, name))) for name in names]
 
 
@@ -157,13 +119,8 @@ def _motions_from_file(path, grid: Grid2, num_frames: int) -> FieldSequence:
 
 
 def cmd_phantom(args) -> int:
-    cfg = _run_config(args)
-    p = cfg.phantom
-    base = PhantomConfig(grid=Grid2(**dataclasses.asdict(cfg.grid)), num_frames=p.num_frames,
-                         r_inner=p.r_inner[0], r_outer=p.r_outer[0],
-                         center_jitter=p.center_jitter, smoothing_std=p.smoothing_std)
-    ranges = DatasetRanges(contraction=p.contraction, twist=p.twist,
-                           r_inner=p.r_inner, r_outer=p.r_outer)
+    cfg = load_config(args.config)
+    base, ranges = cfg.phantom_parts()
     splits = make_dataset(args.n, base, ranges, _seed(cfg, args))
     os.makedirs(args.out, exist_ok=True)
     manifest = {split_name: [] for split_name in splits}
@@ -185,8 +142,7 @@ def cmd_phantom(args) -> int:
 # summary line; cmd_register writes them after the mode succeeds, so a failure leaves no --out
 
 
-def _register_direct(args, cfg: RunConfig, items):
-    rcfg = _reg_config(cfg, items[0][1].images.grid)
+def _register_direct(args, cfg: RunConfig, rcfg, items):
     rows = [["file", "pair", "iterations", "final_energy"]]
     containers = {}
     for name, sample in items:
@@ -199,11 +155,10 @@ def _register_direct(args, cfg: RunConfig, items):
     return containers, "energies.csv", rows, f"registered {len(items)} sequences"
 
 
-def _register_train(args, cfg: RunConfig, items):
+def _register_train(args, cfg: RunConfig, rcfg, items):
     if not args.model_out:
         raise ConfigError("train mode requires --model-out")
-    rcfg = _reg_config(cfg, items[0][1].images.grid)
-    net = RegistrationNet(_unet_config(cfg), seed=cfg.seed)
+    net = RegistrationNet(cfg.unet_config(), seed=cfg.seed)
     history = train_registration_network(net, [pair_stack(s.images) for _, s in items], rcfg,
                                          epochs=args.epochs,
                                          learning_rate=args.learning_rate,
@@ -213,12 +168,10 @@ def _register_train(args, cfg: RunConfig, items):
             f"trained registration network: loss {history[0]:.6g} -> {history[-1]:.6g}")
 
 
-def _register_apply(args, cfg: RunConfig, items):
+def _register_apply(args, cfg: RunConfig, rcfg, items):
     if not args.model_in:
         raise ConfigError("apply mode requires --model-in")
-    grid = items[0][1].images.grid
-    rcfg = _reg_config(cfg, grid)
-    net = RegistrationNet(_unet_config(cfg), seed=cfg.seed)
+    net = RegistrationNet(cfg.unet_config(), seed=cfg.seed)
     load_checkpoint(net.store, args.model_in)
     rows = [["file", "pair", "iterations", "final_energy"]]
     containers = {}
@@ -226,7 +179,7 @@ def _register_apply(args, cfg: RunConfig, items):
         with no_grad():
             v0 = net.forward(pair_stack(sample.images)).values
         for k, v in enumerate(v0):
-            total, _, _ = energy(rcfg, VectorField(grid, *v), sample.images[0],
+            total, _, _ = energy(rcfg, VectorField(sample.images.grid, *v), sample.images[0],
                                  sample.images[k + 1])
             rows.append([name, k, 0, _fmt(total)])
         containers[os.path.join(args.out, f"v0_{name}")] = {"v0": v0}
@@ -238,14 +191,14 @@ def cmd_register(args) -> int:
     if args.mode == "train" and args.epochs < 1:
         raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
     if args.mode == "train" and args.learning_rate is not None:
-        _check_learning_rate("--learning-rate", args.learning_rate)
-    cfg = _run_config(args)
+        check_learning_rate("--learning-rate", args.learning_rate)
+    cfg = load_config(args.config)
     items = _load_split(args.dataset, args.split)
     if not items:
         raise ConfigError(f"split {args.split!r} is empty")
-    _common_grid(items)
+    rcfg = cfg.registration_config(_common_grid(items))
     mode = {"direct": _register_direct, "train": _register_train, "apply": _register_apply}
-    containers, log_name, rows, summary = mode[args.mode](args, cfg, items)
+    containers, log_name, rows, summary = mode[args.mode](args, cfg, rcfg, items)
     os.makedirs(args.out, exist_ok=True)
     for path, records in containers.items():
         write_container(path, records)
@@ -255,8 +208,7 @@ def cmd_register(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args)
-    _check_learning_rate("diffusion.learning_rate", cfg.diffusion.learning_rate)
+    cfg = load_config(args.config)
     train_items = _load_split(args.dataset, "train")
     val_items = _load_split(args.dataset, "validation")
     if not train_items:
@@ -271,12 +223,11 @@ def cmd_train(args) -> int:
 
     reg, eps_net, mot_net = _refinement_nets(cfg, grid, num_frames, args.registration_model,
                                              args.resume)
-    dcfg = _diffusion_parts(cfg)
     result = diffusion_train(
         reg, eps_net, mot_net,
         [(pair_stack(s.images), s.motions.values) for _, s in train_items],
         [(pair_stack(s.images), s.motions.values) for _, s in val_items],
-        dcfg, learning_rate=cfg.diffusion.learning_rate, patience=cfg.diffusion.patience,
+        cfg.diffusion_config(), learning_rate=cfg.diffusion.learning_rate, patience=cfg.diffusion.patience,
         seed=_seed(cfg, args),
     )
     os.makedirs(args.out, exist_ok=True)
@@ -291,11 +242,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _run_config(args)
+    cfg = load_config(args.config)
     sample = load_sample(args.sample)
     reg, eps_net, mot_net = _refinement_nets(cfg, sample.images.grid, len(sample.motions),
                                              args.registration_model, args.model)
-    dcfg = _diffusion_parts(cfg)
+    dcfg = cfg.diffusion_config()
     rng = np.random.default_rng(_seed(cfg, args))
     motions = diffusion_infer(sample.images, reg, eps_net, mot_net, dcfg.schedule, dcfg.kernel, rng)
     write_container(args.out, {"motions": motions})

@@ -2,30 +2,30 @@
 
 The document is RunConfig as JSON: one object per section field (grid,
 metric, shooting, registration, nets, diffusion, phantom), each holding
-its section dataclass's fields, plus a top-level seed.  Unknown keys are
-rejected with the full key path so typos fail loudly instead of
-silently falling back to defaults.  `read_json` parses every JSON input
-(config, dataset manifest, sample meta); it and `load_config` name the
-file in any error.  `write_reference` emits the complete default
-document, the single reference for every tunable and its default value.
+its section dataclass's fields (the grid's is Grid2), plus a top-level
+seed.  Unknown keys and values of the wrong JSON type are refused with
+the full key path.  A RunConfig builds every stage's domain config when
+it is constructed, on its own grid, so their own checks are its range
+checks: a document is valid or invalid as a whole.  `load_config` names
+the file in any error, and `write_reference` emits the default document.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .container import atomic_write
+from .container import _finite_float, _json_int, atomic_write, read_json
+from .diffusion import DiffusionConfig, check_patience, make_schedule
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class GridSection:
-    height: int = 64
-    width: int = 64
-    spacing: float = 1.0
+from .geodesic import ShootingConfig
+from .grid import Grid2
+from .metric import MetricOperator, SmoothingKernel
+from .nn.networks import UNetConfig
+from .nn.params import check_learning_rate
+from .phantom import DatasetRanges, PhantomConfig
+from .registration import RegistrationConfig
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class PhantomSection:
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid: GridSection = field(default_factory=GridSection)
+    grid: Grid2 = field(default_factory=Grid2)
     metric: MetricSection = field(default_factory=MetricSection)
     shooting: ShootingSection = field(default_factory=ShootingSection)
     registration: RegistrationSection = field(default_factory=RegistrationSection)
@@ -93,35 +93,56 @@ class RunConfig:
     phantom: PhantomSection = field(default_factory=PhantomSection)
     seed: int = 0
 
+    def __post_init__(self):  # the domain classes' checks are the document's range checks
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        self.registration_config(self.grid)
+        self.unet_config()
+        self.diffusion_config()
+        self.phantom_parts()
 
-def _json_int(value, where: str) -> int:
-    """A JSON integer; anything else is a ConfigError naming ``where``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
-    return value
+    def registration_config(self, grid: Grid2) -> RegistrationConfig:
+        """Registration on ``grid``: the document's, or the grid of a dataset."""
+        operator = MetricOperator(grid, **dataclasses.asdict(self.metric))
+        return RegistrationConfig(ShootingConfig(self.shooting.num_steps, operator),
+                                  **dataclasses.asdict(self.registration))
+
+    def unet_config(self) -> UNetConfig:
+        return UNetConfig(**dataclasses.asdict(self.nets))
+
+    def diffusion_config(self) -> DiffusionConfig:
+        """The chain and its training, which takes the checked learning rate and patience."""
+        d = self.diffusion
+        check_learning_rate("diffusion.learning_rate", d.learning_rate)
+        check_patience(d.patience)
+        return DiffusionConfig(make_schedule(d.num_steps, d.beta_start, d.beta_end),
+                               SmoothingKernel(d.kernel_std), d.loss_alpha, d.lambda_eps,
+                               d.lambda_m, d.batch_size, d.max_epochs)
+
+    def phantom_parts(self) -> tuple[PhantomConfig, DatasetRanges]:
+        """``make_dataset``'s base and ranges.  The base is the corner of low inner radius,
+        contraction and twist and high outer radius; with the opposite corner, built too,
+        it meets every bound of PhantomConfig, so no seed draws a refused phantom."""
+        p = self.phantom
+        ranges = DatasetRanges(p.contraction, p.twist, p.r_inner, p.r_outer)
+        base = PhantomConfig(self.grid, p.num_frames, p.r_inner[0], p.r_outer[1],
+                             p.contraction[0], p.twist[0], p.center_jitter, p.smoothing_std)
+        replace(base, r_inner=p.r_inner[1], r_outer=p.r_outer[0],
+                contraction_amp=p.contraction[1], twist_amp=p.twist[1])
+        return base, ranges
 
 
-def _finite_float(value, where: str, expected: str) -> float:
-    """A JSON number as a finite float; anything else is a ConfigError naming ``where``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be {expected}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite")
-    return value
-
-
-def _build_section(cls, data: dict, path: str):
+def _build_section(cls, data, path: str):
+    """A ``cls`` from the JSON object ``data`` at key path ``path``, "" for the document."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'the config document'} must be a JSON object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
+        where = f"{path}.{key}" if path else key
         if key not in fields:
-            raise ConfigError(f"unknown config key: {path}.{key}")
+            raise ConfigError(f"unknown config key: {where}")
         f = fields[key]
-        where = f"{path}.{key}"
         if f.type.startswith("tuple"):
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise ConfigError(f"{where} must be a two-element list")
@@ -130,54 +151,24 @@ def _build_section(cls, data: dict, path: str):
             value = _json_int(value, where)
         elif f.type == "float":
             value = _finite_float(value, where, "a number")
+        else:  # a section of the document
+            value = _build_section(f.default_factory, value, where)
         kwargs[key] = value
     return cls(**kwargs)
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    sections = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)
-                if f.default_factory is not dataclasses.MISSING}
-    kwargs = {}
-    for key, value in data.items():
-        if key == "seed":
-            kwargs["seed"] = _json_int(value, "seed")
-            if value < 0:
-                raise ConfigError(f"seed must be non-negative, got {value}")
-        elif key in sections:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {key} must be a JSON object")
-            kwargs[key] = _build_section(sections[key], value, key)
-        else:
-            raise ConfigError(f"unknown config key: {key}")
-    return RunConfig(**kwargs)
-
-
-def read_json(source, data: bytes | None = None) -> dict:
-    """The JSON object in ``data``, or in the file ``source`` when ``data`` is None; an
-    unreadable file, text that is not UTF-8, malformed JSON, an integer of over 4,300
-    digits, nesting too deep to parse or a non-object is one ConfigError naming ``source``."""
-    if data is None:
-        try:
-            with open(source, "rb") as fh:
-                data = fh.read()
-        except OSError as e:
-            raise ConfigError(f"{source}: {e.strerror}") from e
-    try:
-        document = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as e:
-        raise ConfigError(f"{source}: invalid JSON ({e})") from e
-    if not isinstance(document, dict):
-        raise ConfigError(f"{source}: the document must be a JSON object")
-    return document
+def config_from_dict(data) -> RunConfig:
+    return _build_section(RunConfig, data, "")
 
 
 def load_config(path) -> RunConfig:
+    """The document at ``path``, or the defaults when ``path`` is None."""
+    if path is None:
+        return RunConfig()
     document = read_json(path)
     try:
         return config_from_dict(document)
-    except ConfigError as e:
+    except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
 
 

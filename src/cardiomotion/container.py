@@ -20,11 +20,13 @@ the records, which takes each record through ``checked_record``
 (present, of the expected shape, finite); any defect is one ValueError
 naming the file.  Writes go through a temporary file in the destination
 directory and are renamed into place, so a crashed writer never leaves a
-half-written container behind.
+half-written container behind.  ``read_json`` parses the JSON inputs (run
+config, manifest, sample meta), each error a ConfigError naming its source.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -32,7 +34,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ContainerFormatError
+from .errors import ConfigError, ContainerFormatError
 
 MAGIC = b"LMF1"
 
@@ -109,6 +111,45 @@ def checked_record(records, name: str, shape: tuple | None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"record {name!r} contains non-finite values")
     return arr
+
+
+def _json_int(value, where: str) -> int:
+    """A JSON integer; anything else is a ConfigError naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer")
+    return value
+
+
+def _finite_float(value, where: str, expected: str) -> float:
+    """A JSON number as a finite float; anything else is a ConfigError naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be {expected}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
+    return value
+
+
+def read_json(source, data: bytes | None = None) -> dict:
+    """The JSON object in ``data``, or in the file ``source`` when ``data`` is None; an
+    unreadable file, text that is not UTF-8, malformed JSON, an integer of over 4,300
+    digits, nesting too deep to parse or a non-object is one ConfigError naming ``source``."""
+    if data is None:
+        try:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        except OSError as e:
+            raise ConfigError(f"{source}: {e.strerror}") from e
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"{source}: invalid JSON ({e})") from e
+    if not isinstance(document, dict):
+        raise ConfigError(f"{source}: the document must be a JSON object")
+    return document
 
 
 def _parse(buf: bytes) -> dict[str, np.ndarray]:

@@ -178,6 +178,12 @@ class TrainResult:
     best_val: float = float("inf")
 
 
+def check_patience(patience: int) -> None:
+    """Refuse a negative early-stopping patience (epochs without a better validation total)."""
+    if patience < 0:
+        raise ValueError(f"patience must be non-negative, got {patience}")
+
+
 def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDecoder,
           train_items, val_items, cfg: DiffusionConfig, *, learning_rate: float = 1e-4,
           patience: int = 50, seed: int = 0) -> TrainResult:
@@ -198,8 +204,7 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
         raise ValueError("noise predictor and motion decoder must share a parameter store")
     if not train_items:
         raise ValueError("no training items")
-    if patience < 0:
-        raise ValueError(f"patience must be non-negative, got {patience}")
+    check_patience(patience)
     store = eps_net.store
     train_z = [encoder_forward(reg_net, pairs) for pairs, _ in train_items]
     train_u = [truth for _, truth in train_items]

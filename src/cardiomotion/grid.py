@@ -26,8 +26,8 @@ import numpy as np
 class Grid2:
     """A regular 2-D pixel grid with isotropic physical spacing in mm/px."""
 
-    height: int
-    width: int
+    height: int = 64
+    width: int = 64
     spacing: float = 1.0
 
     def __post_init__(self):

@@ -97,8 +97,9 @@ class SmoothingKernel:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError("kernel std must be positive")
+        # 2 ceil(3 std) + 1 taps; the bound, far above any latent grid, keeps memory in check
+        if not 0 < self.std <= 1000:
+            raise ValueError(f"kernel std must be in (0, 1000], got {self.std}")
         min_radius = int(np.ceil(3.0 * self.std))
         if self.radius is None:
             self.radius = min_radius

@@ -57,15 +57,20 @@ class UNetConfig:
     time_embed_dim: int = 16
 
     def __post_init__(self):
-        for field in ("in_channels", "base_channels", "latent_channels", "num_down", "time_embed_dim"):
+        for field in ("in_channels", "base_channels", "latent_channels", "num_down"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be a positive integer")
+        _check_embed_dim(self.time_embed_dim)
+
+
+def _check_embed_dim(dim: int) -> None:
+    if dim < 2 or dim % 2:
+        raise ValueError(f"time_embed_dim must be an even integer >= 2, got {dim}")
 
 
 def sinusoidal_embedding(steps, dim: int) -> np.ndarray:
     """Classic sin/cos positional code of N integer steps, one (N, dim) row each."""
-    if dim < 2 or dim % 2:
-        raise ValueError("time_embed_dim must be an even integer >= 2")
+    _check_embed_dim(dim)
     half = dim // 2
     freqs = 10000.0 ** (-np.arange(half) / half)
     angles = np.reshape(steps, (-1, 1)) * freqs

@@ -42,6 +42,12 @@ _BETA2 = 0.999
 _EPS = 1e-8
 
 
+def check_learning_rate(name: str, learning_rate: float) -> None:
+    """Refuse a learning rate that is not positive and finite; ``name`` is its option."""
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"{name} must be positive and finite, got {learning_rate}")
+
+
 def adam_step(
     store: ParameterStore,
     learning_rate: float,

@@ -20,17 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import _finite_float, _json_int, read_json
-from .container import checked_record, read_checked, write_container
+from .container import (_finite_float, _json_int, checked_record, read_checked, read_json,
+                        write_container)
 from .grid import FieldSequence, Grid2, ScalarField, VectorField, coordinate_arrays
 from .strain import Mask
-
-_DEFAULT_GRID = Grid2(64, 64, 1.0)
 
 
 @dataclass(frozen=True)
 class PhantomConfig:
-    grid: Grid2 = _DEFAULT_GRID
+    grid: Grid2 = Grid2()
     num_frames: int = 8
     r_inner: float = 10.0
     r_outer: float = 20.0
@@ -44,8 +42,6 @@ class PhantomConfig:
         half = min(self.grid.height, self.grid.width) / 2.0
         if not 2.0 <= self.r_inner < self.r_outer:
             raise ValueError(f"need 2 <= r_inner < r_outer, got {self.r_inner}, {self.r_outer}")
-        if self.r_outer > half - 2.0:
-            raise ValueError(f"r_outer {self.r_outer} exceeds {half - 2.0} for grid {self.grid.shape}")
         if not 0.0 <= self.contraction_amp <= 0.3:
             raise ValueError(f"contraction_amp {self.contraction_amp} outside [0, 0.3]")
         if not 0.0 <= self.twist_amp <= 0.5:
@@ -56,7 +52,8 @@ class PhantomConfig:
             raise ValueError("center_jitter and smoothing_std must be nonnegative")
         # annulus only shrinks over the cycle, so in-grid at tau=0 suffices
         if self.r_outer + self.center_jitter > half - 2.0:
-            raise ValueError("center jitter can push the annulus out of the grid")
+            raise ValueError(f"r_outer {self.r_outer} plus center_jitter {self.center_jitter} "
+                             f"exceeds {half - 2.0} for grid {self.grid.shape}")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff, integrate
                        shoot)
 from .grid import FieldSequence, Grid2, ScalarField, VectorField
 from .nn.fieldops import bilinear_warp, spectral_multiply
-from .nn.params import ParameterStore, adam_step
+from .nn.params import ParameterStore, adam_step, check_learning_rate
 from .nn.tensor import (Tensor, _as_tensor, _keep_heap_mapped, add, constant, mul, smul, sub,
                         sum_all, take_index)
 
@@ -57,8 +57,7 @@ class RegistrationConfig:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_learning_rate("learning_rate", self.learning_rate)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be a positive integer")
         if self.convergence_tol <= 0:

@@ -14,7 +14,7 @@ import pytest
 import cardiomotion
 import cardiomotion.cli
 import cardiomotion.diffusion
-from cardiomotion.cli import _diffusion_parts, main
+from cardiomotion.cli import main
 from cardiomotion.config import config_from_dict
 from cardiomotion.container import read_container, write_container
 from cardiomotion.errors import IntegrationDivergedError
@@ -433,18 +433,57 @@ def test_negative_seed_is_one_error_line_naming_it(tmp_path, capsys, config_seed
     assert not out.exists()
 
 
-@pytest.mark.parametrize("document", [
-    {"grdi": {}}, {"seed": -1}, {"grid": {"height": "x"}}, {"metric": []}, {"gr\nid": {}},
-], ids=["unknown_key", "negative_seed", "height_not_integer", "section_not_object",
-        "key_with_line_break"])
-def test_bad_config_key_or_value_is_one_error_line_naming_the_file(tmp_path, capsys, document):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(document))
-    out = tmp_path / "d"
-    assert main(["phantom", "--config", str(cfg), "--out", str(out), "--n", "3"]) == 1
+def _with(section, **values):
+    return dict(_CFG, **{section: dict(_CFG[section], **values)})
+
+
+# bad keys and types, then values that the section types accept but a domain class refuses;
+# the last two phantom ranges hold draws that PhantomConfig or the sample mask refuse at
+# some seeds only
+_BAD_DOCUMENTS = {
+    "unknown_key": {"grdi": {}},
+    "negative_seed": {"seed": -1},
+    "height_not_integer": {"grid": {"height": "x"}},
+    "section_not_object": {"metric": []},
+    "key_with_line_break": {"gr\nid": {}},
+    "grid_height_2": {"grid": {"height": 2}},
+    "r_inner_above_r_outer": {"phantom": {"r_inner": [8.0, 8.0], "r_outer": [5.5, 6.0]}},
+    "metric_alpha_0": _with("metric", alpha=0),
+    "sigma_0": _with("registration", sigma=0),
+    "shooting_steps_0": _with("shooting", num_steps=0),
+    "diffusion_learning_rate_0": _with("diffusion", learning_rate=0),
+    "patience_-3": _with("diffusion", patience=-3),
+    "time_embed_dim_3": _with("nets", time_embed_dim=3),
+    "kernel_std_1.7e308": _with("diffusion", kernel_std=1.7e308),
+    "contraction_up_to_0.4": _with("phantom", contraction=[0.05, 0.4]),
+    "radii_ranges_overlap": _with("phantom", r_inner=[6.0, 13.5], r_outer=[12.0, 14.0]),
+}
+
+
+def _one_error_line_naming(cfg, out, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: "), lines
     assert lines[0].count(str(cfg)) == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("name", list(_BAD_DOCUMENTS))
+def test_bad_config_key_or_value_is_one_error_line_naming_the_file(tmp_path, capsys, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_BAD_DOCUMENTS[name]))
+    out = tmp_path / "d"
+    for seed in range(4):
+        assert main(["phantom", "--config", str(cfg), "--out", str(out), "--n", "3",
+                     "--seed", str(seed)]) == 1
+        _one_error_line_naming(cfg, out, capsys)
+
+
+def test_register_refuses_a_zero_sigma_at_load(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_BAD_DOCUMENTS["sigma_0"]))
+    out = tmp_path / "o"
+    assert main(["register", "--config", str(cfg), "--dataset", pipeline["data"],
+                 "--mode", "direct", "--out", str(out)]) == 1
+    _one_error_line_naming(cfg, out, capsys)
 
 
 def test_strain_with_empty_window_writes_nothing(pipeline, tmp_path, capsys):
@@ -543,7 +582,7 @@ def test_train_resume_carries_the_optimizer_on(pipeline, tmp_path, capsys):
 
 def test_diffusion_parts_derive_kernel_radius_from_std():
     cfg = config_from_dict(dict(_CFG, diffusion=dict(_CFG["diffusion"], kernel_std=1.5)))
-    assert _diffusion_parts(cfg).kernel.radius == 5
+    assert cfg.diffusion_config().kernel.radius == 5
 
 
 def test_apply_with_negative_checkpoint_step_is_one_error_line(pipeline, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +16,14 @@ def test_defaults_round_trip():
 
 
 def test_partial_document_overrides_only_named_keys():
-    cfg = config_from_dict({"grid": {"height": 32}, "seed": 7})
-    assert cfg.grid.height == 32
+    cfg = config_from_dict({"grid": {"height": 56}, "seed": 7})
+    assert cfg.grid.height == 56
     assert cfg.grid.width == 64  # untouched default
     assert cfg.seed == 7
     assert cfg.metric.alpha == 3.0
+    # the default phantom ranges reach an outer radius of 24, which a height of 32 cannot hold
+    with pytest.raises(ValueError, match="r_outer 24.0 plus center_jitter 0.0 exceeds 14.0"):
+        config_from_dict({"grid": {"height": 32}})
 
 
 def test_unknown_keys_rejected_with_path():
@@ -101,6 +105,13 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+
+
+def test_readme_quick_start_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    document = readme.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    cfg = config_from_dict(json.loads(document))
+    assert cfg.grid.shape == (32, 32) and cfg.phantom.num_frames == 4
 
 
 def test_reference_document_is_complete_and_loadable(tmp_path):

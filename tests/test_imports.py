@@ -117,6 +117,15 @@ def _imported_modules(path: Path) -> set[str]:
             if name.split(".")[0] == "cardiomotion"}
 
 
+def test_cli_builds_no_domain_config():
+    # the config module maps the document onto the domain configs; cli calls its builders
+    domain = {"MetricOperator", "ShootingConfig", "RegistrationConfig", "UNetConfig",
+              "DiffusionConfig", "make_schedule", "SmoothingKernel", "PhantomConfig",
+              "DatasetRanges"}
+    imported = {name.split(".")[-1] for name in _imported_modules(_PACKAGE / "cli.py")}
+    assert not imported & domain, sorted(imported & domain)
+
+
 def test_nn_imports_no_pipeline_module():
     for path in _PACKAGE.joinpath("nn").glob("*.py"):
         bad = {m for m in _imported_modules(path) if m.split(".")[0] in _ABOVE_NN}

@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardiomotion.cli import main
-from cardiomotion.config import (GridSection, PhantomSection, RegistrationSection, RunConfig,
-                                 ShootingSection)
+from cardiomotion.config import PhantomSection, RegistrationSection, RunConfig, ShootingSection
 from cardiomotion.container import read_container, write_container
+from cardiomotion.grid import Grid2
 
 # a 16x16, 2-frame phantom, each command as cheap as it can be
 _CONFIG = dataclasses.asdict(RunConfig(
-    grid=GridSection(height=16, width=16),
+    grid=Grid2(height=16, width=16),
     shooting=ShootingSection(num_steps=2),
     registration=RegistrationSection(max_iterations=1),
     phantom=PhantomSection(num_frames=2, r_inner=(2.5, 3.0), r_outer=(5.5, 6.0),

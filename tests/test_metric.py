@@ -172,5 +172,8 @@ def test_smooth_noise_shape_and_leading_axes():
 def test_kernel_validation():
     with pytest.raises(ValueError):
         SmoothingKernel(-0.5)
+    for std in (1000.5, 1.7e308):  # 3 std overflows the float range at the last
+        with pytest.raises(ValueError, match="kernel std must be in"):
+            SmoothingKernel(std)
     with pytest.raises(ValueError, match="radius 4"):
         SmoothingKernel(1.5, radius=4)
