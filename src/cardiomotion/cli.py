@@ -9,27 +9,12 @@ single-line diagnostic on failure; outputs are written to a temporary
 file and renamed, so a crash never leaves partial files behind.
 """
 
-import os
-import sys
-
-
-def _threads_error(value: str | None) -> str | None:
-    """Why a CARDIOMOTION_THREADS value is refused; None when unset, empty or valid."""
-    if value and not (value.isascii() and value.isdigit() and int(value) > 0):
-        return f"CARDIOMOTION_THREADS must be a positive integer, got {value!r}"
-    return None
-
-
-_threads = os.environ.get("CARDIOMOTION_THREADS")
-if _threads and _threads_error(_threads) is None:
-    # must happen before numpy loads its BLAS; harmless otherwise
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import csv
 import io
 import json
+import os
+import sys
 
 import numpy as np
 
@@ -370,10 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    problem = _threads_error(os.environ.get("CARDIOMOTION_THREADS"))
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -33,8 +33,7 @@ from .grid import FieldSequence
 from .metric import SmoothingKernel, smooth_noise
 from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, encoder_forward
 from .nn.params import adam_step
-from .nn.tensor import (Tensor, _keep_heap_mapped, add, constant, mul, no_grad, smul, sub,
-                        sum_all)
+from .nn.tensor import Tensor, _keep_heap_mapped, add, mul, no_grad, smul, sub, sum_all
 from .registration import pair_stack
 
 
@@ -56,10 +55,13 @@ class NoiseSchedule:
             raise ValueError(f"diffusion step {m} out of range 1..{self.num_steps}")
 
 
+MAX_STEPS = 10_000  # a configuration builds its schedule whole when it loads
+
+
 def make_schedule(num_steps: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
     """Linear variance schedule; num_steps = 0 yields the degenerate no-op chain."""
-    if num_steps < 0:
-        raise ValueError("num_steps must be >= 0")
+    if not 0 <= num_steps <= MAX_STEPS:
+        raise ValueError(f"num_steps must be in [0, {MAX_STEPS}], got {num_steps}")
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
     if num_steps >= 2 and beta_start == beta_end:
@@ -104,7 +106,7 @@ def forward_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_prev: Tenso
     """One forward noising step z^(m-1) -> z^(m)."""
     eps = _noise(schedule, z_prev, m, eps)
     b = schedule.beta[m - 1]
-    return constant(np.sqrt(1.0 - b) * z_prev.values + np.sqrt(b) * smooth_noise(kernel, eps))
+    return Tensor(np.sqrt(1.0 - b) * z_prev.values + np.sqrt(b) * smooth_noise(kernel, eps))
 
 
 def forward_sample(schedule: NoiseSchedule, kernel: SmoothingKernel, z0: Tensor,
@@ -112,7 +114,7 @@ def forward_sample(schedule: NoiseSchedule, kernel: SmoothingKernel, z0: Tensor,
     """Closed-form jump z^(0) -> z^(m) with a single smoothed draw."""
     eps = _noise(schedule, z0, m, eps)
     ab = schedule.alpha_bar[m - 1]
-    return constant(np.sqrt(ab) * z0.values + np.sqrt(1.0 - ab) * smooth_noise(kernel, eps))
+    return Tensor(np.sqrt(ab) * z0.values + np.sqrt(1.0 - ab) * smooth_noise(kernel, eps))
 
 
 def reverse_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_m: Tensor,
@@ -126,7 +128,7 @@ def reverse_step(schedule: NoiseSchedule, kernel: SmoothingKernel, z_m: Tensor,
     mean = (z_m.values - (1.0 - a) / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(a)
     if m > 1:
         mean = mean + schedule.sigma[m - 1] * smooth_noise(kernel, gamma)
-    return constant(mean)
+    return Tensor(mean)
 
 
 def diffusion_loss(latents_batch, model, schedule: NoiseSchedule, kernel: SmoothingKernel,
@@ -149,7 +151,7 @@ def diffusion_loss(latents_batch, model, schedule: NoiseSchedule, kernel: Smooth
     eps_prime = smooth_noise(kernel, np.stack(eps))
     ab = schedule.alpha_bar[steps - 1].reshape((-1,) + (1,) * (z0.ndim - 1))
     z_m = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps_prime
-    diff = sub(model.forward(z_m, steps), constant(eps_prime))
+    diff = sub(model.forward(z_m, steps), eps_prime)
     return smul(sum_all(mul(diff, diff)), 1.0 / len(z0))
 
 
@@ -167,7 +169,7 @@ def motion_loss(latents_batch, truth_batch, model) -> Tensor:
         raise ValueError(
             f"decoded motion shape {pred.values.shape[1:]} does not match truth {truth.shape[1:]}"
         )
-    diff = sub(pred, constant(truth))
+    diff = sub(pred, truth)
     return smul(sum_all(mul(diff, diff)), 1.0 / len(truth))
 
 

@@ -42,15 +42,16 @@ operation of the two nodes acts on one field at a time.  So both nodes,
 forward and backward, run their step loops over contiguous chunks of the
 stack's axis 0, one chunk per CPU the process may run on (its affinity
 mask, which ``taskset`` restricts), each chunk on a thread of one
-module-level pool.  The output is bit-identical at any chunk count.  A
-single (2, H, W) field, or a stack of one, runs inline.
+module-level pool.  The pool is created with the module and starts its
+threads on the first stack it shoots; they then persist.  The output is
+bit-identical at any chunk count.  A single (2, H, W) field, or a stack
+of one, runs inline.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -87,17 +88,14 @@ def _pair_chunks(shape: tuple[int, ...]) -> list[slice]:
     return [slice(pairs * i // count, pairs * (i + 1) // count) for i in range(count)]
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+def _new_pool():
+    """Give this process a pool of its own; a forked child has none of its parent's threads."""
+    global _pool
+    _pool = ThreadPoolExecutor(thread_name_prefix="cardiomotion-pairs")
 
 
-def _forget_pool():
-    # a forked child has none of its parent's threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def _run_chunks(fn, chunks: list[slice], *per_chunk) -> list:
@@ -113,10 +111,6 @@ def _run_chunks(fn, chunks: list[slice], *per_chunk) -> list:
     calls = list(zip(chunks, *per_chunk))
     if len(calls) == 1:
         return [fn(*calls[0])]
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(thread_name_prefix="cardiomotion-pairs")
     futures = [_pool.submit(contextvars.copy_context().run, fn, *args) for args in calls]
     errors = [e for e in (f.exception() for f in futures) if e is not None]
     for e in errors:

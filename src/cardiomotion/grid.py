@@ -22,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+MAX_SIDE = 1024  # the metric operator holds dense (H, H) and (W, W) bases
+
+
 @dataclass(frozen=True)
 class Grid2:
     """A regular 2-D pixel grid with isotropic physical spacing in mm/px."""
@@ -31,8 +34,9 @@ class Grid2:
     spacing: float = 1.0
 
     def __post_init__(self):
-        if self.height < 4 or self.width < 4:
-            raise ValueError(f"grid must be at least 4x4, got {self.height}x{self.width}")
+        if not (4 <= self.height <= MAX_SIDE and 4 <= self.width <= MAX_SIDE):
+            raise ValueError(f"grid must be from 4x4 to {MAX_SIDE}x{MAX_SIDE}, "
+                             f"got {self.height}x{self.width}")
         if not 0 < self.spacing < np.inf:
             raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
 

@@ -37,7 +37,6 @@ from .tensor import (
     avgpool2,
     cast,
     concat_channels,
-    constant,
     conv2d,
     linear,
     nearest_upsample2,
@@ -236,7 +235,7 @@ class NoisePredictor(_Net):
         if np.any(steps < 1):
             raise ValueError(f"diffusion step must be >= 1, got {step}")
         emb = sinusoidal_embedding(np.broadcast_to(steps, (n,)), self.config.time_embed_dim)
-        emb = constant(emb.astype(np.float32))
+        emb = emb.astype(np.float32)
         x = relu(self._conv(x, "in"))
         x = self._film(x, "film0", emb)
         stack = [x]
@@ -303,7 +302,7 @@ class MotionDecoder(_Net):
                 f"latent dims {h}x{w} do not upsample to {self.height}x{self.width} "
                 f"in {self.config.num_down} steps"
             )
-        mean_w = constant(np.full((h * w, 1), 1.0 / (h * w), dtype=np.float32))
+        mean_w = np.full((h * w, 1), 1.0 / (h * w), dtype=np.float32)
         pooled = reshape(linear(reshape(x, (n * tc, h * w)), mean_w), (n, tc))
 
         x = relu(self._conv(x, "in"))
@@ -312,7 +311,7 @@ class MotionDecoder(_Net):
             x = nearest_upsample2(x)
             x = relu(self._conv(x, f"up{i}"))
             x = self._film(x, f"film{i}", pooled)
-        x = concat_channels([x, constant(np.broadcast_to(self._coords, (n,) + self._coords.shape))])
+        x = concat_channels([x, np.broadcast_to(self._coords, (n,) + self._coords.shape)])
         x = relu(self._conv(x, "head"))
         x = self._film(x, "film_head", pooled)
         out = conv2d(x, self._get("out.w"))

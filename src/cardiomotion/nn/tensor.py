@@ -127,10 +127,6 @@ def _keep_heap_mapped() -> None:
     libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
-
-
 def _make(values: np.ndarray, parents: tuple, vjp) -> Tensor:
     out = Tensor(values)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -141,7 +137,7 @@ def _make(values: np.ndarray, parents: tuple, vjp) -> Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def cast(a, dtype) -> Tensor:

@@ -40,8 +40,11 @@ class PhantomConfig:
 
     def __post_init__(self):
         half = min(self.grid.height, self.grid.width) / 2.0
-        if not 2.0 <= self.r_inner < self.r_outer:
-            raise ValueError(f"need 2 <= r_inner < r_outer, got {self.r_inner}, {self.r_outer}")
+        # a ring 1 px wide or more holds a pixel of the grid row nearest its center,
+        # wherever the center lies, so the frame-0 mask is never empty
+        if not (self.r_inner >= 2.0 and self.r_outer - self.r_inner >= 1.0):
+            raise ValueError(f"need r_inner >= 2 and r_outer - r_inner >= 1, "
+                             f"got {self.r_inner}, {self.r_outer}")
         if not 0.0 <= self.contraction_amp <= 0.3:
             raise ValueError(f"contraction_amp {self.contraction_amp} outside [0, 0.3]")
         if not 0.0 <= self.twist_amp <= 0.5:

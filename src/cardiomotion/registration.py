@@ -38,8 +38,8 @@ from .geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff, integrate
 from .grid import FieldSequence, Grid2, ScalarField, VectorField
 from .nn.fieldops import bilinear_warp, spectral_multiply
 from .nn.params import ParameterStore, adam_step, check_learning_rate
-from .nn.tensor import (Tensor, _as_tensor, _keep_heap_mapped, add, constant, mul, smul, sub,
-                        sum_all, take_index)
+from .nn.tensor import (Tensor, _as_tensor, _keep_heap_mapped, add, mul, smul, sub, sum_all,
+                        take_index)
 
 
 # the x and y coordinates of a (..., 2, H, W) map, as (..., H, W) fields
@@ -71,19 +71,20 @@ class RegistrationResult:
     energy_trace: list
 
 
-def _energy_terms(shooting: ShootingConfig, sigma: float, v0: Tensor,
+def _energy_terms(shooting: ShootingConfig, sigma: float, v0,
                   source_values: np.ndarray, target_values: np.ndarray):
     """Build the energy graph; returns (total, dist, reg) tensors.
 
-    v0 is (2, H, W) and the images (H, W) for one pair, or (T, 2, H, W)
-    and (T, H, W) for T pairs, whose energies then add up in ``total``.
+    v0 (a Tensor or an array) is (2, H, W) and the images (H, W) for one
+    pair, or (T, 2, H, W) and (T, H, W) for T pairs, whose energies then
+    add up in ``total``.
     """
     m0 = spectral_multiply(shooting.operator, v0)
     reg = sum_all(mul(m0, v0))
 
     phi = integrate_inverse_flow(shooting, integrate_epdiff(shooting, v0, m0))
-    warped = bilinear_warp(constant(source_values), take_index(phi, _X), take_index(phi, _Y))
-    diff = sub(warped, constant(target_values))
+    warped = bilinear_warp(source_values, take_index(phi, _X), take_index(phi, _Y))
+    diff = sub(warped, target_values)
     dist = sum_all(mul(diff, diff))
     total = add(smul(dist, 0.5 / (sigma * sigma)), reg)
     return total, dist, reg
@@ -104,7 +105,7 @@ def energy(cfg: RegistrationConfig, v0: VectorField, source: ScalarField,
            target: ScalarField) -> tuple[float, float, float]:
     """(total, dist, reg) of the registration energy at v0."""
     _check_pair(cfg, source, target, v0)
-    total, dist, reg = _energy_terms(cfg.shooting, cfg.sigma, constant(v0.values),
+    total, dist, reg = _energy_terms(cfg.shooting, cfg.sigma, v0.values,
                                      source.values, target.values)
     return total.item(), dist.item(), reg.item()
 

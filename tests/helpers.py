@@ -1,5 +1,6 @@
-"""Shared test utilities: directional finite-difference gradient probes, the metric
-norm, and probes of graph lifetime and page faults."""
+"""Shared test utilities: the small configuration document of the CLI pipeline tests,
+directional finite-difference gradient probes, the metric norm, and probes of graph
+lifetime and page faults."""
 
 import contextlib
 import gc
@@ -10,6 +11,20 @@ import numpy as np
 
 from cardiomotion.geodesic import epdiff_force_adjoint, epdiff_force_values
 from cardiomotion.nn.tensor import Tensor, _as_tensor, _make, no_grad
+
+# a 32x32 run small enough to take every CLI subcommand in seconds
+RUN_CFG = {
+    "grid": {"height": 32, "width": 32},
+    "metric": {"alpha": 200.0, "gamma": 1.0, "power": 1},
+    "shooting": {"num_steps": 5},
+    "registration": {"sigma": 0.05, "learning_rate": 0.01, "max_iterations": 150,
+                     "convergence_tol": 1e-9},
+    "nets": {"base_channels": 4, "latent_channels": 4, "num_down": 2, "time_embed_dim": 8},
+    "diffusion": {"num_steps": 3, "kernel_std": 1.0, "batch_size": 2, "max_epochs": 15,
+                  "patience": 10, "learning_rate": 1e-3},
+    "phantom": {"num_frames": 4, "r_inner": [6.0, 8.0], "r_outer": [12.0, 14.0]},
+    "seed": 0,
+}
 
 
 def force_node(v, m):

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (directional_probe_check, force_node, keep_away_from, keep_off_lattice,
-                     metric_norm)
+from helpers import (RUN_CFG, directional_probe_check, force_node, keep_away_from,
+                     keep_off_lattice, metric_norm)
 
 from cardiomotion.cli import main as cli_main
 from cardiomotion.container import read_container, write_container
@@ -29,9 +29,9 @@ from cardiomotion.metric import MetricOperator, SmoothingKernel, _convolve_axis,
 from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from cardiomotion.nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, UNetConfig
 from cardiomotion.nn.params import ParameterStore
-from cardiomotion.nn.tensor import (Tensor, add, avgpool2, concat_channels, constant,
-                                    conv2d, linear, mul, nearest_upsample2, no_grad, relu,
-                                    reshape, scale_shift, smul, sub, sum_all, take_index)
+from cardiomotion.nn.tensor import (Tensor, add, avgpool2, concat_channels, conv2d, linear,
+                                    mul, nearest_upsample2, no_grad, relu, reshape, scale_shift,
+                                    smul, sub, sum_all, take_index)
 from cardiomotion.phantom import (DatasetRanges, PhantomConfig, generate, make_dataset,
                                   time_profile)
 from cardiomotion.registration import (RegistrationConfig, energy, energy_gradient, pair_stack,
@@ -168,7 +168,7 @@ def test_criterion_1_gradient_fidelity():
     # interpolation has kinks
     srng = np.random.default_rng(103)
     scfg = ShootingConfig(4, op)
-    weights = constant(srng.standard_normal((4, 2, h, w)))
+    weights = Tensor(srng.standard_normal((4, 2, h, w)))
     worst = max(worst, directional_probe_check(
         lambda ts: sum_all(mul(integrate_epdiff(scfg, *ts), weights)),
         [0.3 * srng.standard_normal((2, h, w)), srng.standard_normal((2, h, w))], srng,
@@ -325,7 +325,7 @@ class _OracleNoise:
         self._eps = eps_smoothed
 
     def forward(self, values, m):
-        return constant(self._eps)
+        return Tensor(self._eps)
 
 
 def test_criterion_5_diffusion_algebra():
@@ -347,7 +347,7 @@ def test_criterion_5_diffusion_algebra():
     kernel = SmoothingKernel(1.0)
     rng = np.random.default_rng(2)
     z0_vals = 1.5 + rng.uniform(-0.5, 0.5, size=(1, 1, h, w))
-    z0 = constant(np.broadcast_to(z0_vals, (n, 1, h, w)).copy())
+    z0 = Tensor(np.broadcast_to(z0_vals, (n, 1, h, w)).copy())
 
     closed = forward_sample(sch, kernel, z0, steps, rng.standard_normal((n, 1, h, w))).values
     z = z0
@@ -372,7 +372,7 @@ def test_criterion_5_diffusion_algebra():
 
     # M = 1 round trip: the reverse mean with the true smoothed noise is z0
     one = make_schedule(1)
-    z0_small = constant(rng.standard_normal((2, 3, h, w)))
+    z0_small = Tensor(rng.standard_normal((2, 3, h, w)))
     eps = rng.standard_normal((2, 3, h, w))
     z1 = forward_sample(one, kernel, z0_small, 1, eps)
     oracle = _OracleNoise(smooth_noise(kernel, eps))
@@ -503,24 +503,10 @@ def test_criterion_7_strain_analytics():
 # criterion 8: reproducibility and I/O
 # ---------------------------------------------------------------------------
 
-_RUN_CFG = {
-    "grid": {"height": 32, "width": 32},
-    "metric": {"alpha": 200.0, "gamma": 1.0, "power": 1},
-    "shooting": {"num_steps": 5},
-    "registration": {"sigma": 0.05, "learning_rate": 0.01, "max_iterations": 150,
-                     "convergence_tol": 1e-9},
-    "nets": {"base_channels": 4, "latent_channels": 4, "num_down": 2, "time_embed_dim": 8},
-    "diffusion": {"num_steps": 3, "kernel_std": 1.0, "batch_size": 2, "max_epochs": 15,
-                  "patience": 10, "learning_rate": 1e-3},
-    "phantom": {"num_frames": 4, "r_inner": [6.0, 8.0], "r_outer": [12.0, 14.0]},
-    "seed": 0,
-}
-
-
 def _run_pipeline(root):
     root.mkdir()
     cfg = root / "cfg.json"
-    cfg.write_text(json.dumps(_RUN_CFG))
+    cfg.write_text(json.dumps(RUN_CFG))
     data, direct, joint = str(root / "data"), str(root / "direct"), str(root / "joint")
     regmodel, pred = str(root / "reg.lmf1"), str(root / "pred.lmf1")
     # split 2/1/1: two training sequences fill each diffusion batch of 2

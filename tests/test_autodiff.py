@@ -8,7 +8,7 @@ from cardiomotion.grid import Grid2, ddx, ddy
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from cardiomotion.nn.tensor import (Tensor, add, avgpool2, cast, concat_channels,
-                                    constant, conv2d, linear, mul, nearest_upsample2, no_grad,
+                                    conv2d, linear, mul, nearest_upsample2, no_grad,
                                     relu, reshape, scale_shift, smul, sub, sum_all, take_index)
 from helpers import directional_probe_check, force_node, keep_away_from, keep_off_lattice
 
@@ -73,7 +73,7 @@ def test_reshape_gradient_round_trips():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((2, 12))
     w = rng.standard_normal((2, 3, 4))
-    _probe(lambda ts: sum_all(mul(reshape(ts[0], (2, 3, 4)), constant(w))), [a], 11)
+    _probe(lambda ts: sum_all(mul(reshape(ts[0], (2, 3, 4)), Tensor(w))), [a], 11)
 
 
 def test_take_index_routes_gradient_to_slice():
@@ -127,7 +127,7 @@ def test_conv2d_input_and_kernel_gradients_match_central_differences():
     r = rng.standard_normal((2, 3, 5, 4))
     loss = lambda xv, wv: float(np.sum(conv2d(Tensor(xv), Tensor(wv)).values * r))
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    sum_all(mul(conv2d(xt, wt), constant(r))).backward()
+    sum_all(mul(conv2d(xt, wt), Tensor(r))).backward()
     assert np.allclose(xt.grad, _central_difference_gradient(lambda a: loss(a, w), x),
                        rtol=1e-7, atol=1e-8)
     assert np.allclose(wt.grad, _central_difference_gradient(lambda a: loss(x, a), w),
@@ -140,7 +140,7 @@ def test_conv2d_constant_input_gets_no_gradient():
     w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
     g = rng.standard_normal((2, 3, 4, 4))
-    dx, dw, db = conv2d(constant(x), w, b)._vjp(g)
+    dx, dw, db = conv2d(Tensor(x), w, b)._vjp(g)
     assert dx is None
     _, dw_ref, db_ref = conv2d(Tensor(x, requires_grad=True), w, b)._vjp(g)
     assert np.array_equal(dw, dw_ref) and np.array_equal(db, db_ref)
@@ -206,17 +206,17 @@ def test_cast_returns_the_gradient_in_the_source_dtype():
     t = Tensor(a, requires_grad=True)
     y = cast(t, np.float32)
     assert y.values.dtype == np.float32 and np.array_equal(y.values, a.astype(np.float32))
-    sum_all(mul(y, constant(r))).backward()
+    sum_all(mul(y, Tensor(r))).backward()
     assert t.grad.dtype == np.float64 and np.array_equal(t.grad, r.astype(np.float64))
     # and back: a float32 leaf through a float64 graph gets a float32 gradient
     t32 = Tensor(r, requires_grad=True)
-    sum_all(mul(cast(t32, np.float64), constant(a))).backward()
+    sum_all(mul(cast(t32, np.float64), Tensor(a))).backward()
     assert t32.grad.dtype == np.float32 and np.array_equal(t32.grad, a.astype(np.float32))
     # a float64 -> float64 cast is exact, in value and in gradient
     t = Tensor(a, requires_grad=True)
     same = cast(t, np.float64)
     assert same.values.dtype == np.float64 and np.array_equal(same.values, a)
-    sum_all(mul(same, constant(a))).backward()
+    sum_all(mul(same, Tensor(a))).backward()
     assert np.array_equal(t.grad, a)
     # a Tensor keeps float32 values; anything else becomes float64
     assert Tensor(r).values.dtype == np.float32
@@ -262,7 +262,7 @@ def test_pool_and_upsample_adjoint_equal_the_reshape_reductions(dtype):
             assert pooled.dtype == dtype
             assert np.array_equal(pooled, blocks.mean(axis=(3, 5)))
             t = Tensor(np.zeros((n, c, h // 2, w // 2), dtype), requires_grad=True)
-            sum_all(mul(nearest_upsample2(t), constant(x))).backward()
+            sum_all(mul(nearest_upsample2(t), Tensor(x))).backward()
             assert t.grad.dtype == dtype
             assert np.array_equal(t.grad, blocks.sum(axis=(3, 5)))
 
@@ -324,7 +324,7 @@ def test_bilinear_warp_field_only_gradient():
     values = rng.standard_normal((6, 6))
     mx = keep_off_lattice(rng.uniform(1.2, 4.8, (6, 6)))
     my = keep_off_lattice(rng.uniform(1.2, 4.8, (6, 6)))
-    _probe(lambda ts: sum_all(bilinear_warp(ts[0], constant(mx), constant(my))), [values], 37)
+    _probe(lambda ts: sum_all(bilinear_warp(ts[0], Tensor(mx), Tensor(my))), [values], 37)
 
 
 def test_bilinear_warp_with_shared_coordinates_equals_per_channel_warps():
@@ -338,12 +338,12 @@ def test_bilinear_warp_with_shared_coordinates_equals_per_channel_warps():
         g = rng.standard_normal(values.shape)
         shared = [Tensor(a, requires_grad=True) for a in (values, mx, my)]
         out = bilinear_warp(*shared)
-        sum_all(mul(out, constant(g))).backward()
+        sum_all(mul(out, Tensor(g))).backward()
         split = [Tensor(a, requires_grad=True) for a in (values, mx, my)]
         parts = [bilinear_warp(take_index(split[0], np.s_[..., c:c + 1, :, :]), split[1],
                                split[2]) for c in range(2)]
-        sum_all(add(mul(parts[0], constant(g[..., 0:1, :, :])),
-                    mul(parts[1], constant(g[..., 1:2, :, :])))).backward()
+        sum_all(add(mul(parts[0], Tensor(g[..., 0:1, :, :])),
+                    mul(parts[1], Tensor(g[..., 1:2, :, :])))).backward()
         assert np.array_equal(out.values, np.concatenate([p.values for p in parts], axis=-3))
         for a, b in zip(shared, split):
             assert a.grad.shape == b.grad.shape
@@ -382,14 +382,14 @@ def test_epdiff_force_value_gradient_and_adjoint(shape, layout):
     assert np.array_equal(epdiff_force_values(v, m), epdiff_force_values(*dense[:2]))
     for a, b in zip(epdiff_force_adjoint(v, m, g), epdiff_force_adjoint(*dense)):
         assert np.array_equal(a, b)
-    f = force_node(constant(v), constant(m)).values
+    f = force_node(Tensor(v), Tensor(m)).values
     ref = _epdiff_force_by_components(v, m)
     assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
     _probe(lambda ts: sum_all(mul(force_node(ts[0], ts[1]), ts[2])), [v, m, g], 52)
     # the force is bilinear, so its derivative along (dv, dm) is f(dv, m) + f(v, dm)
     # and <f'(v, m)[dv, dm], g> = <(dv, dm), VJP(g)>
     ts = [Tensor(v, requires_grad=True), Tensor(m, requires_grad=True)]
-    sum_all(mul(force_node(*ts), constant(g))).backward()
+    sum_all(mul(force_node(*ts), Tensor(g))).backward()
     for _ in range(3):
         dv, dm = rng.standard_normal(shape), rng.standard_normal(shape)
         lhs = np.sum((_epdiff_force_by_components(dv, m) + _epdiff_force_by_components(v, dm))
@@ -433,7 +433,7 @@ def test_no_grad_disables_recording():
 
 
 def test_constants_collect_no_gradient():
-    c = constant(np.ones((2, 2)))
+    c = Tensor(np.ones((2, 2)))
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     sum_all(mul(c, t)).backward()
     assert c.grad is None and t.grad is not None

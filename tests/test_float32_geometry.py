@@ -20,7 +20,7 @@ from cardiomotion.grid import (Grid2, bilinear_adjoint_field, bilinear_apply,
                                bilinear_coord_derivatives, bilinear_prepare, ddx, ddx_adjoint,
                                ddy, ddy_adjoint)
 from cardiomotion.metric import MetricOperator
-from cardiomotion.nn.tensor import Tensor, constant, mul, sum_all
+from cardiomotion.nn.tensor import Tensor, mul, sum_all
 from cardiomotion.phantom import DatasetRanges, PhantomConfig, make_dataset
 from cardiomotion.registration import (RegistrationConfig, pair_stack,
                                        registration_network_loss)
@@ -95,8 +95,8 @@ def test_both_shooting_nodes_keep_the_dtype_forward_and_backward(dtype):
     w = Tensor(vs.values, requires_grad=True)
     phi = integrate_inverse_flow(cfg, w)
     _assert_dtype(dtype, m.values, vs.values, phi.values)
-    g_v = constant(rng.standard_normal(vs.shape).astype(dtype))
-    g_phi = constant(rng.standard_normal(phi.shape).astype(dtype))
+    g_v = Tensor(rng.standard_normal(vs.shape).astype(dtype))
+    g_phi = Tensor(rng.standard_normal(phi.shape).astype(dtype))
     sum_all(mul(vs, g_v)).backward()
     sum_all(mul(phi, g_phi)).backward()
     _assert_dtype(dtype, v.grad, m.grad, w.grad)

@@ -12,7 +12,7 @@ from cardiomotion.grid import (Grid2, VectorField, coordinate_arrays, jacobian_d
                                warp_vector)
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.fieldops import bilinear_warp, spectral_multiply
-from cardiomotion.nn.tensor import (Tensor, _make, add, constant, mul, smul, sub, sum_all,
+from cardiomotion.nn.tensor import (Tensor, _make, add, mul, smul, sub, sum_all,
                                     take_index)
 from helpers import force_node, metric_norm
 
@@ -27,7 +27,7 @@ def _smooth_field(grid, rng, scale=1.0):
 
 
 def _tensor(v):
-    return constant(v.values)
+    return Tensor(v.values)
 
 
 def test_config_validation():
@@ -138,7 +138,7 @@ def test_blowup_raises_instead_of_propagating_nans():
 def test_flow_integrators_check_velocity_count():
     grid = Grid2(8, 8)
     cfg = ShootingConfig(num_steps=3, operator=MetricOperator(grid))
-    vs = constant(np.zeros((2, 2) + grid.shape))
+    vs = Tensor(np.zeros((2, 2) + grid.shape))
     with pytest.raises(ValueError):
         integrate_inverse_flow(cfg, vs)
     with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ def test_flows_of_a_stack_match_each_field():
     rng = np.random.default_rng(17)
     fields = [_smooth_field(grid, rng, scale=0.8) for _ in range(3)]
     v = np.stack([v.values for v in fields])
-    velocities = integrate_epdiff(cfg, constant(v), cfg.operator.multiply(v))
+    velocities = integrate_epdiff(cfg, Tensor(v), cfg.operator.multiply(v))
     inverse = integrate_inverse_flow(cfg, velocities)
     forward = integrate_forward_flow(cfg, velocities)
     for t, v0 in enumerate(fields):
@@ -230,7 +230,7 @@ def _stepwise_inverse_flow(cfg, velocities):
     """phi_1^-1 as a graph of one coordinate update and one bilinear warp per step."""
     dt = 1.0 / cfg.num_steps
     xs, ys = coordinate_arrays(cfg.operator.grid)
-    ident = constant(np.broadcast_to(np.stack([xs, ys]), velocities[0].shape))
+    ident = Tensor(np.broadcast_to(np.stack([xs, ys]), velocities[0].shape))
     phi = ident
     for w in velocities:
         q = sub(ident, smul(w, dt))
@@ -243,7 +243,7 @@ def _stepwise_forward_flow(cfg, velocities):
     """phi_1 as a graph of one bilinear warp, one scaling and one addition per step."""
     dt = 1.0 / cfg.num_steps
     xs, ys = coordinate_arrays(cfg.operator.grid)
-    phi = constant(np.broadcast_to(np.stack([xs, ys]), velocities.shape[1:]))
+    phi = Tensor(np.broadcast_to(np.stack([xs, ys]), velocities.shape[1:]))
     for k in range(cfg.num_steps):
         sampled = bilinear_warp(take_index(velocities, k), take_index(phi, np.s_[..., 0:1, :, :]),
                                 take_index(phi, np.s_[..., 1:2, :, :]))
@@ -282,10 +282,10 @@ def test_integrate_epdiff_gradient_matches_the_stepwise_graph(lead, momentum):
     stepwise = [Tensor(a, requires_grad=True) for a in (v, m)]
     out = integrate_epdiff(cfg, *fused)
     steps = _stepwise_epdiff(cfg, *stepwise)
-    got = _backward_twice(sum_all(mul(out, constant(weights))), fused)
-    total = sum_all(mul(steps[0], constant(weights[0])))
+    got = _backward_twice(sum_all(mul(out, Tensor(weights))), fused)
+    total = sum_all(mul(steps[0], Tensor(weights[0])))
     for w, c in zip(steps[1:], weights[1:]):
-        total = add(total, sum_all(mul(w, constant(c))))
+        total = add(total, sum_all(mul(w, Tensor(c))))
     want = _backward_twice(total, stepwise)
     # the same arithmetic forward, and the exact adjoint of it backward
     assert out.shape == (cfg.num_steps,) + v.shape
@@ -306,8 +306,8 @@ def test_integrate_inverse_flow_gradient_matches_the_stepwise_graph(lead):
     fused, stepwise = Tensor(velocities, requires_grad=True), Tensor(velocities, requires_grad=True)
     phi = integrate_inverse_flow(cfg, fused)
     ref = _stepwise_inverse_flow(cfg, [take_index(stepwise, k) for k in range(cfg.num_steps)])
-    got = _backward_twice(sum_all(mul(phi, constant(weights))), [fused])
-    want = _backward_twice(sum_all(mul(ref, constant(weights))), [stepwise])
+    got = _backward_twice(sum_all(mul(phi, Tensor(weights))), [fused])
+    want = _backward_twice(sum_all(mul(ref, Tensor(weights))), [stepwise])
     assert np.array_equal(phi.values, ref.values)
     assert _close(got[0], want[0])
 
@@ -321,7 +321,7 @@ def test_forward_flow_is_the_step_formula(lead):
     velocities = cfg.num_steps * rng.uniform(-3.0, 3.0,
                                              (cfg.num_steps,) + lead + (2,) + grid.shape)
     phi = integrate_forward_flow(cfg, Tensor(velocities, requires_grad=True))
-    ref = _stepwise_forward_flow(cfg, constant(velocities))
+    ref = _stepwise_forward_flow(cfg, Tensor(velocities))
     # nothing differentiates the forward map, so it is a plain array
     assert isinstance(phi, np.ndarray) and phi.shape == lead + (2,) + grid.shape
     assert np.array_equal(phi, ref.values)

@@ -4,7 +4,8 @@ nothing beyond numpy and the standard library, and the layers stay apart.
 ``nn`` (autodiff, field ops, networks) sits below the pipeline modules and
 imports none of them; ``geodesic`` takes only the Tensor engine from ``nn``.
 Every public top-level function and class is named by the program or the
-benchmark somewhere besides its own definition.
+benchmark somewhere besides its own definition, and no module reads the
+environment.
 """
 
 import ast
@@ -90,6 +91,22 @@ def test_a_foreign_import_is_reported():
               "    import scipy.ndimage\n"
               "    from hypothesis import given\n")
     assert _foreign_imports(source) == ["line 6: scipy.ndimage", "line 7: hypothesis"]
+
+
+def _environment_reads(source: str) -> list[str]:
+    """Lines of ``source`` that name ``os.environ``, ``os.getenv`` or their bytes forms."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.alias) and node.name in names)]
+
+
+def test_no_module_reads_the_environment():
+    # a run is set by its arguments and its configuration document alone
+    assert _environment_reads("import os\nfrom os import getenv\nx = os.environ['A']\n") \
+        == ["line 2", "line 3"]
+    found = {str(p.relative_to(_PACKAGE)): _environment_reads(p.read_text()) for p in _MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # pipeline modules that the autodiff package may not import

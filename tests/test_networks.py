@@ -8,7 +8,7 @@ from cardiomotion.container import read_container
 from cardiomotion.nn.networks import (MotionDecoder, NoisePredictor, RegistrationNet,
                                       UNetConfig, encoder_forward, sinusoidal_embedding)
 from cardiomotion.nn.params import ParameterStore, adam_step, load_checkpoint, save_checkpoint
-from cardiomotion.nn.tensor import Tensor, add, constant, mul, no_grad, sum_all
+from cardiomotion.nn.tensor import Tensor, add, mul, no_grad, sum_all
 
 _CFG = UNetConfig(in_channels=2, base_channels=4, latent_channels=3, num_down=2,
                   time_embed_dim=8)
@@ -201,7 +201,7 @@ def _three_nets(seed):
 
 
 def _weighted_sum(out, rng):
-    return sum_all(mul(out, constant(rng.standard_normal(out.values.shape))))
+    return sum_all(mul(out, Tensor(rng.standard_normal(out.values.shape))))
 
 
 def test_nets_compute_in_float32_and_return_float64(monkeypatch):

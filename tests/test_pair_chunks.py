@@ -15,7 +15,7 @@ from cardiomotion.geodesic import ShootingConfig, integrate_epdiff, integrate_in
 from cardiomotion.grid import Grid2
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.networks import RegistrationNet, UNetConfig
-from cardiomotion.nn.tensor import Tensor, constant, mul, sum_all
+from cardiomotion.nn.tensor import Tensor, mul, sum_all
 from cardiomotion.registration import (RegistrationConfig, registration_network_loss,
                                        train_registration_network)
 
@@ -69,10 +69,10 @@ def _shooting_outputs(cfg, v0, g_v, g_phi):
     v = Tensor(v0, requires_grad=True)
     m = Tensor(op.multiply(v0), requires_grad=True)
     vs = integrate_epdiff(cfg.shooting, v, m)
-    sum_all(mul(vs, constant(g_v))).backward()
+    sum_all(mul(vs, Tensor(g_v))).backward()
     w = Tensor(vs.values, requires_grad=True)
     phi = integrate_inverse_flow(cfg.shooting, w)
-    sum_all(mul(phi, constant(g_phi))).backward()
+    sum_all(mul(phi, Tensor(g_phi))).backward()
     return [a.tobytes() for a in (vs.values, v.grad, m.grad, phi.values, w.grad)]
 
 
@@ -150,7 +150,7 @@ def test_a_single_field_and_a_stack_of_one_run_inline(workers, monkeypatch):
 
 def test_importing_the_module_starts_no_thread():
     code = ("import threading, cardiomotion.geodesic as g, cardiomotion.registration; "
-            "assert g._pool is None and threading.active_count() == 1")
+            "assert threading.active_count() == 1")
     subprocess.run([sys.executable, "-c", code], check=True)
 
 

@@ -21,6 +21,8 @@ def test_config_validation():
         _cfg(r_inner=1.0)  # below minimum radius
     with pytest.raises(ValueError):
         _cfg(r_inner=12.0, r_outer=12.0)  # not strictly nested
+    with pytest.raises(ValueError, match="r_outer - r_inner >= 1"):
+        _cfg(r_inner=6.0, r_outer=6.5)  # a ring thinner than a pixel may cover none
     with pytest.raises(ValueError):
         _cfg(r_outer=15.0)  # touches the boundary margin on a 32-grid
     with pytest.raises(ValueError):

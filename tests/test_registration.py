@@ -9,7 +9,7 @@ from cardiomotion.geodesic import ShootingConfig, shoot
 from cardiomotion.grid import FieldSequence, Grid2, ScalarField, VectorField, bilinear_sample
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.networks import RegistrationNet, UNetConfig
-from cardiomotion.nn.tensor import Tensor, constant, no_grad
+from cardiomotion.nn.tensor import Tensor, no_grad
 from cardiomotion.registration import (RegistrationConfig, energy, energy_gradient,
                                        pair_stack, register_pair, registration_network_loss,
                                        train_registration_network)
@@ -269,7 +269,7 @@ def test_network_training_divergence_names_the_optimisation_step(monkeypatch):
 
     def fourth_loss_is_nan(*args):
         calls.append(None)
-        return constant(np.nan) if len(calls) == 4 else real_loss(*args)
+        return Tensor(np.nan) if len(calls) == 4 else real_loss(*args)
 
     monkeypatch.setattr(registration, "registration_network_loss", fourth_loss_is_nan)
     # two sequences per epoch: the 4th step is epoch 1's second, zero-based step 3
