@@ -105,8 +105,7 @@ def _motions_from_file(path, grid: Grid2, num_frames: int) -> FieldSequence:
 
 def cmd_phantom(args) -> int:
     cfg = load_config(args.config)
-    base, ranges = cfg.phantom_parts()
-    splits = make_dataset(args.n, base, ranges, _seed(cfg, args))
+    splits = make_dataset(args.n, cfg.grid, cfg.phantom, _seed(cfg, args))
     os.makedirs(args.out, exist_ok=True)
     manifest = {split_name: [] for split_name in splits}
     index = 0

@@ -2,19 +2,19 @@
 
 The document is RunConfig as JSON: one object per section field (grid,
 metric, shooting, registration, nets, diffusion, phantom), each holding
-its section dataclass's fields (the grid's is Grid2), plus a top-level
-seed.  Unknown keys and values of the wrong JSON type are refused with
-the full key path.  A RunConfig builds every stage's domain config when
-it is constructed, on its own grid, so their own checks are its range
-checks: a document is valid or invalid as a whole.  `load_config` names
-the file in any error, and `write_reference` emits the default document.
+its section dataclass's fields (the grid's is Grid2, the phantom's the
+DatasetRanges that make_dataset draws), plus a top-level seed.  Unknown keys
+and wrong JSON types are refused with the full key path.  A RunConfig builds
+every stage's domain config on its own grid, so their checks, which bound each
+size the run allocates by, are its range checks: a document is valid or invalid
+as a whole.  `load_config` names the file in any error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .container import _finite_float, _json_int, atomic_write, read_json
 from .diffusion import DiffusionConfig, check_patience, make_schedule
@@ -24,7 +24,7 @@ from .grid import Grid2
 from .metric import MetricOperator, SmoothingKernel
 from .nn.networks import UNetConfig
 from .nn.params import check_learning_rate
-from .phantom import DatasetRanges, PhantomConfig
+from .phantom import DatasetRanges
 from .registration import RegistrationConfig
 
 
@@ -72,17 +72,6 @@ class DiffusionSection:
 
 
 @dataclass(frozen=True)
-class PhantomSection:
-    num_frames: int = 8
-    contraction: tuple[float, float] = (0.05, 0.15)
-    twist: tuple[float, float] = (0.1, 0.3)
-    r_inner: tuple[float, float] = (8.0, 12.0)
-    r_outer: tuple[float, float] = (18.0, 24.0)
-    center_jitter: float = 0.0
-    smoothing_std: float = 1.5
-
-
-@dataclass(frozen=True)
 class RunConfig:
     grid: Grid2 = field(default_factory=Grid2)
     metric: MetricSection = field(default_factory=MetricSection)
@@ -90,7 +79,7 @@ class RunConfig:
     registration: RegistrationSection = field(default_factory=RegistrationSection)
     nets: NetsSection = field(default_factory=NetsSection)
     diffusion: DiffusionSection = field(default_factory=DiffusionSection)
-    phantom: PhantomSection = field(default_factory=PhantomSection)
+    phantom: DatasetRanges = field(default_factory=DatasetRanges)
     seed: int = 0
 
     def __post_init__(self):  # the domain classes' checks are the document's range checks
@@ -99,7 +88,7 @@ class RunConfig:
         self.registration_config(self.grid)
         self.unet_config()
         self.diffusion_config()
-        self.phantom_parts()
+        self.phantom.check_corners(self.grid)
 
     def registration_config(self, grid: Grid2) -> RegistrationConfig:
         """Registration on ``grid``: the document's, or the grid of a dataset."""
@@ -118,18 +107,6 @@ class RunConfig:
         return DiffusionConfig(make_schedule(d.num_steps, d.beta_start, d.beta_end),
                                SmoothingKernel(d.kernel_std), d.loss_alpha, d.lambda_eps,
                                d.lambda_m, d.batch_size, d.max_epochs)
-
-    def phantom_parts(self) -> tuple[PhantomConfig, DatasetRanges]:
-        """``make_dataset``'s base and ranges.  The base is the corner of low inner radius,
-        contraction and twist and high outer radius; with the opposite corner, built too,
-        it meets every bound of PhantomConfig, so no seed draws a refused phantom."""
-        p = self.phantom
-        ranges = DatasetRanges(p.contraction, p.twist, p.r_inner, p.r_outer)
-        base = PhantomConfig(self.grid, p.num_frames, p.r_inner[0], p.r_outer[1],
-                             p.contraction[0], p.twist[0], p.center_jitter, p.smoothing_std)
-        replace(base, r_inner=p.r_inner[1], r_outer=p.r_outer[0],
-                contraction_amp=p.contraction[1], twist_amp=p.twist[1])
-        return base, ranges
 
 
 def _build_section(cls, data, path: str):

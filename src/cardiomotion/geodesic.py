@@ -121,6 +121,9 @@ def _run_chunks(fn, chunks: list[slice], *per_chunk) -> list:
     return [f.result() for f in futures]
 
 
+MAX_STEPS = 10_000  # the shooting nodes keep every step's velocity and momentum
+
+
 @dataclass
 class ShootingConfig:
     """Time discretization of [0, 1] plus the metric operator."""
@@ -129,8 +132,8 @@ class ShootingConfig:
     operator: MetricOperator
 
     def __post_init__(self):
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
+        if not 1 <= self.num_steps <= MAX_STEPS:
+            raise ValueError(f"num_steps must be in [1, {MAX_STEPS}], got {self.num_steps}")
 
 
 @dataclass

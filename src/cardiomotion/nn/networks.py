@@ -47,6 +47,10 @@ from .tensor import (
 )
 
 
+MAX_DOWN = 10  # 2**10 is Grid2's largest side, so a deeper net divides no grid
+MAX_WIDTH = 1024  # the nets allocate their weights and activations by their widths
+
+
 @dataclass(frozen=True)
 class UNetConfig:
     in_channels: int = 2
@@ -56,15 +60,19 @@ class UNetConfig:
     time_embed_dim: int = 16
 
     def __post_init__(self):
-        for field in ("in_channels", "base_channels", "latent_channels", "num_down"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be a positive integer")
+        if not 1 <= self.num_down <= MAX_DOWN:
+            raise ValueError(f"num_down must be in [1, {MAX_DOWN}], got {self.num_down}")
+        widths = {"in_channels": self.in_channels, "latent_channels": self.latent_channels,
+                  "base_channels * 2**num_down": self.base_channels * 2**self.num_down}
+        for name, width in widths.items():
+            if not 1 <= width <= MAX_WIDTH:
+                raise ValueError(f"{name} must be in [1, {MAX_WIDTH}], got {width}")
         _check_embed_dim(self.time_embed_dim)
 
 
 def _check_embed_dim(dim: int) -> None:
-    if dim < 2 or dim % 2:
-        raise ValueError(f"time_embed_dim must be an even integer >= 2, got {dim}")
+    if not (2 <= dim <= MAX_WIDTH and dim % 2 == 0):
+        raise ValueError(f"time_embed_dim must be an even integer in [2, {MAX_WIDTH}], got {dim}")
 
 
 def sinusoidal_embedding(steps, dim: int) -> np.ndarray:

@@ -9,14 +9,16 @@ annuli (mirroring segmentation-mask preprocessing) with optional
 anti-aliased edges.  A saved sample's ``images`` and ``motions`` records
 are its sequences' arrays, and its ``meta`` record holds its PhantomConfig's
 fields (the grid as ``[height, width, spacing]``), ``insertion_angle`` and
-``center``.
+``center``.  A dataset is a DatasetRanges, the run configuration's phantom
+section: ``make_dataset`` draws each sequence's contraction, twist and radii
+from its ranges, on a given grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +26,9 @@ from .container import (_finite_float, _json_int, checked_record, read_checked, 
                         write_container)
 from .grid import FieldSequence, Grid2, ScalarField, VectorField, coordinate_arrays
 from .strain import Mask
+
+
+MAX_FRAMES = 100  # a sample holds every frame's image and motion
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,8 @@ class PhantomConfig:
             raise ValueError(f"contraction_amp {self.contraction_amp} outside [0, 0.3]")
         if not 0.0 <= self.twist_amp <= 0.5:
             raise ValueError(f"twist_amp {self.twist_amp} outside [0, 0.5]")
-        if self.num_frames < 1:
-            raise ValueError("num_frames must be at least 1")
+        if not 1 <= self.num_frames <= MAX_FRAMES:
+            raise ValueError(f"num_frames must be in [1, {MAX_FRAMES}], got {self.num_frames}")
         if self.center_jitter < 0 or self.smoothing_std < 0:
             raise ValueError("center_jitter and smoothing_std must be nonnegative")
         # annulus only shrinks over the cycle, so in-grid at tau=0 suffices
@@ -152,18 +157,33 @@ def generate(cfg: PhantomConfig) -> PhantomSample:
 
 @dataclass(frozen=True)
 class DatasetRanges:
-    """Per-sequence parameter draws for make_dataset, all uniform."""
+    """A phantom dataset: the uniform ranges of each sequence's draws, and its other fields."""
 
+    num_frames: int = PhantomConfig.num_frames
     contraction: tuple[float, float] = (0.05, 0.15)
     twist: tuple[float, float] = (0.1, 0.3)
     r_inner: tuple[float, float] = (8.0, 12.0)
     r_outer: tuple[float, float] = (18.0, 24.0)
+    center_jitter: float = PhantomConfig.center_jitter
+    smoothing_std: float = PhantomConfig.smoothing_std
 
     def __post_init__(self):
         for name in ("contraction", "twist", "r_inner", "r_outer"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"range {name} has lo > hi")
+
+    def sequence_config(self, grid: Grid2, contraction: float, twist: float, r_inner: float,
+                        r_outer: float, seed: int = 0) -> PhantomConfig:
+        """The PhantomConfig of one draw on ``grid``."""
+        return PhantomConfig(grid, self.num_frames, r_inner, r_outer, contraction, twist,
+                             self.center_jitter, self.smoothing_std, seed)
+
+    def check_corners(self, grid: Grid2) -> None:
+        """Refuse the ranges if a draw on ``grid`` breaks a PhantomConfig bound.  A bound that
+        breaks anywhere breaks at a corner: the low ends and high r_outer, or the opposite."""
+        for corner in zip(self.contraction, self.twist, self.r_inner, self.r_outer[::-1]):
+            self.sequence_config(grid, *corner)
 
 
 def split_sizes(n_sequences: int) -> tuple[int, int, int]:
@@ -175,26 +195,18 @@ def split_sizes(n_sequences: int) -> tuple[int, int, int]:
     return n_sequences - n_val - n_test, n_val, n_test
 
 
-def make_dataset(n_sequences: int, base: PhantomConfig = PhantomConfig(),
-                 ranges: DatasetRanges = DatasetRanges(), seed: int = 0) -> dict[str, list]:
-    """Generate n sequences with randomized geometry and split them.
-
-    Each sequence draws (contraction, twist, radii) from the configured
-    ranges using its own derived rng stream, so regenerating any prefix
-    of the dataset is stable under n.  The splits are keyed "train",
-    "validation" and "test", in that order.
-    """
+def make_dataset(n_sequences: int, grid: Grid2, ranges: DatasetRanges,
+                 seed: int = 0) -> dict[str, list]:
+    """Generate n sequences on ``grid`` and split them into "train", "validation" and
+    "test".  Each draws from the ranges with its own derived rng stream, so regenerating
+    any prefix of the dataset is stable under n."""
     n_train, n_val, n_test = split_sizes(n_sequences)
     samples = []
     for i in range(n_sequences):
         rng = np.random.default_rng([seed, i])
-        a = float(rng.uniform(*ranges.contraction))
-        tw = float(rng.uniform(*ranges.twist))
-        ri = float(rng.uniform(*ranges.r_inner))
-        ro = float(rng.uniform(*ranges.r_outer))
-        cfg = replace(base, contraction_amp=a, twist_amp=tw, r_inner=ri, r_outer=ro,
-                      seed=int(rng.integers(0, 2**31)))
-        samples.append(generate(cfg))
+        draw = [float(rng.uniform(*r))
+                for r in (ranges.contraction, ranges.twist, ranges.r_inner, ranges.r_outer)]
+        samples.append(generate(ranges.sequence_config(grid, *draw, int(rng.integers(0, 2**31)))))
     return {"train": samples[:n_train], "validation": samples[n_train : n_train + n_val],
             "test": samples[n_train + n_val :]}
 

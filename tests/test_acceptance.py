@@ -397,7 +397,7 @@ def test_criterion_6_refinement_beats_registration():
     op = MetricOperator(grid, alpha=200.0, gamma=1.0, power=1)
     rcfg = RegistrationConfig(ShootingConfig(10, op), sigma=0.01, learning_rate=0.001,
                               max_iterations=60, convergence_tol=1e-6)
-    splits = make_dataset(30, PhantomConfig(), DatasetRanges(), seed=2026)
+    splits = make_dataset(30, grid, DatasetRanges(), seed=2026)
     assert (len(splits["train"]), len(splits["validation"]), len(splits["test"])) == (22, 4, 4)
 
     ucfg = UNetConfig(in_channels=2, base_channels=8, latent_channels=8, num_down=2,

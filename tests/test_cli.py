@@ -428,7 +428,8 @@ def _with(section, **values):
 
 # bad keys and types, then values that the section types accept but a domain class refuses;
 # the last three phantom ranges hold draws that PhantomConfig or the sample mask refused at
-# some seeds only, and the last sizes allocated at load until they were bounded
+# some seeds only; the last sizes allocated at load, or when a subcommand ran, until they
+# were bounded
 _BAD_DOCUMENTS = {
     "unknown_key": {"grdi": {}},
     "negative_seed": {"seed": -1},
@@ -449,6 +450,12 @@ _BAD_DOCUMENTS = {
     "annulus_thinner_than_a_pixel": _with("phantom", r_inner=[11.0, 11.9], r_outer=[12.0, 12.05]),
     "diffusion_steps_1e12": {"diffusion": {"num_steps": 10**12}},
     "grid_height_1025": {"grid": {"height": 1025}},
+    "shooting_steps_1e12": {"shooting": {"num_steps": 10**12}},
+    "phantom_frames_1e12": {"phantom": {"num_frames": 10**12}},
+    "num_down_11": {"nets": {"num_down": 11}},
+    "base_channels_1e12": {"nets": {"base_channels": 10**12}},
+    "latent_channels_1e12": {"nets": {"latent_channels": 10**12}},
+    "time_embed_dim_1e12": {"nets": {"time_embed_dim": 10**12}},
 }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -114,19 +115,65 @@ def test_readme_quick_start_config_loads():
     assert cfg.grid.shape == (32, 32) and cfg.phantom.num_frames == 4
 
 
+# the default document: every section, every key in its order and every default
+_REFERENCE = {
+    "grid": {"height": 64, "width": 64, "spacing": 1.0},
+    "metric": {"alpha": 3.0, "gamma": 1.0, "power": 3},
+    "shooting": {"num_steps": 10},
+    "registration": {"sigma": 0.03, "learning_rate": 0.0001, "max_iterations": 500,
+                     "convergence_tol": 1e-06},
+    "nets": {"base_channels": 16, "latent_channels": 16, "num_down": 2, "time_embed_dim": 16},
+    "diffusion": {"num_steps": 100, "beta_start": 0.0001, "beta_end": 0.02, "kernel_std": 1.0,
+                  "loss_alpha": 0.01, "lambda_eps": 0.0001, "lambda_m": 0.0001,
+                  "batch_size": 32, "max_epochs": 2000, "patience": 50,
+                  "learning_rate": 0.0001},
+    "phantom": {"num_frames": 8, "contraction": [0.05, 0.15], "twist": [0.1, 0.3],
+                "r_inner": [8.0, 12.0], "r_outer": [18.0, 24.0], "center_jitter": 0.0,
+                "smoothing_std": 1.5},
+    "seed": 0,
+}
+
+
 def test_reference_document_is_complete_and_loadable(tmp_path):
     path = tmp_path / "reference.json"
     write_reference(path)
-    data = json.loads(path.read_text())
-    assert config_from_dict(data) == RunConfig()
-    # every section and every field appears in the reference
-    for section in ("grid", "metric", "shooting", "registration", "nets",
-                    "diffusion", "phantom"):
-        assert section in data
-    assert data["seed"] == 0
-    assert data["diffusion"]["num_steps"] == 100
-    assert data["phantom"]["twist"] == [0.1, 0.3]
+    assert path.read_text() == json.dumps(_REFERENCE, indent=2) + "\n"
+    assert config_from_dict(json.loads(path.read_text())) == RunConfig()
     # rewriting is byte-identical
     again = tmp_path / "again.json"
     write_reference(again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_reversed_phantom_range_is_refused_as_the_section_is_read(tmp_path):
+    # the phantom section refuses it before RunConfig's checks reach the zero sigma
+    path = tmp_path / "reversed.json"
+    for key in ("contraction", "twist", "r_inner", "r_outer"):
+        document = {"registration": {"sigma": 0}, "phantom": {key: [0.3, 0.2]}}
+        with pytest.raises(ValueError, match=f"^range {key} has lo > hi$"):
+            config_from_dict(document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: range {key} has lo > hi$"):
+            load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value, needle", [
+    ("shooting", "num_steps", 10**12, "num_steps must be in [1, 10000], got 1000000000000"),
+    ("phantom", "num_frames", 10**12, "num_frames must be in [1, 100], got 1000000000000"),
+    ("nets", "num_down", 11, "num_down must be in [1, 10], got 11"),
+    ("nets", "base_channels", 257, "base_channels * 2**num_down must be in [1, 1024], got 1028"),
+    ("nets", "latent_channels", 1025, "latent_channels must be in [1, 1024], got 1025"),
+    ("nets", "time_embed_dim", 1026,
+     "time_embed_dim must be an even integer in [2, 1024], got 1026"),
+], ids=["shooting.num_steps", "phantom.num_frames", "nets.num_down", "nets.base_channels",
+        "nets.latent_channels", "nets.time_embed_dim"])
+def test_sizes_the_run_allocates_by_are_bounded_at_load(section, key, value, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        config_from_dict({section: {key: value}})
+
+
+def test_sizes_at_their_bounds_load():
+    cfg = config_from_dict({"shooting": {"num_steps": 10_000}, "phantom": {"num_frames": 100},
+                            "nets": {"base_channels": 1, "num_down": 10, "latent_channels": 1024,
+                                     "time_embed_dim": 1024}})
+    assert cfg.unet_config().base_channels * 2**cfg.nets.num_down == 1024

@@ -21,7 +21,7 @@ from cardiomotion.grid import (Grid2, bilinear_adjoint_field, bilinear_apply,
                                ddy, ddy_adjoint)
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.tensor import Tensor, mul, sum_all
-from cardiomotion.phantom import DatasetRanges, PhantomConfig, make_dataset
+from cardiomotion.phantom import DatasetRanges, make_dataset
 from cardiomotion.registration import (RegistrationConfig, pair_stack,
                                        registration_network_loss)
 
@@ -128,7 +128,7 @@ def test_float32_energy_matches_float64_on_a_criterion_6_stack(scale):
     grid = Grid2(64, 64)
     cfg = RegistrationConfig(ShootingConfig(10, MetricOperator(grid, alpha=200.0, gamma=1.0,
                                                                power=1)), sigma=0.01)
-    sample = make_dataset(3, PhantomConfig(), DatasetRanges(), seed=2026)["train"][0]
+    sample = make_dataset(3, grid, DatasetRanges(), seed=2026)["train"][0]
     pairs = pair_stack(sample.images)
     assert pairs.shape == (8, 2, 64, 64)
     ys, xs = np.mgrid[0:64, 0:64] - 31.5

@@ -139,11 +139,12 @@ def test_split_sizes_law():
 
 
 def test_make_dataset_is_deterministic_and_within_ranges():
-    ranges = DatasetRanges(contraction=(0.05, 0.15), twist=(0.1, 0.3),
-                           r_inner=(6.0, 8.0), r_outer=(12.0, 14.0))
-    base = _cfg()
-    a = make_dataset(6, base, ranges, seed=5)
-    b = make_dataset(6, base, ranges, seed=5)
+    ranges = DatasetRanges(num_frames=3, contraction=(0.05, 0.15), twist=(0.1, 0.3),
+                           r_inner=(6.0, 8.0), r_outer=(12.0, 13.5), center_jitter=0.5,
+                           smoothing_std=0.75)
+    grid = Grid2(32, 32)
+    a = make_dataset(6, grid, ranges, seed=5)
+    b = make_dataset(6, grid, ranges, seed=5)
     all_a = a["train"] + a["validation"] + a["test"]
     all_b = b["train"] + b["validation"] + b["test"]
     assert len(all_a) == 6
@@ -156,8 +157,11 @@ def test_make_dataset_is_deterministic_and_within_ranges():
         assert ranges.twist[0] <= c.twist_amp <= ranges.twist[1]
         assert ranges.r_inner[0] <= c.r_inner <= ranges.r_inner[1]
         assert ranges.r_outer[0] <= c.r_outer <= ranges.r_outer[1]
+        # the other fields are the ranges' own, on the given grid
+        assert (c.grid, c.num_frames, c.center_jitter, c.smoothing_std) == (grid, 3, 0.5, 0.75)
+        assert s.images.values.shape == (4, 32, 32) and s.motions.values.shape == (3, 2, 32, 32)
     # distinct seeds give distinct sequences
-    c = make_dataset(6, base, ranges, seed=6)
+    c = make_dataset(6, grid, ranges, seed=6)
     assert not np.array_equal(all_a[0].images.frames[1].values,
                               c["train"][0].images.frames[1].values)
 
