@@ -1,7 +1,7 @@
 """The four networks of the motion-refinement pipeline.
 
 RegistrationNet bundles a per-frame encoder (image pair -> latent motion
-features) with a skip-connected decoder (latents -> initial velocity).
+features) with a velocity head band-limited to the latent grid's modes.
 NoisePredictor estimates the smoothed noise injected at a given diffusion
 step, conditioned on the step through a sinusoidal embedding.
 MotionDecoder reconstructs dense displacement sequences from refined
@@ -19,32 +19,22 @@ inputs too; the public outputs (``forward``, ``encoder_forward``) are
 cast back to float64, so the parameter gradients, the Adam state, the
 checkpoints and whatever consumes those outputs (the direct registration
 path, ``shoot``, strain) stay float64.  Registration-net training alone
-takes the float32 decoder output (``decode(*encode(pairs))``) and runs
+takes the float32 decoder output (``decode(encode(pairs))``) and runs
 the registration energy on it in float32.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..metric import _real_fourier_basis
 from .params import ParameterStore
-from .tensor import (
-    Tensor,
-    add,
-    avgpool2,
-    cast,
-    concat_channels,
-    conv2d,
-    linear,
-    nearest_upsample2,
-    no_grad,
-    relu,
-    reshape,
-    scale_shift,
-)
+from .tensor import (Tensor, _as_tensor, _make, add, avgpool2, cast, concat_channels, conv2d,
+                     linear, nearest_upsample2, no_grad, relu, reshape, scale_shift)
 
 
 MAX_DOWN = 10  # 2**10 is Grid2's largest side, so a deeper net divides no grid
@@ -133,12 +123,38 @@ class _Net:
         return scale_shift(x, s, t)
 
 
-class RegistrationNet(_Net):
-    """Encoder/decoder pair mapping image pairs to initial velocities.
+@functools.lru_cache(maxsize=None)
+def interpolation_matrix(n: int, size: int) -> np.ndarray:
+    """The (size, n) trigonometric interpolation of n periodic samples onto size > n; cached.
 
-    The encoder runs per frame: input (T, 2, H, W) where channel 0 is the
-    source frame and channel 1 the target frame.  ``encode`` returns the
-    skip activations that ``decode`` takes with the latents.
+    Each real Fourier mode of n samples becomes the mode of its frequency on
+    size samples, times sqrt(size/n); an even n's alternating mode becomes the
+    cosine of frequency n/2, times a further 1/sqrt(2).
+    """
+    q_n, q_size = _real_fourier_basis(n)[0], _real_fourier_basis(size)[0]
+    if n % 2 == 0:
+        q_n[-1] /= math.sqrt(2.0)
+    u = math.sqrt(size / n) * (q_size[:n].T @ q_n)
+    u.flags.writeable = False
+    return u
+
+
+def spectral_upsample(f, height: int, width: int) -> Tensor:
+    """(..., h, w) samples onto (..., height, width), U_h f U_w^T: one node in f's dtype."""
+    f = _as_tensor(f)
+    h, w = f.values.shape[-2:]
+    uh = interpolation_matrix(h, height).astype(f.values.dtype)
+    uw = interpolation_matrix(w, width).astype(f.values.dtype)
+    return _make(uh @ f.values @ uw.T, (f,), lambda g: (uh.T @ g @ uw,))
+
+
+class RegistrationNet(_Net):
+    """Per-frame encoder and band-limited velocity head: image pairs -> initial velocities.
+
+    Input (T, 2, H, W), channel 0 the source frame and channel 1 the target.
+    ``encode`` gives latents on a grid 2^num_down times coarser; ``decode``
+    convolves them there and interpolates the 2-channel result onto the image
+    grid, so v0 holds only that coarse grid's Fourier modes.
     """
 
     prefix = "reg"
@@ -157,52 +173,34 @@ class RegistrationNet(_Net):
         self._add_conv(rng, "enc.latent", c, b * 2**k)
 
         self._add_conv(rng, "dec.in", b * 2**k, c)
-        for i in reversed(range(k)):
-            ch = b * 2**i
-            self._add_conv(rng, f"dec.up{i}", ch, 2 * ch)
-            self._add_conv(rng, f"dec.fuse{i}", ch, 2 * ch)
+        self._add_conv(rng, "dec.mid", b, b * 2**k)
         self._add("dec.out.w", np.zeros((2, b, 3, 3)))
 
-    def encode(self, pairs) -> tuple[Tensor, list[Tensor]]:
+    def encode(self, pairs) -> Tensor:
         pairs = cast(pairs, np.float32)
         t, cin, h, w = pairs.values.shape
         if cin != self.config.in_channels:
             raise ValueError(f"expected {self.config.in_channels} input channels, got {cin}")
         if h % 2**self.config.num_down or w % 2**self.config.num_down:
-            raise ValueError(
-                f"spatial dims {h}x{w} not divisible by 2^{self.config.num_down}"
-            )
+            raise ValueError(f"spatial dims {h}x{w} not divisible by 2^{self.config.num_down}")
         x = relu(self._conv(pairs, "enc.in"))
-        skips = []
         for i in range(self.config.num_down):
             x = relu(self._conv(x, f"enc.refine{i}"))
-            skips.append(x)
             x = avgpool2(x)
             x = relu(self._conv(x, f"enc.down{i}"))
-        z = self._conv(x, "enc.latent")
-        return z, skips
+        return self._conv(x, "enc.latent")
 
-    def decode(self, z, skips: list[Tensor]) -> Tensor:
+    def decode(self, z) -> Tensor:
+        """(T, C, h, w) latents -> float32 (T, 2, h * 2^num_down, w * 2^num_down) velocities."""
         z = cast(z, np.float32)
-        if len(skips) != self.config.num_down:
-            raise ValueError(f"expected {self.config.num_down} skip tensors, got {len(skips)}")
         x = relu(self._conv(z, "dec.in"))
-        for i in reversed(range(self.config.num_down)):
-            x = nearest_upsample2(x)
-            x = relu(self._conv(x, f"dec.up{i}"))
-            skip = skips[i]
-            if skip.values.shape[2:] != x.values.shape[2:] or skip.values.shape[0] != x.values.shape[0]:
-                raise ValueError(
-                    f"skip shape {skip.values.shape} incompatible with "
-                    f"decoder activation {x.values.shape}"
-                )
-            x = concat_channels([x, skip])
-            x = relu(self._conv(x, f"dec.fuse{i}"))
-        return conv2d(x, self._get("dec.out.w"))
+        x = relu(self._conv(x, "dec.mid"))
+        scale = 2**self.config.num_down
+        return spectral_upsample(conv2d(x, self._get("dec.out.w")),
+                                 z.values.shape[2] * scale, z.values.shape[3] * scale)
 
     def forward(self, pairs) -> Tensor:
-        z, skips = self.encode(pairs)
-        return cast(self.decode(z, skips), np.float64)
+        return cast(self.decode(self.encode(pairs)), np.float64)
 
 
 class NoisePredictor(_Net):
@@ -264,8 +262,8 @@ class NoisePredictor(_Net):
 class MotionDecoder(_Net):
     """Reconstructs dense displacement sequences from latents alone.
 
-    No encoder skips: the only inputs are the refined latents.  Pooled
-    latent statistics modulate every stage (per-channel scale and shift),
+    The only inputs are the refined latents; no encoder activation enters.
+    Pooled latent statistics modulate every stage (per-channel scale and shift),
     and two fixed coordinate channels join before the head so smooth
     position-dependent motion does not have to be synthesized from
     upsampled noise.  Output (..., T, 2, H, W) holds (x, y) displacement
@@ -329,6 +327,5 @@ class MotionDecoder(_Net):
 def encoder_forward(net: RegistrationNet, image_pairs: np.ndarray) -> Tensor:
     """Frozen encoder pass: (T, 2, H, W) image pairs -> (T, C, h, w) latents."""
     with no_grad():
-        z, _ = net.encode(image_pairs)
-    return cast(z, np.float64)
+        return cast(net.encode(image_pairs), np.float64)
 

@@ -211,7 +211,7 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
         total = 0.0
         for position, idx in enumerate(order):
             pairs = sequences[idx]
-            loss = registration_network_loss(cfg, net.decode(*net.encode(pairs)), pairs)
+            loss = registration_network_loss(cfg, net.decode(net.encode(pairs)), pairs)
             value = loss.item()
             if not np.isfinite(value):
                 raise IntegrationDivergedError(epoch * len(sequences) + position,

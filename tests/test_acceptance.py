@@ -451,8 +451,8 @@ def test_criterion_6_refinement_beats_registration():
 
     elapsed = time.monotonic() - t0
     assert wins / len(splits["test"]) >= 0.8  # measured 4/4
-    assert float(np.median(improvements)) >= 0.20  # measured 72.6%
-    assert elapsed < 7200.0  # measured 121 s with two BLAS threads, 141-144 s with one (2-core VM)
+    assert float(np.median(improvements)) >= 0.20  # measured 62.4%
+    assert elapsed < 7200.0  # measured 97 s with two BLAS threads, 98 s with one (2-core VM)
 
 
 # ---------------------------------------------------------------------------

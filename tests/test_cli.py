@@ -595,6 +595,37 @@ def test_apply_with_negative_checkpoint_step_is_one_error_line(pipeline, tmp_pat
     assert not (tmp_path / "o").exists()
 
 
+# the skip-connected decoder that the band-limited velocity head replaced, at
+# RUN_CFG's widths: two upsampling and two fusing convolutions
+_OLD_DECODER = {f"reg.dec.{name}{i}.{p}": (c, 2 * c) + (3, 3) if p == "w" else (c,)
+                for i, c in ((0, 4), (1, 8)) for name in ("up", "fuse") for p in ("w", "b")}
+
+
+@pytest.mark.parametrize("layout, needle", [
+    ("old", "missing record 'param/reg.dec.mid.w'"),
+    ("extra", "unexpected records ['m1/reg.dec.up0.w'"),
+])
+def test_infer_refuses_a_registration_checkpoint_of_the_old_decoder(pipeline, tmp_path, capsys,
+                                                                   layout, needle):
+    records = read_container(pipeline["regmodel"])
+    if layout == "old":
+        records = {k: v for k, v in records.items() if ".dec.mid." not in k}
+        names = _OLD_DECODER
+    else:
+        names = {"reg.dec.up0.w": _OLD_DECODER["reg.dec.up0.w"]}
+    for name, shape in names.items():
+        for kind in ("param", "m1", "m2"):
+            records[f"{kind}/{name}"] = np.zeros(shape)
+    bad = str(tmp_path / "reg.lmf1")
+    write_container(bad, records)
+    out = tmp_path / "pred.lmf1"
+    assert main(["infer", "--config", pipeline["cfg"], "--sample", pipeline["sample"],
+                 "--registration-model", bad, "--model", pipeline["model"],
+                 "--out", str(out)]) == 1
+    _single_error_line(capsys.readouterr().err, f"{bad}: {needle}")
+    assert not out.exists()
+
+
 def test_register_direct_diverging_on_a_later_sequence_leaves_no_output(pipeline, tmp_path,
                                                                          capsys, monkeypatch):
     real_register = cardiomotion.cli.register_pair

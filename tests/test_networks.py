@@ -8,7 +8,8 @@ from cardiomotion.container import read_container
 from cardiomotion.nn.networks import (MotionDecoder, NoisePredictor, RegistrationNet,
                                       UNetConfig, encoder_forward, sinusoidal_embedding)
 from cardiomotion.nn.params import ParameterStore, adam_step, load_checkpoint, save_checkpoint
-from cardiomotion.nn.tensor import Tensor, add, mul, no_grad, sum_all
+from cardiomotion.nn.tensor import Tensor, add, cast, mul, no_grad, sum_all
+from helpers import directional_probe_check
 
 _CFG = UNetConfig(in_channels=2, base_channels=4, latent_channels=3, num_down=2,
                   time_embed_dim=8)
@@ -67,9 +68,8 @@ def test_registration_net_input_validation():
         net.encode(np.zeros((2, 3, 16, 16)))  # wrong channel count
     with pytest.raises(ValueError):
         net.encode(np.zeros((2, 2, 10, 16)))  # 10 not divisible by 4
-    fresh = RegistrationNet(_CFG, seed=0)
     with pytest.raises(ValueError):
-        fresh.decode(np.zeros((2, 3, 4, 4)), [])  # no encoder skips
+        net.decode(np.zeros((2, 4, 4, 4)))  # 4 latent channels, not 3
 
 
 def test_encoder_decoder_helpers_round_trip():
@@ -80,13 +80,75 @@ def test_encoder_decoder_helpers_round_trip():
     assert z.values.shape == (2, 3, 4, 4)
     assert not z.requires_grad  # the frozen encoder records no graph
     with no_grad():
-        _, skips = net.encode(pairs)
-        v = net.decode(z.values, skips).values
+        v = net.decode(z.values)
         direct = net.forward(pairs)
-    assert np.allclose(v, direct.values, atol=1e-12)
-    bare = RegistrationNet(_CFG, seed=3)
-    with pytest.raises(ValueError):
-        bare.decode(z.values, skips[:1])
+    assert v.values.dtype == np.float32 and v.values.shape == (2, 2, 16, 16)
+    assert np.array_equal(v.values.astype(np.float64), direct.values)
+
+
+# ---------------------------------------------------------------------------
+# the velocity head's spectral upsampling
+# ---------------------------------------------------------------------------
+
+
+def _sampled_modes(n, positions):
+    """Every real mode of n periodic samples evaluated at ``positions``, one row each:
+    the cosines of frequencies 0..n/2 (n/2 is the alternating mode) and the sines
+    of 1..n/2-1."""
+    angles = 2.0 * np.pi * np.outer(np.arange(n // 2 + 1), positions) / n
+    return np.concatenate([np.cos(angles), np.sin(angles[1:n // 2])])
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_spectral_upsample_interpolates_every_mode_of_the_band(dtype, tol):
+    (h, height), (w, width) = (4, 16), (16, 64)
+    rows, cols = _sampled_modes(h, np.arange(h)), _sampled_modes(w, np.arange(w))
+    fine_rows = _sampled_modes(h, np.arange(height) * h / height)
+    fine_cols = _sampled_modes(w, np.arange(width) * w / width)
+    # every product of a row mode and a column mode, as a (rows, cols, h, w) batch
+    f = np.einsum("ai,bj->abij", rows, cols).astype(dtype)
+    expected = np.einsum("ai,bj->abij", fine_rows, fine_cols)
+    up = networks.spectral_upsample(f, height, width).values
+    assert up.dtype == dtype and up.shape == (h, w, height, width)
+    assert np.abs(up - expected).max() < tol
+
+
+@pytest.mark.parametrize("n, size", [(4, 16), (16, 64), (5, 20), (1, 2)])
+def test_interpolation_matrix_keeps_the_samples(n, size):
+    u = networks.interpolation_matrix(n, size)
+    assert u.shape == (size, n)
+    assert np.allclose(u[::size // n], np.eye(n), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_spectral_upsample_backward_is_the_adjoint(dtype, tol):
+    rng = np.random.default_rng(30)
+    f = Tensor(rng.standard_normal((3, 2, 4, 8)).astype(dtype), requires_grad=True)
+    g = rng.standard_normal((3, 2, 16, 32)).astype(dtype)
+    up = networks.spectral_upsample(f, 16, 32)
+    sum_all(mul(up, Tensor(g))).backward()
+    assert up.values.dtype == f.grad.dtype == dtype  # a float32 node stays float32
+    lhs, rhs = np.sum(up.values * g, dtype=np.float64), np.sum(f.values * f.grad, dtype=np.float64)
+    assert abs(lhs - rhs) <= tol * np.sqrt(np.sum(up.values**2) * np.sum(g**2))
+
+
+def test_decode_gradient_matches_finite_differences_in_float64(monkeypatch):
+    # the nets compute in float32; cast to float64 instead, so central
+    # differences resolve the gradient through the head and the upsampling
+    monkeypatch.setattr(networks, "cast", lambda a, dtype: cast(a, np.float64))
+    net = RegistrationNet(_CFG, seed=31)
+    rng = np.random.default_rng(31)
+    net.store["reg.dec.out.w"].values = 0.1 * rng.standard_normal((2, 4, 3, 3))
+    names = ["reg.dec.in.w", "reg.dec.mid.w", "reg.dec.out.w"]
+    weights = Tensor(rng.standard_normal((2, 2, 16, 16)))
+
+    def loss(leaves):
+        for name, leaf in zip(names, leaves[1:]):
+            net.store.params[name] = leaf
+        return sum_all(mul(net.decode(leaves[0]), weights))
+
+    leaves = [rng.standard_normal((2, 3, 4, 4))] + [net.store[n].values for n in names]
+    directional_probe_check(loss, leaves, rng, probes=4, eps=1e-6, rtol=1e-6)
 
 
 def test_noise_predictor_shapes_and_conditioning():
@@ -227,16 +289,14 @@ def test_nets_compute_in_float32_and_return_float64(monkeypatch):
     z = encoder_forward(reg, pairs)
     outputs = [z, reg.forward(pairs), eps.forward(z.values, 3), mot.forward(z)]
     assert [o.values.dtype for o in outputs] == [np.float64] * 4
-    # encoder 6, encoder and decoder 12, noise predictor 6, motion decoder 5
-    assert len(conv_dtypes) == 6 + 12 + 6 + 5
+    # encoder 6, encoder and head 9, noise predictor 6, motion decoder 5
+    assert len(conv_dtypes) == 6 + 9 + 6 + 5
     assert set(conv_dtypes) == {np.dtype(np.float32)}
-    _, skips = reg.encode(pairs)
-    assert [s.values.dtype for s in skips] == [np.float32] * 2
     # the backward pass through the convolutions is float32 as well
     rng = np.random.default_rng(20)
     add(add(*[_weighted_sum(o, rng) for o in outputs[1:3]]),
         _weighted_sum(outputs[3], rng)).backward()
-    assert len(grad_dtypes) > 12 + 6 + 5
+    assert len(grad_dtypes) > 9 + 6 + 5
     assert set(grad_dtypes) == {np.dtype(np.float32)}
 
 
