@@ -33,7 +33,7 @@ from .grid import FieldSequence
 from .metric import SmoothingKernel, smooth_noise
 from .nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, encoder_forward
 from .nn.params import adam_step
-from .nn.tensor import Tensor, _keep_heap_mapped, add, mul, no_grad, smul, sub, sum_all
+from .nn.tensor import Tensor, _keep_heap_mapped, add, no_grad, smul, squared_error_sum
 from .registration import pair_stack
 
 
@@ -151,8 +151,7 @@ def diffusion_loss(latents_batch, model, schedule: NoiseSchedule, kernel: Smooth
     eps_prime = smooth_noise(kernel, np.stack(eps))
     ab = schedule.alpha_bar[steps - 1].reshape((-1,) + (1,) * (z0.ndim - 1))
     z_m = np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps_prime
-    diff = sub(model.forward(z_m, steps), eps_prime)
-    return smul(sum_all(mul(diff, diff)), 1.0 / len(z0))
+    return smul(squared_error_sum(model.forward(z_m, steps), eps_prime), 1.0 / len(z0))
 
 
 def motion_loss(latents_batch, truth_batch, model) -> Tensor:
@@ -169,8 +168,7 @@ def motion_loss(latents_batch, truth_batch, model) -> Tensor:
         raise ValueError(
             f"decoded motion shape {pred.values.shape[1:]} does not match truth {truth.shape[1:]}"
         )
-    diff = sub(pred, truth)
-    return smul(sum_all(mul(diff, diff)), 1.0 / len(truth))
+    return smul(squared_error_sum(pred, truth), 1.0 / len(truth))
 
 
 @dataclass

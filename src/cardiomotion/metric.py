@@ -13,7 +13,8 @@ orthonormal real Fourier basis Q of each axis:
 four small matrix products (GEMMs) per (H, W) field.  The
 smoothing kernel is a truncated, normalized 1-D Gaussian applied
 separably along the two trailing axes with clamped (edge-replicate)
-boundaries; it smooths diffusion noise and is unrelated to K.
+boundaries, as two GEMMs with the (n, n) matrix of that convolution on
+each axis; it smooths diffusion noise and is unrelated to K.
 """
 
 from __future__ import annotations
@@ -110,25 +111,23 @@ class SmoothingKernel:
         self.weights = w / w.sum()
 
 
-def _convolve_axis(a: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """Clamped-boundary 1-D convolution along one axis of an nd array."""
+def _clamped_matrix(weights: np.ndarray, n: int) -> np.ndarray:
+    """The (n, n) matrix of the clamped-boundary convolution with ``weights`` along one axis.
+
+    Row i holds the weight of each sample in output i; a tap that falls past
+    an edge adds its weight to the edge sample.
+    """
     r = (len(weights) - 1) // 2
-    pad = [(0, 0)] * a.ndim
-    pad[axis] = (r, r)
-    padded = np.pad(a, pad, mode="edge")
-    n = a.shape[axis]
-    out = np.zeros_like(a)
-    sl = [slice(None)] * a.ndim
-    for k, wk in enumerate(weights):
-        sl[axis] = slice(k, k + n)
-        out += wk * padded[tuple(sl)]
-    return out
+    rows = np.arange(n)[:, None]
+    cols = np.clip(rows + np.arange(-r, r + 1), 0, n - 1)
+    taps = np.broadcast_to(weights, cols.shape)
+    return np.bincount((rows * n + cols).ravel(), taps.ravel(), n * n).reshape(n, n)
 
 
 def smooth_noise(kernel: SmoothingKernel, eps: np.ndarray) -> np.ndarray:
-    """Separable Gaussian smoothing along the two trailing spatial axes."""
+    """Separable Gaussian smoothing along the two trailing spatial axes: S_h eps S_w^T."""
     eps = np.asarray(eps, dtype=np.float64)
     if eps.ndim < 2:
         raise ValueError(f"expected at least 2 spatial dimensions, got shape {eps.shape}")
-    out = _convolve_axis(eps, kernel.weights, axis=eps.ndim - 1)
-    return _convolve_axis(out, kernel.weights, axis=eps.ndim - 2)
+    h, w = eps.shape[-2:]
+    return _clamped_matrix(kernel.weights, h) @ eps @ _clamped_matrix(kernel.weights, w).T

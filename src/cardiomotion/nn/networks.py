@@ -34,7 +34,7 @@ import numpy as np
 from ..metric import _real_fourier_basis
 from .params import ParameterStore
 from .tensor import (Tensor, _as_tensor, _make, add, avgpool2, cast, concat_channels, conv2d,
-                     linear, nearest_upsample2, no_grad, relu, reshape, scale_shift)
+                     linear, no_grad, relu, reshape, scale_shift, upsample_conv2d)
 
 
 MAX_DOWN = 10  # 2**10 is Grid2's largest side, so a deeper net divides no grid
@@ -109,6 +109,10 @@ class _Net:
 
     def _conv(self, x, name: str) -> Tensor:
         return conv2d(x, self._get(f"{name}.w"), self._get(f"{name}.b"))
+
+    def _upconv(self, x, name: str) -> Tensor:
+        """The convolution ``name`` of x upsampled 2x by nearest neighbour."""
+        return upsample_conv2d(x, self._get(f"{name}.w"), self._get(f"{name}.b"))
 
     def _add_film(self, rng, name: str, d: int, ch: int) -> None:
         """Parameters mapping a (N, d) conditioning vector to per-channel scale and shift."""
@@ -251,9 +255,7 @@ class NoisePredictor(_Net):
             x = self._film(x, f"film{i + 1}", emb)
             stack.append(x)
         for i in reversed(range(self.config.num_down)):
-            x = nearest_upsample2(x)
-            x = self._conv(x, f"up{i}")
-            x = relu(add(x, stack[i]))
+            x = relu(add(self._upconv(x, f"up{i}"), stack[i]))
         out = conv2d(x, self._get("out.w"))
         t, c = self.num_frames, self.config.latent_channels
         return cast(reshape(out, lead + (t, c) + out.values.shape[2:]), np.float64)
@@ -314,8 +316,7 @@ class MotionDecoder(_Net):
         x = relu(self._conv(x, "in"))
         x = self._film(x, "film_in", pooled)
         for i in range(self.config.num_down):
-            x = nearest_upsample2(x)
-            x = relu(self._conv(x, f"up{i}"))
+            x = relu(self._upconv(x, f"up{i}"))
             x = self._film(x, f"film{i}", pooled)
         x = concat_channels([x, np.broadcast_to(self._coords, (n,) + self._coords.shape)])
         x = relu(self._conv(x, "head"))

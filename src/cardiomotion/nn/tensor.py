@@ -10,11 +10,14 @@ checkpoints are float64.  Operations record a
 vector-Jacobian product closure; ``backward()`` on a scalar traverses the
 graph in reverse topological order and accumulates exact gradients into
 every reachable leaf with ``requires_grad`` set.  The
-primitive set is deliberately small: elementwise arithmetic, reductions,
-shape plumbing, and the layers the networks are built from (conv2d 3x3,
-2x2 average pooling, nearest upsampling, relu, linear, channel concat,
-per-channel scale-shift).  Field-specific primitives (bilinear warps,
-spectral multipliers, finite differences) live in ``fieldops``.
+primitive set is deliberately small: elementwise arithmetic, reductions
+(the losses' squared-error sum among them), shape plumbing, and the layers
+the networks are built from (conv2d 3x3, the 3x3 convolution of a 2x
+nearest-upsampled input, 2x2 average pooling, relu, linear, channel
+concat, per-channel scale-shift).  Nearest upsampling alone is a
+primitive too, though no network calls it.  Field-specific primitives
+(bilinear warps, spectral multipliers, finite differences) live in
+``fieldops``.
 """
 
 from __future__ import annotations
@@ -201,6 +204,19 @@ def sum_all(a) -> Tensor:
     return _make(np.asarray(a.values.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
+def squared_error_sum(a, target) -> Tensor:
+    """sum((a - target)^2) in the operands' result dtype, for a constant ``target``.
+
+    The gradient to ``a`` is (2 g)(a - target).  Doubling is exact, so the
+    value and gradient equal those of
+    ``sum_all(mul(sub(a, target), sub(a, target)))`` bit for bit.
+    """
+    a, target = _as_tensor(a), _as_tensor(target)
+    d = a.values - target.values
+    shape = a.values.shape
+    return _make(np.asarray((d * d).sum()), (a,), lambda g: (_unbroadcast((2 * g) * d, shape),))
+
+
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.values > 0
@@ -380,6 +396,114 @@ def nearest_upsample2(x) -> Tensor:
         return (_block_sum2(g),)
 
     return _make(y, (x,), vjp)
+
+
+def _phase_taps() -> np.ndarray:
+    """The (9, 36) 0/1 matrix from 3x3 taps to the phase kernels of a 2x-upsampled convolution.
+
+    Output pixel (2r + a, 2s + b) of a 3x3 convolution of the nearest
+    2x-upsampled input reads, through fine tap (i, j), the coarse pixel
+    (r + p, s + q) with p = (a + i - 1) // 2 and q = (b + j - 1) // 2.  Row
+    i*3 + j is fine tap (i, j); column ((p+1)*3 + q+1)*4 + a*2 + b is coarse
+    tap (p, q) of phase (a, b).
+    """
+    m = np.zeros((3, 3, 3, 3, 2, 2))
+    for i, j, a, b in np.ndindex(3, 3, 2, 2):
+        m[i, j, (a + i - 1) // 2 + 1, (b + j - 1) // 2 + 1, a, b] = 1.0
+    return m.reshape(9, 36)
+
+
+_PHASE_TAPS = _phase_taps()
+# the output phases that read coarse tap (p, q): rows a in _PHASES[p + 1], columns b in
+# _PHASES[q + 1]; 16 of the 36 (tap, phase) pairs.  Every phase reads the centre tap,
+# which therefore writes the accumulators, and the other eight add to them.
+_PHASES = (slice(0, 1), slice(0, 2), slice(1, 2))
+_OFF_CENTRE = [t for t in _TAPS if t != (1, 1)]
+
+
+def upsample_conv2d(x, w, b=None) -> Tensor:
+    """``conv2d(nearest_upsample2(x), w, b)``, computed on the coarse grid.
+
+    x: (N, C, h, w); w: (O, C, 3, 3); b: (O,) or None; the output is
+    (N, O, 2h, 2w).  Each of the four output phases (a, b), pixels
+    (2r + a, 2s + b), is a 2x2 convolution of x, whose kernel sums the 3x3
+    taps that read the same coarse pixel; one GEMM against ``_PHASE_TAPS``
+    gives all of them.  Each coarse tap then takes one GEMM over every
+    phase that reads it: 16 (O, C) tap products on h*w pixels, against the
+    upsampled convolution's 9 on 4*h*w.  The phases are kept as (a, O, b)
+    rows, so every tap's phases form one strided matrix, and a transpose
+    copy interleaves them into the fine grid.  The backward pass runs the
+    same tap GEMMs on the phases of the gradient.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = _as_tensor(b) if b is not None else None
+    n, c, h, wd = x.values.shape
+    o = w.values.shape[0]
+    if w.values.shape != (o, c, 3, 3):
+        raise ValueError(f"kernel shape {w.values.shape} incompatible with input {x.values.shape}")
+    wv = w.values
+    # the phase kernels as [i, j, a, O, b, C], for coarse tap (i - 1, j - 1)
+    kk = (wv.reshape(o * c, 9) @ _PHASE_TAPS.astype(wv.dtype)).reshape(o, c, 3, 3, 2, 2)
+    kk = kk.transpose(2, 3, 4, 0, 5, 1)
+    stacks = {(i, j): kk[i, j, _PHASES[i], :, _PHASES[j]].reshape(-1, c) for i, j in _TAPS}
+    xp = _frames(x.values)
+    wp = wd + 2
+    span = h * wp - 2
+    dtype = np.result_type(x.values, wv)
+    # the phases in the padded-width layout of ``_conv3_frames``, as (a, O, b) rows
+    acc = np.empty((n, 4 * o, h * wp), dtype=dtype)
+    rows = acc.reshape(n, 2, o, 2, h * wp)
+    for group in _sample_groups(n, o * span):
+        xg = xp[group]
+        np.matmul(stacks[1, 1], xg[:, :, wp + 1:wp + 1 + span], out=acc[group, :, :span])
+        for i, j in _OFF_CENTRE:
+            out = rows[group, _PHASES[i], :, _PHASES[j], :span]
+            out += np.matmul(stacks[i, j], xg[:, :, i * wp + j:i * wp + j + span]).reshape(
+                out.shape)
+    if b is not None:
+        rows[..., :span] += b.values[:, None, None]
+    # (N, a, O, b, h, w) -> (N, O, h, a, w, b), which is (N, O, 2h, 2w); one copy per
+    # column phase b, so that the copy's inner loop runs along w
+    phases = rows.reshape(n, 2, o, 2, h, wp)[..., :wd]
+    y = np.empty((n, o, 2 * h, 2 * wd), dtype=dtype)
+    fine = y.reshape(n, o, h, 2, wd, 2)
+    for col in (0, 1):
+        np.copyto(fine[..., col], phases[:, :, :, col].transpose(0, 2, 3, 1, 4))
+
+    def vjp(g):
+        # the gradient's phases as (a, O, b) rows of padded frames, zero on the border
+        gp = np.zeros((n, 4 * o, (h + 2) * wp), dtype=g.dtype)
+        grows = gp.reshape(n, 2, o, 2, (h + 2) * wp)
+        grows.reshape(n, 2, o, 2, h + 2, wp)[..., 1:-1, 1:-1] = (
+            g.reshape(n, o, h, 2, wd, 2).transpose(0, 3, 1, 5, 2, 4))
+        dkk = np.zeros((3, 3, 2, o, 2, c), dtype=np.result_type(g, xp))
+        dx = np.zeros((n, c, h * wp), dtype=np.result_type(g, wv)) if x.requires_grad else None
+        for group in _sample_groups(n, o * span):
+            xg = xp[group]
+            m = len(xg)
+            for i, j in _TAPS:
+                ga = grows[group, _PHASES[i], :, _PHASES[j]].reshape(m, -1, gp.shape[-1])
+                # the phases' gradient in the output's padded-width layout, zero in the
+                # wrap columns, against the input the tap reads
+                dk = dkk[i, j, _PHASES[i], :, _PHASES[j]]
+                off = i * wp + j
+                dk += np.matmul(ga[..., wp + 1:wp + 1 + span],
+                                xg[:, :, off:off + span].transpose(0, 2, 1)).sum(axis=0).reshape(
+                                    dk.shape)
+                if dx is not None:
+                    # coarse pixel (r, s) reaches phase pixel (r + 1 - i, s + 1 - j)
+                    off = (2 - i) * wp + 2 - j
+                    dx[group, :, :span] += np.matmul(stacks[i, j].T, ga[..., off:off + span])
+        dw = (dkk.transpose(3, 5, 0, 1, 2, 4).reshape(o * c, 36)
+              @ _PHASE_TAPS.T.astype(dkk.dtype)).reshape(o, c, 3, 3)
+        if dx is not None:
+            dx = np.ascontiguousarray(dx.reshape(n, c, h, wp)[..., :wd])
+        if b is not None:
+            return (dx, dw, g.sum(axis=(0, 2, 3)))
+        return (dx, dw)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(y, parents, vjp)
 
 
 def linear(x, w, b=None) -> Tensor:

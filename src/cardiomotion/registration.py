@@ -38,8 +38,8 @@ from .geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff, integrate
 from .grid import FieldSequence, Grid2, ScalarField, VectorField
 from .nn.fieldops import bilinear_warp, spectral_multiply
 from .nn.params import ParameterStore, adam_step, check_learning_rate
-from .nn.tensor import (Tensor, _as_tensor, _keep_heap_mapped, add, mul, smul, sub, sum_all,
-                        take_index)
+from .nn.tensor import (Tensor, _as_tensor, _keep_heap_mapped, add, mul, smul, squared_error_sum,
+                        sum_all, take_index)
 
 
 # the x and y coordinates of a (..., 2, H, W) map, as (..., H, W) fields
@@ -84,8 +84,7 @@ def _energy_terms(shooting: ShootingConfig, sigma: float, v0,
 
     phi = integrate_inverse_flow(shooting, integrate_epdiff(shooting, v0, m0))
     warped = bilinear_warp(source_values, take_index(phi, _X), take_index(phi, _Y))
-    diff = sub(warped, target_values)
-    dist = sum_all(mul(diff, diff))
+    dist = squared_error_sum(warped, target_values)
     total = add(smul(dist, 0.5 / (sigma * sigma)), reg)
     return total, dist, reg
 

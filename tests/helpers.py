@@ -1,6 +1,6 @@
 """Shared test utilities: the small configuration document of the CLI pipeline tests,
-directional finite-difference gradient probes, the metric norm, and probes of graph
-lifetime and page faults."""
+directional finite-difference gradient probes, the metric norm, a tap-by-tap clamped
+convolution, and probes of graph lifetime and page faults."""
 
 import contextlib
 import gc
@@ -69,6 +69,20 @@ def directional_probe_check(f, leaves, rng, probes=4, eps=1e-6, rtol=1e-5):
         worst = max(worst, rel)
         assert rel < rtol, f"directional derivative mismatch: {analytic} vs {fd} (rel {rel:.2e})"
     return worst
+
+
+def clamped_convolution(weights, a, axis):
+    """The clamped-edge 1-D convolution of ``a`` with ``weights`` along ``axis``, tap by tap.
+
+    Output i adds weight k times sample i + k - r, clamped into the axis (r the
+    radius); an oracle for the diffusion noise smoothing.
+    """
+    r = (len(weights) - 1) // 2
+    n = a.shape[axis]
+    out = np.zeros(np.shape(a))
+    for k, wk in enumerate(weights):
+        out += wk * np.take(a, np.clip(np.arange(n) + k - r, 0, n - 1), axis=axis)
+    return out
 
 
 def keep_away_from(values, points, margin=0.05, nudge=0.1):

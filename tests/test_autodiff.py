@@ -9,7 +9,8 @@ from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from cardiomotion.nn.tensor import (Tensor, add, avgpool2, cast, concat_channels,
                                     conv2d, linear, mul, nearest_upsample2, no_grad,
-                                    relu, reshape, scale_shift, smul, sub, sum_all, take_index)
+                                    relu, reshape, scale_shift, smul, squared_error_sum, sub,
+                                    sum_all, take_index, upsample_conv2d)
 from helpers import directional_probe_check, force_node, keep_away_from, keep_off_lattice
 
 
@@ -246,6 +247,67 @@ def test_nearest_upsample2_gradients():
     t = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
     sum_all(nearest_upsample2(t)).backward()
     assert np.allclose(t.grad, 4.0)  # each source pixel feeds 4 outputs
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("h, w", [(1, 1), (3, 5), (4, 4)])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_upsample_conv2d_equals_the_convolution_of_the_upsampled_input(n, h, w, bias, x_grad):
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((n, 3, h, w))
+    k = rng.standard_normal((4, 3, 3, 3))
+    b = rng.standard_normal(4)
+    r = rng.standard_normal((n, 4, 2 * h, 2 * w))
+    results = []
+    for node in (upsample_conv2d, lambda x, k, b=None: conv2d(nearest_upsample2(x), k, b)):
+        xt, kt = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True)
+        bt = [Tensor(b, requires_grad=True)] if bias else []
+        y = node(xt, kt, *bt)
+        sum_all(mul(y, Tensor(r))).backward()
+        results.append([y.values, xt.grad, kt.grad] + [t.grad for t in bt])
+    got, want = results
+    assert got[0].shape == (n, 4, 2 * h, 2 * w)
+    assert (got[1] is None) == (not x_grad)
+    for a, e in zip(got, want):
+        if e is not None:
+            assert np.abs(a - e).max() < 1e-12
+
+
+def test_upsample_conv2d_gradients_and_float32():
+    rng = np.random.default_rng(48)
+    x = rng.standard_normal((2, 3, 3, 4))
+    w = rng.standard_normal((4, 3, 3, 3)) * 0.3
+    b = rng.standard_normal(4)
+    _probe(lambda ts: sum_all(mul(upsample_conv2d(*ts), upsample_conv2d(*ts))), [x, w, b], 49)
+    _probe(lambda ts: sum_all(upsample_conv2d(ts[0], ts[1])), [x, w], 50)
+    leaves = [Tensor(a.astype(np.float32), requires_grad=True) for a in (x, w, b)]
+    y = upsample_conv2d(*leaves)
+    assert y.values.dtype == np.float32
+    sum_all(y).backward()
+    assert [t.grad.dtype for t in leaves] == [np.dtype(np.float32)] * 3
+    with pytest.raises(ValueError):
+        upsample_conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))))
+
+
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float32, np.float64),
+                                    (np.float64, np.float64)])
+def test_squared_error_sum_is_the_sub_mul_sum_composition_bit_for_bit(dtypes):
+    rng = np.random.default_rng(51)
+    a = rng.standard_normal((3, 5, 7)).astype(dtypes[0])
+    target = rng.standard_normal((3, 5, 7)).astype(dtypes[1])
+    results = []
+    for loss in (squared_error_sum,
+                 lambda a, t: sum_all(mul(sub(a, t), sub(a, t)))):
+        t = Tensor(a, requires_grad=True)
+        out = smul(loss(t, target), 0.37)
+        out.backward()
+        results.append((out.values, t.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert got.dtype == want.dtype == np.result_type(*dtypes)
+    assert got.tobytes() == want.tobytes()
+    assert got_grad.dtype == want_grad.dtype
+    assert got_grad.tobytes() == want_grad.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -6,7 +6,7 @@ import pytest
 from cardiomotion.geodesic import ShootingConfig, shoot
 from cardiomotion.grid import Grid2, VectorField
 from cardiomotion.metric import MetricOperator, SmoothingKernel, smooth_noise
-from helpers import metric_norm
+from helpers import clamped_convolution, metric_norm
 
 
 def _rand_field(grid, rng):
@@ -167,6 +167,17 @@ def test_smooth_noise_shape_and_leading_axes():
     # each leading slice is smoothed independently
     single = smooth_noise(k, x[1, 2])
     assert np.allclose(out[1, 2], single, atol=1e-14)
+
+
+@pytest.mark.parametrize("kernel, shape", [(SmoothingKernel(1.0), (2, 9, 7)),
+                                           (SmoothingKernel(1.5), (3, 16, 16)),
+                                           (SmoothingKernel(3.0, 9), (4, 4))])
+def test_smooth_noise_equals_the_clamped_tap_loop(kernel, shape):
+    # a radius of 9 on a side of 4 clamps most taps onto the edge samples
+    x = np.random.default_rng(7).standard_normal(shape)
+    want = clamped_convolution(kernel.weights, x, axis=-1)
+    want = clamped_convolution(kernel.weights, want, axis=-2)
+    assert np.abs(smooth_noise(kernel, x) - want).max() < 1e-14
 
 
 def test_kernel_validation():

@@ -269,27 +269,31 @@ def _weighted_sum(out, rng):
 def test_nets_compute_in_float32_and_return_float64(monkeypatch):
     reg, eps, mot, pairs = _three_nets(20)
     conv_dtypes, grad_dtypes = [], []
-    conv2d = networks.conv2d
 
-    def recording_conv2d(*args):
-        y = conv2d(*args)
-        conv_dtypes.append(y.values.dtype)
-        if y._vjp is not None:
-            vjp = y._vjp
+    def recording(conv):
+        def recording_conv(*args):
+            y = conv(*args)
+            conv_dtypes.append(y.values.dtype)
+            if y._vjp is not None:
+                vjp = y._vjp
 
-            def recording_vjp(g):
-                grads = vjp(g)
-                grad_dtypes.extend([g.dtype] + [d.dtype for d in grads if d is not None])
-                return grads
+                def recording_vjp(g):
+                    grads = vjp(g)
+                    grad_dtypes.extend([g.dtype] + [d.dtype for d in grads if d is not None])
+                    return grads
 
-            y._vjp = recording_vjp
-        return y
+                y._vjp = recording_vjp
+            return y
 
-    monkeypatch.setattr(networks, "conv2d", recording_conv2d)
+        return recording_conv
+
+    for name in ("conv2d", "upsample_conv2d"):
+        monkeypatch.setattr(networks, name, recording(getattr(networks, name)))
     z = encoder_forward(reg, pairs)
     outputs = [z, reg.forward(pairs), eps.forward(z.values, 3), mot.forward(z)]
     assert [o.values.dtype for o in outputs] == [np.float64] * 4
-    # encoder 6, encoder and head 9, noise predictor 6, motion decoder 5
+    # encoder 6, encoder and head 9, noise predictor 6, motion decoder 5, each of the
+    # last two with two upsampling convolutions
     assert len(conv_dtypes) == 6 + 9 + 6 + 5
     assert set(conv_dtypes) == {np.dtype(np.float32)}
     # the backward pass through the convolutions is float32 as well
