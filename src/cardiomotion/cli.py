@@ -292,18 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cardiomotion",
         description="Cardiac motion estimation: registration, latent refinement, strain.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
     run = argparse.ArgumentParser(add_help=False)  # options of every configured subcommand
     run.add_argument("--config", help="run configuration JSON")
     run.add_argument("--seed", type=int, help="override the config seed")
 
-    p = sub.add_parser("phantom", parents=[run],
+    p = commands.add_parser("phantom", parents=[run],
                        help="synthesize an annulus dataset with ground truth")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n", type=int, required=True, help="number of sequences")
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("register", parents=[run],
+    p = commands.add_parser("register", parents=[run],
                        help="LDDMM registration: direct, train, or apply")
     p.add_argument("--dataset", required=True, help="dataset directory with manifest.json")
     p.add_argument("--mode", choices=("direct", "train", "apply"), required=True)
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train-mode learning rate (default: registration lr)")
     p.set_defaults(func=cmd_register)
 
-    p = sub.add_parser("train", parents=[run],
+    p = commands.add_parser("train", parents=[run],
                        help="jointly train the noise predictor and motion decoder")
     p.add_argument("--dataset", required=True)
     p.add_argument("--registration-model", required=True, help="pre-trained encoder checkpoint")
@@ -324,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", parents=[run], help="refined displacement sequence for one sample")
+    p = commands.add_parser("infer", parents=[run], help="refined displacement sequence for one sample")
     p.add_argument("--sample", required=True, help="phantom sample file")
     p.add_argument("--registration-model", required=True)
     p.add_argument("--model", required=True, help="refinement checkpoint")
     p.add_argument("--out", required=True, help="output displacement file")
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("strain", help="strain map and segment means for one frame")
+    p = commands.add_parser("strain", help="strain map and segment means for one frame")
     p.add_argument("--sample", required=True, help="sample file (mask, insertion angle)")
     p.add_argument("--motions", help="displacement file (default: the sample's ground truth)")
     p.add_argument("--frame", type=int, help="1-based frame (default: mid-cycle)")
@@ -340,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-high", type=float, default=0.25, help="PGM window upper bound")
     p.set_defaults(func=cmd_strain)
 
-    p = sub.add_parser("eval", help="end-point error and segmental strain error vs ground truth")
+    p = commands.add_parser("eval", help="end-point error and segmental strain error vs ground truth")
     p.add_argument("--sample", required=True, help="sample file with ground truth")
     p.add_argument("--pred", required=True, help="predicted displacement file")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("config-reference", help="write the default configuration document")
+    p = commands.add_parser("config-reference", help="write the default configuration document")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_config_reference)
 

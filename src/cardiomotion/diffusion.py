@@ -207,12 +207,32 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
     check_patience(patience)
     store = eps_net.store
     train_z = [encoder_forward(reg_net, pairs) for pairs, _ in train_items]
-    train_u = [truth for _, truth in train_items]
     val_z = [encoder_forward(reg_net, pairs) for pairs, _ in val_items]
-    val_u = [truth for _, truth in val_items]
 
     def decay(name: str) -> float:
         return cfg.lambda_eps if name.startswith(eps_net.prefix) else cfg.lambda_m
+
+    def epoch_losses(latents, items, order, rng, learn):
+        """Mean diffusion and motion losses over ``order``; with ``learn``, a step per batch."""
+        nonlocal steps
+        sum_diff = sum_mot = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            z = [latents[i] for i in batch]
+            l_diff = diffusion_loss(z, eps_net, cfg.schedule, cfg.kernel, rng)
+            l_mot = motion_loss(z, [items[i][1] for i in batch], mot_net)
+            if learn:
+                total = add(l_diff, smul(l_mot, cfg.loss_alpha))
+                if not np.isfinite(total.item()):
+                    raise IntegrationDivergedError(steps, "diffusion training")
+                total.backward()
+                adam_step(store, learning_rate, decay)
+                steps += 1
+                del total
+            sum_diff += len(batch) * l_diff.item()
+            sum_mot += len(batch) * l_mot.item()
+            del l_diff, l_mot
+        return sum_diff / len(order), sum_mot / len(order)
 
     _keep_heap_mapped()
     result = TrainResult()
@@ -220,41 +240,15 @@ def train(reg_net: RegistrationNet, eps_net: NoisePredictor, mot_net: MotionDeco
     since_best = steps = 0
     for epoch in range(cfg.max_epochs):
         rng = np.random.default_rng([seed, epoch])
-        order = rng.permutation(len(train_items))
-        ep_diff = ep_mot = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            latents = [train_z[i] for i in batch]
-            l_diff = diffusion_loss(latents, eps_net, cfg.schedule, cfg.kernel, rng)
-            l_mot = motion_loss(latents, [train_u[i] for i in batch], mot_net)
-            total = add(l_diff, smul(l_mot, cfg.loss_alpha))
-            if not np.isfinite(total.item()):
-                raise IntegrationDivergedError(steps, "diffusion training")
-            total.backward()
-            adam_step(store, learning_rate, decay)
-            steps += 1
-            ep_diff += len(batch) * l_diff.item()
-            ep_mot += len(batch) * l_mot.item()
-            del total, l_diff, l_mot
-        ep_diff /= len(order)
-        ep_mot /= len(order)
+        ep_diff, ep_mot = epoch_losses(train_z, train_items, rng.permutation(len(train_items)),
+                                       rng, learn=True)
         ep_total = ep_diff + cfg.loss_alpha * ep_mot
-
         # fixed validation noise: same seed each epoch, so early stopping
-        # compares parameters rather than draws; the items go in training-size
-        # batches and each batch's mean counts by its size
-        val_rng = np.random.default_rng([seed, 0x5EED])
+        # compares parameters rather than draws; the items go in order
         if val_z:
-            v_diff = v_mot = 0.0
             with no_grad():
-                for start in range(0, len(val_z), cfg.batch_size):
-                    z = val_z[start : start + cfg.batch_size]
-                    u = val_u[start : start + cfg.batch_size]
-                    v_diff += len(z) * diffusion_loss(z, eps_net, cfg.schedule, cfg.kernel,
-                                                      val_rng).item()
-                    v_mot += len(z) * motion_loss(z, u, mot_net).item()
-            v_diff /= len(val_z)
-            v_mot /= len(val_z)
+                v_diff, v_mot = epoch_losses(val_z, val_items, range(len(val_z)),
+                                             np.random.default_rng([seed, 0x5EED]), learn=False)
         else:
             v_diff, v_mot = ep_diff, ep_mot
         v_total = v_diff + cfg.loss_alpha * v_mot

@@ -176,13 +176,6 @@ def add(a, b) -> Tensor:
                  lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.values.shape, b.values.shape
-    return _make(a.values - b.values, (a, b),
-                 lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-
-
 def mul(a, b) -> Tensor:
     """Elementwise product; operands broadcast as in numpy."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -207,9 +200,9 @@ def sum_all(a) -> Tensor:
 def squared_error_sum(a, target) -> Tensor:
     """sum((a - target)^2) in the operands' result dtype, for a constant ``target``.
 
-    The gradient to ``a`` is (2 g)(a - target).  Doubling is exact, so the
-    value and gradient equal those of
-    ``sum_all(mul(sub(a, target), sub(a, target)))`` bit for bit.
+    The gradient to ``a`` is (2 g)(a - target).  Negation and doubling are
+    exact, so the value and gradient equal those of the chain
+    ``d = add(a, smul(target, -1.0)); sum_all(mul(d, d))`` bit for bit.
     """
     a, target = _as_tensor(a), _as_tensor(target)
     d = a.values - target.values
@@ -421,10 +414,10 @@ _PHASES = (slice(0, 1), slice(0, 2), slice(1, 2))
 _OFF_CENTRE = [t for t in _TAPS if t != (1, 1)]
 
 
-def upsample_conv2d(x, w, b=None) -> Tensor:
+def upsample_conv2d(x, w, b) -> Tensor:
     """``conv2d(nearest_upsample2(x), w, b)``, computed on the coarse grid.
 
-    x: (N, C, h, w); w: (O, C, 3, 3); b: (O,) or None; the output is
+    x: (N, C, h, w); w: (O, C, 3, 3); b: (O,); the output is
     (N, O, 2h, 2w).  Each of the four output phases (a, b), pixels
     (2r + a, 2s + b), is a 2x2 convolution of x, whose kernel sums the 3x3
     taps that read the same coarse pixel; one GEMM against ``_PHASE_TAPS``
@@ -435,8 +428,7 @@ def upsample_conv2d(x, w, b=None) -> Tensor:
     copy interleaves them into the fine grid.  The backward pass runs the
     same tap GEMMs on the phases of the gradient.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
-    b = _as_tensor(b) if b is not None else None
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     n, c, h, wd = x.values.shape
     o = w.values.shape[0]
     if w.values.shape != (o, c, 3, 3):
@@ -460,8 +452,7 @@ def upsample_conv2d(x, w, b=None) -> Tensor:
             out = rows[group, _PHASES[i], :, _PHASES[j], :span]
             out += np.matmul(stacks[i, j], xg[:, :, i * wp + j:i * wp + j + span]).reshape(
                 out.shape)
-    if b is not None:
-        rows[..., :span] += b.values[:, None, None]
+    rows[..., :span] += b.values[:, None, None]
     # (N, a, O, b, h, w) -> (N, O, h, a, w, b), which is (N, O, 2h, 2w); one copy per
     # column phase b, so that the copy's inner loop runs along w
     phases = rows.reshape(n, 2, o, 2, h, wp)[..., :wd]
@@ -498,12 +489,9 @@ def upsample_conv2d(x, w, b=None) -> Tensor:
               @ _PHASE_TAPS.T.astype(dkk.dtype)).reshape(o, c, 3, 3)
         if dx is not None:
             dx = np.ascontiguousarray(dx.reshape(n, c, h, wp)[..., :wd])
-        if b is not None:
-            return (dx, dw, g.sum(axis=(0, 2, 3)))
-        return (dx, dw)
+        return (dx, dw, g.sum(axis=(0, 2, 3)))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(y, parents, vjp)
+    return _make(y, (x, w, b), vjp)
 
 
 def linear(x, w, b=None) -> Tensor:

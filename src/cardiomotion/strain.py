@@ -149,8 +149,9 @@ def check_window(window: tuple[float, float]) -> tuple[float, float]:
 
 
 def write_pgm(path, values: np.ndarray, window: tuple[float, float] = (-0.25, 0.25)) -> None:
-    """8-bit binary PGM of a scalar map over a symmetric value window.
+    """8-bit binary PGM of a scalar map over the value window (lo, hi).
 
+    Any finite lo < hi is a window; the default is symmetric about 0.
     Values are clipped to the window and mapped linearly to 0..255
     (window midpoint -> 128).  Non-finite entries render as 0.  The file
     is written atomically.

@@ -9,7 +9,7 @@ from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.fieldops import bilinear_warp, fd_dx, fd_dy, spectral_multiply
 from cardiomotion.nn.tensor import (Tensor, add, avgpool2, cast, concat_channels,
                                     conv2d, linear, mul, nearest_upsample2, no_grad,
-                                    relu, reshape, scale_shift, smul, squared_error_sum, sub,
+                                    relu, reshape, scale_shift, smul, squared_error_sum,
                                     sum_all, take_index, upsample_conv2d)
 from helpers import directional_probe_check, force_node, keep_away_from, keep_off_lattice
 
@@ -26,14 +26,14 @@ def _probe(f, leaves, seed, **kw):
 def test_add_sub_mul_gradients():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((5, 7)), rng.standard_normal((5, 7))
-    _probe(lambda ts: sum_all(mul(add(ts[0], ts[1]), sub(ts[0], ts[1]))), [a, b], 1)
+    _probe(lambda ts: sum_all(mul(add(ts[0], ts[1]), add(ts[0], smul(ts[1], -1.0)))), [a, b], 1)
 
 
 def test_broadcast_operands_get_gradients_of_their_own_shape():
     rng = np.random.default_rng(6)
     a, b, c = rng.standard_normal(2), rng.standard_normal((3, 2)), rng.standard_normal((3, 1))
     ts = [Tensor(x, requires_grad=True) for x in (a, b, c)]
-    sum_all(add(mul(sub(ts[1], ts[0]), ts[2]), ts[0])).backward()
+    sum_all(add(mul(add(ts[1], smul(ts[0], -1.0)), ts[2]), ts[0])).backward()
     # f = sum_ij (b_ij - a_j) c_i + a_j
     assert np.allclose(ts[0].grad, 3.0 - c.sum(), rtol=0, atol=1e-12)
     assert np.allclose(ts[1].grad, np.broadcast_to(c, (3, 2)), rtol=0, atol=1e-12)
@@ -259,16 +259,21 @@ def test_upsample_conv2d_equals_the_convolution_of_the_upsampled_input(n, h, w, 
     k = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
     r = rng.standard_normal((n, 4, 2 * h, 2 * w))
+    if not bias:
+        # the convolution alone: a zero bias against the bias-free reference
+        b = np.zeros(4)
     results = []
-    for node in (upsample_conv2d, lambda x, k, b=None: conv2d(nearest_upsample2(x), k, b)):
+    for node in (upsample_conv2d,
+                 lambda x, k, b: conv2d(nearest_upsample2(x), k, b if bias else None)):
         xt, kt = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True)
-        bt = [Tensor(b, requires_grad=True)] if bias else []
-        y = node(xt, kt, *bt)
+        bt = Tensor(b, requires_grad=True)
+        y = node(xt, kt, bt)
         sum_all(mul(y, Tensor(r))).backward()
-        results.append([y.values, xt.grad, kt.grad] + [t.grad for t in bt])
+        results.append([y.values, xt.grad, kt.grad, bt.grad])
     got, want = results
     assert got[0].shape == (n, 4, 2 * h, 2 * w)
     assert (got[1] is None) == (not x_grad)
+    assert np.abs(got[3] - r.sum(axis=(0, 2, 3))).max() < 1e-12
     for a, e in zip(got, want):
         if e is not None:
             assert np.abs(a - e).max() < 1e-12
@@ -280,14 +285,15 @@ def test_upsample_conv2d_gradients_and_float32():
     w = rng.standard_normal((4, 3, 3, 3)) * 0.3
     b = rng.standard_normal(4)
     _probe(lambda ts: sum_all(mul(upsample_conv2d(*ts), upsample_conv2d(*ts))), [x, w, b], 49)
-    _probe(lambda ts: sum_all(upsample_conv2d(ts[0], ts[1])), [x, w], 50)
+    _probe(lambda ts: sum_all(upsample_conv2d(ts[0], ts[1], np.zeros(4))), [x, w], 50)
     leaves = [Tensor(a.astype(np.float32), requires_grad=True) for a in (x, w, b)]
     y = upsample_conv2d(*leaves)
     assert y.values.dtype == np.float32
     sum_all(y).backward()
     assert [t.grad.dtype for t in leaves] == [np.dtype(np.float32)] * 3
     with pytest.raises(ValueError):
-        upsample_conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))))
+        upsample_conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))),
+                        Tensor(np.zeros(3)))
 
 
 @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float32, np.float64),
@@ -296,9 +302,13 @@ def test_squared_error_sum_is_the_sub_mul_sum_composition_bit_for_bit(dtypes):
     rng = np.random.default_rng(51)
     a = rng.standard_normal((3, 5, 7)).astype(dtypes[0])
     target = rng.standard_normal((3, 5, 7)).astype(dtypes[1])
+
+    def chain(a, t):
+        d = add(a, smul(t, -1.0))
+        return sum_all(mul(d, d))
+
     results = []
-    for loss in (squared_error_sum,
-                 lambda a, t: sum_all(mul(sub(a, t), sub(a, t)))):
+    for loss in (squared_error_sum, chain):
         t = Tensor(a, requires_grad=True)
         out = smul(loss(t, target), 0.37)
         out.backward()

@@ -9,9 +9,10 @@ from cardiomotion.diffusion import (DiffusionConfig, NoiseSchedule, diffusion_lo
                                     motion_loss, reverse_step, train)
 from cardiomotion.grid import FieldSequence, Grid2
 from cardiomotion.metric import SmoothingKernel, smooth_noise
-from cardiomotion.nn.networks import MotionDecoder, NoisePredictor, RegistrationNet, UNetConfig
+from cardiomotion.nn.networks import (MotionDecoder, NoisePredictor, RegistrationNet, UNetConfig,
+                                      encoder_forward)
 from cardiomotion.nn.params import ParameterStore
-from cardiomotion.nn.tensor import Tensor
+from cardiomotion.nn.tensor import Tensor, no_grad
 from helpers import graph_lifetimes
 
 _CFG = UNetConfig(in_channels=2, base_channels=4, latent_channels=3, num_down=1,
@@ -309,6 +310,28 @@ def test_train_losses_weight_each_batch_by_its_size(monkeypatch):
     _, l_diff, l_mot, *_ = result.history[0]
     assert l_diff == pytest.approx(sum(seen["diffusion_loss"]) / 3, rel=1e-12)
     assert l_mot == pytest.approx(sum(seen["motion_loss"]) / 3, rel=1e-12)
+
+
+def test_train_validation_weights_each_batch_by_its_size():
+    _, reg, eps_net, mot_net, pairs, truth = _tiny_setup(6)
+    cfg = DiffusionConfig(schedule=make_schedule(2, 0.01, 0.2), kernel=SmoothingKernel(1.0),
+                          batch_size=2, max_epochs=1)
+    items = [(pairs, truth), (pairs, -truth), (pairs, 2.0 * truth)]
+    val = [(0.5 * pairs, 0.5 * truth), (pairs, -2.0 * truth), (2.0 * pairs, 3.0 * truth)]
+    result = train(reg, eps_net, mot_net, items, val, cfg, learning_rate=1e-3, seed=7)
+    *_, v_diff, v_mot, _ = result.history[0]
+    # one epoch, so the returned parameters are the ones validation saw; the three
+    # items go in order, in batches of two and one, under the fixed validation noise
+    rng = np.random.default_rng([7, 0x5EED])
+    want_diff = want_mot = 0.0
+    with no_grad():
+        for batch in (val[:2], val[2:]):
+            z = [encoder_forward(reg, p) for p, _ in batch]
+            want_diff += len(batch) * diffusion_loss(z, eps_net, cfg.schedule, cfg.kernel,
+                                                     rng).item()
+            want_mot += len(batch) * motion_loss(z, [u for _, u in batch], mot_net).item()
+    assert v_diff == pytest.approx(want_diff / 3, rel=1e-12)
+    assert v_mot == pytest.approx(want_mot / 3, rel=1e-12)
 
 
 def test_train_frees_each_batch_graph_before_the_next():

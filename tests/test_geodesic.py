@@ -12,7 +12,7 @@ from cardiomotion.grid import (Grid2, VectorField, coordinate_arrays, jacobian_d
                                warp_vector)
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.fieldops import bilinear_warp, spectral_multiply
-from cardiomotion.nn.tensor import (Tensor, _make, add, mul, smul, sub, sum_all,
+from cardiomotion.nn.tensor import (Tensor, _make, add, mul, smul, sum_all,
                                     take_index)
 from helpers import force_node, metric_norm
 
@@ -220,8 +220,8 @@ def _stepwise_epdiff(cfg, v, m):
     velocities = [v]
     for _ in range(cfg.num_steps - 1):
         f = force_node(v, m)
-        v = sub(v, smul(_k_multiply(cfg.operator, f), dt))
-        m = sub(m, smul(f, dt))
+        v = add(v, smul(_k_multiply(cfg.operator, f), -dt))
+        m = add(m, smul(f, -dt))
         velocities.append(v)
     return velocities
 
@@ -233,7 +233,7 @@ def _stepwise_inverse_flow(cfg, velocities):
     ident = Tensor(np.broadcast_to(np.stack([xs, ys]), velocities[0].shape))
     phi = ident
     for w in velocities:
-        q = sub(ident, smul(w, dt))
+        q = add(ident, smul(w, -dt))
         phi = bilinear_warp(phi, take_index(q, np.s_[..., 0:1, :, :]),
                             take_index(q, np.s_[..., 1:2, :, :]))
     return phi
