@@ -11,6 +11,7 @@ file and renamed, so a crash never leaves partial files behind.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -47,12 +48,18 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _seed(cfg: RunConfig, args) -> int:
+def _run_config(args) -> RunConfig:
+    """The --config document, checked as written, with --seed (when given) as its seed."""
+    cfg = load_config(args.config)
     if args.seed is None:
-        return cfg.seed
+        return cfg
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    return args.seed
+    return dataclasses.replace(cfg, seed=args.seed)
+
+
+def _mid_cycle(num_frames: int) -> int:  # the 1-based frame that strain and eval default to
+    return max(1, round(num_frames / 2))
 
 
 def _refinement_nets(cfg: RunConfig, grid: Grid2, num_frames: int, registration_model: str,
@@ -104,8 +111,8 @@ def _motions_from_file(path, grid: Grid2, num_frames: int) -> FieldSequence:
 
 
 def cmd_phantom(args) -> int:
-    cfg = load_config(args.config)
-    splits = make_dataset(args.n, cfg.grid, cfg.phantom, _seed(cfg, args))
+    cfg = _run_config(args)
+    splits = make_dataset(args.n, cfg.grid, cfg.phantom, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     manifest = {split_name: [] for split_name in splits}
     index = 0
@@ -144,9 +151,8 @@ def _register_train(args, cfg: RunConfig, rcfg, items):
         raise ConfigError("train mode requires --model-out")
     net = RegistrationNet(cfg.unet_config(), seed=cfg.seed)
     history = train_registration_network(net, [pair_stack(s.images) for _, s in items], rcfg,
-                                         epochs=args.epochs,
-                                         learning_rate=args.learning_rate,
-                                         seed=_seed(cfg, args))
+                                         epochs=args.epochs, learning_rate=args.learning_rate,
+                                         seed=cfg.seed)
     rows = [["epoch", "loss"]] + [[i, _fmt(v)] for i, v in enumerate(history)]
     return ({args.model_out: checkpoint_records(net.store)}, "register_train_log.csv", rows,
             f"trained registration network: loss {history[0]:.6g} -> {history[-1]:.6g}")
@@ -176,7 +182,7 @@ def cmd_register(args) -> int:
         raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
     if args.mode == "train" and args.learning_rate is not None:
         check_learning_rate("--learning-rate", args.learning_rate)
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     items = _load_split(args.dataset, args.split)
     if not items:
         raise ConfigError(f"split {args.split!r} is empty")
@@ -192,7 +198,7 @@ def cmd_register(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     train_items = _load_split(args.dataset, "train")
     val_items = _load_split(args.dataset, "validation")
     if not train_items:
@@ -212,7 +218,7 @@ def cmd_train(args) -> int:
         [(pair_stack(s.images), s.motions.values) for _, s in train_items],
         [(pair_stack(s.images), s.motions.values) for _, s in val_items],
         cfg.diffusion_config(), learning_rate=cfg.diffusion.learning_rate, patience=cfg.diffusion.patience,
-        seed=_seed(cfg, args),
+        seed=cfg.seed,
     )
     os.makedirs(args.out, exist_ok=True)
     rows = [["epoch", "l_diffusion", "l_motion", "l_total", "val_diffusion", "val_motion",
@@ -226,12 +232,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _run_config(args)
     sample = load_sample(args.sample)
     reg, eps_net, mot_net = _refinement_nets(cfg, sample.images.grid, len(sample.motions),
                                              args.registration_model, args.model)
     dcfg = cfg.diffusion_config()
-    rng = np.random.default_rng(_seed(cfg, args))
+    rng = np.random.default_rng(cfg.seed)
     motions = diffusion_infer(sample.images, reg, eps_net, mot_net, dcfg.schedule, dcfg.kernel, rng)
     write_container(args.out, {"motions": motions})
     print(f"wrote {motions.shape[0]}-frame displacement sequence to {args.out}")
@@ -244,7 +250,7 @@ def cmd_strain(args) -> int:
     motions = (_motions_from_file(args.motions, sample.images.grid, len(sample.motions))
                if args.motions else sample.motions)
     num_frames = len(motions)
-    frame = args.frame if args.frame is not None else max(1, round(num_frames / 2))
+    frame = args.frame if args.frame is not None else _mid_cycle(num_frames)
     if not 1 <= frame <= num_frames:
         raise ConfigError(f"--frame {frame} outside 1..{num_frames}")
     center = sample.mask.centroid()
@@ -269,7 +275,7 @@ def cmd_eval(args) -> int:
     rows = [["quantity", "frame", "segment", "value"]]
     for t in range(len(truth)):
         rows.append(["epe", t + 1, "", _fmt(epe(pred[t], truth[t], sample.mask))])
-    peak = max(1, round(len(truth) / 2))
+    peak = _mid_cycle(len(truth))
     sp = strain_from_displacement(pred[peak - 1], center)
     st = strain_from_displacement(truth[peak - 1], center)
     errs = segmental_strain_error(sp, st, seg)
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     run = argparse.ArgumentParser(add_help=False)  # options of every configured subcommand
     run.add_argument("--config", help="run configuration JSON")
-    run.add_argument("--seed", type=int, help="override the config seed")
+    run.add_argument("--seed", type=int, help="seed of every draw (default: the config's seed)")
 
     p = commands.add_parser("phantom", parents=[run],
                        help="synthesize an annulus dataset with ground truth")

@@ -12,7 +12,7 @@ energy graph calls the shooting functions of ``geodesic`` with recording
 on: EPDiff integration and the inverse flow are one node each, whose
 hand-derived adjoints make the reverse-mode gradient the exact
 derivative of the discrete objective (discretize-then-optimize), and
-``shoot`` computes the same values.  The whole graph is 16 nodes at any
+``shoot`` computes the same values.  The whole graph is 13 nodes at any
 number of steps.  The momentum L v0 of the regulariser is the one EPDiff
 starts from, so the energy multiplies by L once and by K once per Euler
 step, and its gradient as often again.  v0 is a (2, H, W) Tensor, or
@@ -201,6 +201,8 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
     as is, so a step runs in float32 up to the float64 master parameters.
     Each step's graph is freed before the next one is built.
     """
+    if not sequences:
+        raise ValueError("no training sequences")
     lr = cfg.learning_rate if learning_rate is None else learning_rate
     rng = np.random.default_rng(seed)
     _keep_heap_mapped()

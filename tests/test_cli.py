@@ -422,6 +422,28 @@ def test_negative_seed_is_one_error_line_naming_it(tmp_path, capsys, config_seed
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["register", "train"])
+def test_seed_flag_is_the_config_seed_for_every_draw(pipeline, tmp_path, command):
+    """A seed-0 document with --seed 5 writes the bytes of a seed-5 document: the nets'
+    initialisation follows the flag, as do the epoch order and the training noise."""
+    if command == "register":
+        argv = ["register", "--dataset", pipeline["data"], "--mode", "train", "--epochs", "2"]
+    else:
+        argv = ["train", "--dataset", pipeline["data"], "--registration-model",
+                pipeline["regmodel"]]
+    outputs = []
+    for seed, flag in ((0, ["--seed", "5"]), (5, [])):
+        cfg = tmp_path / f"cfg{seed}.json"
+        cfg.write_text(json.dumps(dict(_with("diffusion", max_epochs=2), seed=seed)))
+        out = tmp_path / f"out{seed}"
+        model = ["--model-out", str(out / "reg.lmf1")] if command == "register" else []
+        assert main(argv + model + ["--config", str(cfg), "--out", str(out)] + flag) == 0
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(outputs[0]) == (["reg.lmf1", "register_train_log.csv"] if command == "register"
+                                  else ["model.lmf1", "train_log.csv"])
+    assert outputs[0] == outputs[1]
+
+
 def _with(section, **values):
     return dict(RUN_CFG, **{section: dict(RUN_CFG[section], **values)})
 

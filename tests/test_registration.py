@@ -113,6 +113,30 @@ def test_gradient_zero_at_perfect_alignment():
     assert np.max(np.abs(g.y_component)) < 1e-12
 
 
+def _graph_nodes(root):
+    """Every Tensor reachable from ``root`` through its parents, ``root`` and the leaves too."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("num_steps", [1, 10])
+@pytest.mark.parametrize("shape, dtype", [((2, 16, 16), np.float64), ((3, 2, 16, 16), np.float32)],
+                         ids=["pair", "stack"])
+def test_energy_graph_has_13_nodes_at_any_number_of_steps(num_steps, shape, dtype):
+    cfg = _cfg(Grid2(16, 16), num_steps=num_steps)
+    rng = np.random.default_rng(3)
+    v0 = Tensor((0.05 * rng.standard_normal(shape)).astype(dtype), requires_grad=True)
+    images = rng.random(shape[:-3] + (2, 16, 16)).astype(dtype)
+    total, _, _ = registration._energy_terms(cfg.shooting, cfg.sigma, v0,
+                                             images[..., 0, :, :], images[..., 1, :, :])
+    assert _graph_nodes(total) == 13
+
+
 def test_grid_mismatch_rejected():
     cfg = _cfg(Grid2(8, 8))
     other = Grid2(10, 10)
@@ -255,6 +279,14 @@ def test_train_registration_network_reduces_loss():
     with no_grad():
         v = net.forward(stack)
     assert v.values.shape == stack.shape
+
+
+def test_train_registration_network_refuses_no_sequences_before_any_step():
+    net = RegistrationNet(UNetConfig(in_channels=2, base_channels=4, latent_channels=4,
+                                     num_down=2, time_embed_dim=4), seed=0)
+    with pytest.raises(ValueError, match="no training sequences"):
+        train_registration_network(net, [], _cfg(Grid2(16, 16)), epochs=1)
+    assert net.store.step_count == 0
 
 
 def test_network_training_divergence_names_the_optimisation_step(monkeypatch):
