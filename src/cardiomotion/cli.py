@@ -65,13 +65,15 @@ def _mid_cycle(num_frames: int) -> int:  # the 1-based frame that strain and eva
 def _refinement_nets(cfg: RunConfig, grid: Grid2, num_frames: int, registration_model: str,
                      model: str | None):
     """Registration net from its checkpoint, then the noise predictor and motion
-    decoder on one store, restored from ``model`` unless it is None."""
+    decoder on one store, restored from ``model`` unless it is None.  A net that
+    a checkpoint restores draws no initial weights."""
     ucfg = cfg.unet_config()
-    reg = RegistrationNet(ucfg, seed=cfg.seed)
+    reg = RegistrationNet(ucfg, seed=None)
     load_checkpoint(reg.store, registration_model)
     store = ParameterStore()
-    eps_net = NoisePredictor(ucfg, num_frames, store, seed=cfg.seed + 1)
-    mot_net = MotionDecoder(ucfg, num_frames, grid.height, grid.width, store, seed=cfg.seed + 2)
+    eps_seed, mot_seed = (None, None) if model is not None else (cfg.seed + 1, cfg.seed + 2)
+    eps_net = NoisePredictor(ucfg, num_frames, store, seed=eps_seed)
+    mot_net = MotionDecoder(ucfg, num_frames, grid.height, grid.width, store, seed=mot_seed)
     if model is not None:
         load_checkpoint(store, model)
     return reg, eps_net, mot_net

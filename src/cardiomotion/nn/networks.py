@@ -5,8 +5,10 @@ features) with a velocity head band-limited to the latent grid's modes.
 NoisePredictor estimates the smoothed noise injected at a given diffusion
 step, conditioned on the step through a sinusoidal embedding.
 MotionDecoder reconstructs dense displacement sequences from refined
-latents alone, modulated by pooled latent statistics and aware of image
-coordinates so smooth global motions are cheap to represent.
+latents alone: it convolves them on the latent grid, modulated by pooled
+latent statistics and aware of coordinates so smooth global motions are
+cheap to represent, and interpolates the displacements linearly onto the
+image grid.
 
 Frames are handled per the temporal contract: the registration nets treat
 frames as batch items (no cross-frame mixing); the diffusion-stage nets
@@ -74,11 +76,6 @@ def sinusoidal_embedding(steps, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def _kaiming_linear(rng: np.random.Generator, f_in: int, f_out: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / f_in)
-    return rng.uniform(-bound, bound, size=(f_in, f_out))
-
-
 def _fold_frames(z, num_frames: int, channels: int) -> tuple[Tensor, tuple]:
     """(..., T, C, h, w) latents as one float32 (N, T*C, h, w) stack, and their leading shape."""
     z = cast(z, np.float32)
@@ -91,8 +88,15 @@ def _fold_frames(z, num_frames: int, channels: int) -> tuple[Tensor, tuple]:
 class _Net:
     prefix: str  # names every parameter of the net "<prefix>.<name>"
 
-    def __init__(self, store: ParameterStore | None):
+    def __init__(self, store: ParameterStore | None, seed: int | None):
+        """A seed of None draws no weights: all start at zero, for a checkpoint to fill."""
         self.store = store if store is not None else ParameterStore()
+        self._rng = None if seed is None else np.random.default_rng(seed)
+
+    def _uniform(self, f_in: int, shape: tuple) -> np.ndarray:
+        """Kaiming-uniform draws for ``f_in`` inputs per output."""
+        bound = math.sqrt(6.0 / f_in)
+        return np.zeros(shape) if self._rng is None else self._rng.uniform(-bound, bound, shape)
 
     def _add(self, name: str, values) -> Tensor:
         return self.store.add(f"{self.prefix}.{name}", values)
@@ -101,10 +105,9 @@ class _Net:
         """The float32 working copy of a float64 master parameter."""
         return cast(self.store[f"{self.prefix}.{name}"], np.float32)
 
-    def _add_conv(self, rng, name: str, c_out: int, c_in: int) -> None:
+    def _add_conv(self, name: str, c_out: int, c_in: int) -> None:
         """Kaiming-uniform 3x3 kernel and zero bias of one convolution."""
-        bound = math.sqrt(6.0 / (c_in * 9))
-        self._add(f"{name}.w", rng.uniform(-bound, bound, size=(c_out, c_in, 3, 3)))
+        self._add(f"{name}.w", self._uniform(c_in * 9, (c_out, c_in, 3, 3)))
         self._add(f"{name}.b", np.zeros(c_out))
 
     def _conv(self, x, name: str) -> Tensor:
@@ -114,11 +117,11 @@ class _Net:
         """The convolution ``name`` of x upsampled 2x by nearest neighbour."""
         return upsample_conv2d(x, self._get(f"{name}.w"), self._get(f"{name}.b"))
 
-    def _add_film(self, rng, name: str, d: int, ch: int) -> None:
+    def _add_film(self, name: str, d: int, ch: int) -> None:
         """Parameters mapping a (N, d) conditioning vector to per-channel scale and shift."""
-        self._add(f"{name}.sw", _kaiming_linear(rng, d, ch))
+        self._add(f"{name}.sw", self._uniform(d, (d, ch)))
         self._add(f"{name}.sb", np.zeros(ch))
-        self._add(f"{name}.tw", _kaiming_linear(rng, d, ch))
+        self._add(f"{name}.tw", self._uniform(d, (d, ch)))
         self._add(f"{name}.tb", np.zeros(ch))
 
     def _film(self, x, name: str, cond: Tensor) -> Tensor:
@@ -143,13 +146,32 @@ def interpolation_matrix(n: int, size: int) -> np.ndarray:
     return u
 
 
-def spectral_upsample(f, height: int, width: int) -> Tensor:
+@functools.lru_cache(maxsize=None)
+def linear_interpolation_matrix(n: int, size: int) -> np.ndarray:
+    """The (size, n) linear interpolation of n samples onto size, corners aligned; cached.
+
+    Fine sample i sits at coarse position i (n - 1) / (size - 1), so an affine
+    signal on the coarse samples stays affine on the fine ones.
+    """
+    pos = np.arange(size) * (n - 1) / (size - 1)  # exact wherever a coarse sample sits
+    u = np.maximum(0.0, 1.0 - np.abs(pos[:, None] - np.arange(n)))
+    u.flags.writeable = False
+    return u
+
+
+def upsample(f, uh: np.ndarray, uw: np.ndarray) -> Tensor:
     """(..., h, w) samples onto (..., height, width), U_h f U_w^T: one node in f's dtype."""
     f = _as_tensor(f)
-    h, w = f.values.shape[-2:]
-    uh = interpolation_matrix(h, height).astype(f.values.dtype)
-    uw = interpolation_matrix(w, width).astype(f.values.dtype)
+    uh = uh.astype(f.values.dtype, copy=False)
+    uw = uw.astype(f.values.dtype, copy=False)
     return _make(uh @ f.values @ uw.T, (f,), lambda g: (uh.T @ g @ uw,))
+
+
+def spectral_upsample(f, height: int, width: int) -> Tensor:
+    """The trigonometric interpolation of (..., h, w) periodic samples onto (height, width)."""
+    f = _as_tensor(f)
+    h, w = f.values.shape[-2:]
+    return upsample(f, interpolation_matrix(h, height), interpolation_matrix(w, width))
 
 
 class RegistrationNet(_Net):
@@ -163,21 +185,20 @@ class RegistrationNet(_Net):
 
     prefix = "reg"
 
-    def __init__(self, config: UNetConfig, seed: int = 0):
-        super().__init__(ParameterStore())
+    def __init__(self, config: UNetConfig, seed: int | None = 0):
+        super().__init__(None, seed)
         self.config = config
-        rng = np.random.default_rng(seed)
         b, c, k = config.base_channels, config.latent_channels, config.num_down
 
-        self._add_conv(rng, "enc.in", b, config.in_channels)
+        self._add_conv("enc.in", b, config.in_channels)
         for i in range(k):
             ch = b * 2**i
-            self._add_conv(rng, f"enc.refine{i}", ch, ch)
-            self._add_conv(rng, f"enc.down{i}", 2 * ch, ch)
-        self._add_conv(rng, "enc.latent", c, b * 2**k)
+            self._add_conv(f"enc.refine{i}", ch, ch)
+            self._add_conv(f"enc.down{i}", 2 * ch, ch)
+        self._add_conv("enc.latent", c, b * 2**k)
 
-        self._add_conv(rng, "dec.in", b * 2**k, c)
-        self._add_conv(rng, "dec.mid", b, b * 2**k)
+        self._add_conv("dec.in", b * 2**k, c)
+        self._add_conv("dec.mid", b, b * 2**k)
         self._add("dec.out.w", np.zeros((2, b, 3, 3)))
 
     def encode(self, pairs) -> Tensor:
@@ -218,21 +239,20 @@ class NoisePredictor(_Net):
     prefix = "eps"
 
     def __init__(self, config: UNetConfig, num_frames: int,
-                 store: ParameterStore | None = None, seed: int = 1):
-        super().__init__(store)
+                 store: ParameterStore | None = None, seed: int | None = 1):
+        super().__init__(store, seed)
         self.config = config
         self.num_frames = num_frames
-        rng = np.random.default_rng(seed)
         hid, k, d = config.base_channels, config.num_down, config.time_embed_dim
         tc = num_frames * config.latent_channels
 
-        self._add_conv(rng, "in", hid, tc)
-        self._add_film(rng, "film0", d, hid)
+        self._add_conv("in", hid, tc)
+        self._add_film("film0", d, hid)
         for i in range(k):
             ch = hid * 2**i
-            self._add_conv(rng, f"down{i}", 2 * ch, ch)
-            self._add_film(rng, f"film{i + 1}", d, 2 * ch)
-            self._add_conv(rng, f"up{i}", ch, 2 * ch)
+            self._add_conv(f"down{i}", 2 * ch, ch)
+            self._add_film(f"film{i + 1}", d, 2 * ch)
+            self._add_conv(f"up{i}", ch, 2 * ch)
         self._add("out.w", np.zeros((tc, hid, 3, 3)))
 
     def forward(self, z_noisy, step) -> Tensor:
@@ -265,18 +285,20 @@ class MotionDecoder(_Net):
     """Reconstructs dense displacement sequences from latents alone.
 
     The only inputs are the refined latents; no encoder activation enters.
-    Pooled latent statistics modulate every stage (per-channel scale and shift),
-    and two fixed coordinate channels join before the head so smooth
-    position-dependent motion does not have to be synthesized from
-    upsampled noise.  Output (..., T, 2, H, W) holds (x, y) displacement
-    in pixels per frame.
+    Every layer runs on the latent grid: pooled latent statistics modulate
+    each (per-channel scale and shift), and two fixed coordinate channels
+    join before the head so smooth position-dependent motion is cheap.  The
+    head's displacements are interpolated linearly onto the image grid,
+    corners aligned, as a free-form deformation on a control grid (Rueckert
+    et al., IEEE TMI 1999).  Output (..., T, 2, H, W) holds (x, y)
+    displacement in pixels per frame.
     """
 
     prefix = "mot"
 
     def __init__(self, config: UNetConfig, num_frames: int, height: int, width: int,
-                 store: ParameterStore | None = None, seed: int = 2):
-        super().__init__(store)
+                 store: ParameterStore | None = None, seed: int | None = 2):
+        super().__init__(store, seed)
         self.config = config
         self.num_frames = num_frames
         self.height = height
@@ -284,23 +306,18 @@ class MotionDecoder(_Net):
         k = config.num_down
         if height % 2**k or width % 2**k:
             raise ValueError(f"spatial dims {height}x{width} not divisible by 2^{k}")
-        rng = np.random.default_rng(seed)
         hid = config.base_channels
         tc = num_frames * config.latent_channels
 
-        self._add_conv(rng, "in", hid * 2**k, tc)
-        self._add_film(rng, "film_in", tc, hid * 2**k)
-        for i in range(k):
-            ch = hid * 2 ** (k - i)
-            self._add_conv(rng, f"up{i}", ch // 2, ch)
-            self._add_film(rng, f"film{i}", tc, ch // 2)
-        self._add_conv(rng, "head", hid, hid + 2)
-        self._add_film(rng, "film_head", tc, hid)
+        self._add_conv("in", hid * 2**k, tc)
+        self._add_film("film_in", tc, hid * 2**k)
+        self._add_conv("head", hid, hid * 2**k + 2)
+        self._add_film("film_head", tc, hid)
         self._add("out.w", np.zeros((2 * num_frames, hid, 3, 3)))
 
-        ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-        coords = np.stack([2 * xs / (width - 1) - 1, 2 * ys / (height - 1) - 1])
-        self._coords = coords.astype(np.float32)
+        h, w = height // 2**k, width // 2**k
+        ys, xs = np.meshgrid(np.linspace(-1.0, 1.0, h), np.linspace(-1.0, 1.0, w), indexing="ij")
+        self._coords = np.stack([xs, ys]).astype(np.float32)
 
     def forward(self, z) -> Tensor:
         x, lead = _fold_frames(z, self.num_frames, self.config.latent_channels)
@@ -315,13 +332,11 @@ class MotionDecoder(_Net):
 
         x = relu(self._conv(x, "in"))
         x = self._film(x, "film_in", pooled)
-        for i in range(self.config.num_down):
-            x = relu(self._upconv(x, f"up{i}"))
-            x = self._film(x, f"film{i}", pooled)
         x = concat_channels([x, np.broadcast_to(self._coords, (n,) + self._coords.shape)])
         x = relu(self._conv(x, "head"))
         x = self._film(x, "film_head", pooled)
-        out = conv2d(x, self._get("out.w"))
+        out = upsample(conv2d(x, self._get("out.w")), linear_interpolation_matrix(h, self.height),
+                       linear_interpolation_matrix(w, self.width))
         return cast(reshape(out, lead + (self.num_frames, 2, self.height, self.width)), np.float64)
 
 

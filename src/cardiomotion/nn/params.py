@@ -120,10 +120,11 @@ def load_checkpoint(store: ParameterStore, path) -> None:
         if extra:
             raise ValueError(f"unexpected records {sorted(extra)}")
         store.step_count = int(step[0])
+        # the parsed records are fresh arrays, so float64 ones are taken as they are
         for name, p in store.params.items():
-            p.values = arrays[f"param/{name}"].astype(np.float64)
+            p.values = arrays[f"param/{name}"].astype(np.float64, copy=False)
             p.grad = None
-            store.moment1[name] = arrays[f"m1/{name}"].astype(np.float64)
-            store.moment2[name] = arrays[f"m2/{name}"].astype(np.float64)
+            store.moment1[name] = arrays[f"m1/{name}"].astype(np.float64, copy=False)
+            store.moment2[name] = arrays[f"m2/{name}"].astype(np.float64, copy=False)
 
     read_checked(path, restore)

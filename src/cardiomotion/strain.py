@@ -62,9 +62,11 @@ def deformation_gradient(u: VectorField) -> np.ndarray:
 
 def green_lagrange(f: np.ndarray) -> np.ndarray:
     """E = (F^T F - I) / 2 per pixel."""
-    e = 0.5 * np.einsum("...ki,...kj->...ij", f, f)
-    e[..., 0, 0] -= 0.5
-    e[..., 1, 1] -= 0.5
+    a, b, c, d = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0], f[..., 1, 1]
+    e = np.empty_like(f)
+    e[..., 0, 0] = 0.5 * (a * a + c * c) - 0.5
+    e[..., 0, 1] = e[..., 1, 0] = 0.5 * (a * b + c * d)
+    e[..., 1, 1] = 0.5 * (b * b + d * d) - 0.5
     return e
 
 

@@ -648,6 +648,35 @@ def test_infer_refuses_a_registration_checkpoint_of_the_old_decoder(pipeline, tm
     assert not out.exists()
 
 
+# the motion decoder whose last layers ran at a half and the whole of the image grid, at
+# RUN_CFG's widths (4 base channels, 4 frames of 4 latent channels): two upsampling
+# convolutions with their FiLMs, and a head reading 4 channels and the two coordinates
+_UPSAMPLING_DECODER = {
+    "mot.head.w": (4, 6, 3, 3),
+    **{f"mot.up{i}.{p}": (c, 2 * c, 3, 3) if p == "w" else (c,)
+       for i, c in ((0, 8), (1, 4)) for p in ("w", "b")},
+    **{f"mot.film{i}.{p}": (16, c) if p.endswith("w") else (c,)
+       for i, c in ((0, 8), (1, 4)) for p in ("sw", "sb", "tw", "tb")},
+}
+
+
+def test_infer_refuses_a_model_checkpoint_of_the_upsampling_motion_decoder(pipeline, tmp_path,
+                                                                          capsys):
+    records = read_container(pipeline["model"])
+    for name, shape in _UPSAMPLING_DECODER.items():
+        for kind in ("param", "m1", "m2"):
+            records[f"{kind}/{name}"] = np.zeros(shape)
+    bad = str(tmp_path / "model.lmf1")
+    write_container(bad, records)
+    out = tmp_path / "pred.lmf1"
+    assert main(["infer", "--config", pipeline["cfg"], "--sample", pipeline["sample"],
+                 "--registration-model", pipeline["regmodel"], "--model", bad,
+                 "--out", str(out)]) == 1
+    _single_error_line(capsys.readouterr().err, f"{bad}: record 'param/mot.head.w' has shape "
+                                                "(4, 6, 3, 3), expected (4, 18, 3, 3)")
+    assert not out.exists()
+
+
 def test_register_direct_diverging_on_a_later_sequence_leaves_no_output(pipeline, tmp_path,
                                                                          capsys, monkeypatch):
     real_register = cardiomotion.cli.register_pair

@@ -132,6 +132,49 @@ def test_spectral_upsample_backward_is_the_adjoint(dtype, tol):
     assert abs(lhs - rhs) <= tol * np.sqrt(np.sum(up.values**2) * np.sum(g**2))
 
 
+# ---------------------------------------------------------------------------
+# the motion decoder's linear interpolation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, size", [(4, 16), (16, 61), (2, 9), (1, 2)])
+def test_linear_interpolation_matrix_keeps_the_samples(n, size):
+    u = networks.linear_interpolation_matrix(n, size)
+    assert u.shape == (size, n)
+    # corners aligned: coarse sample j sits on fine sample j (size - 1) / (n - 1)
+    step = (size - 1) // max(n - 1, 1)
+    assert np.array_equal(u[::step][:n], np.eye(n))
+    assert np.all(u >= 0.0) and np.allclose(u.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_linear_upsample_reproduces_an_affine_field_on_the_image_grid():
+    (h, height), (w, width) = (16, 64), (8, 32)
+    rows, cols = np.arange(h) * (height - 1) / (h - 1), np.arange(w) * (width - 1) / (w - 1)
+    a = np.array([[0.3, -1.2, 0.7], [-0.4, 0.25, 2.0]])  # (x, y) = offset + gradient . (row, col)
+
+    def affine(r, c):
+        return a[:, :1, None] + a[:, 1:2, None] * r[:, None] + a[:, 2:3, None] * c[None, :]
+
+    up = networks.upsample(affine(rows, cols),
+                           networks.linear_interpolation_matrix(h, height),
+                           networks.linear_interpolation_matrix(w, width)).values
+    assert up.shape == (2, height, width)
+    assert np.abs(up - affine(np.arange(height), np.arange(width))).max() < 1e-12
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_linear_upsample_backward_is_the_adjoint(dtype, tol):
+    rng = np.random.default_rng(32)
+    f = Tensor(rng.standard_normal((3, 2, 4, 8)).astype(dtype), requires_grad=True)
+    g = rng.standard_normal((3, 2, 16, 32)).astype(dtype)
+    up = networks.upsample(f, networks.linear_interpolation_matrix(4, 16),
+                           networks.linear_interpolation_matrix(8, 32))
+    sum_all(mul(up, Tensor(g))).backward()
+    assert up.values.dtype == f.grad.dtype == dtype
+    lhs, rhs = np.sum(up.values * g, dtype=np.float64), np.sum(f.values * f.grad, dtype=np.float64)
+    assert abs(lhs - rhs) <= tol * np.sqrt(np.sum(up.values**2) * np.sum(g**2))
+
+
 def test_decode_gradient_matches_finite_differences_in_float64(monkeypatch):
     # the nets compute in float32; cast to float64 instead, so central
     # differences resolve the gradient through the head and the upsampling
@@ -207,6 +250,29 @@ def test_motion_decoder_shapes_and_inputs():
         net.forward(np.zeros((2, 3, 4)))  # not (T, C, h, w)
     with pytest.raises(ValueError):
         MotionDecoder(_CFG, num_frames=2, height=10, width=16)
+    # every layer runs on the latent grid: no upsampling stage, and a head that reads
+    # the 4 * 2**2 channels of the first layer and the two coordinates
+    shapes = {name: p.values.shape for name, p in net.store.params.items()
+              if not name.endswith("b")}  # the biases follow the weights
+    assert shapes == {"mot.in.w": (16, 6, 3, 3), "mot.head.w": (4, 18, 3, 3),
+                      "mot.out.w": (4, 4, 3, 3), "mot.film_in.sw": (6, 16),
+                      "mot.film_in.tw": (6, 16), "mot.film_head.sw": (6, 4),
+                      "mot.film_head.tw": (6, 4)}
+
+
+def test_motion_decoder_interpolates_linearly_between_latent_nodes():
+    net = MotionDecoder(_CFG, num_frames=2, height=16, width=16, seed=13)
+    net.store["mot.out.w"].values = (
+        0.1 * np.random.default_rng(13).standard_normal((4, 4, 3, 3))
+    )
+    z = np.random.default_rng(14).standard_normal((2, 3, 4, 4))
+    with no_grad():
+        u = net.forward(z).values
+    # the four latent nodes of each axis sit on image pixels 0, 5, 10 and 15
+    nodes = u[..., ::5, ::5]
+    m = networks.linear_interpolation_matrix(4, 16)
+    assert np.abs(u - m @ nodes @ m.T).max() <= 1e-6 * np.abs(u).max()
+    assert np.abs(u).max() > 1e-2
 
 
 def test_motion_decoder_depends_on_latents():
@@ -287,20 +353,20 @@ def test_nets_compute_in_float32_and_return_float64(monkeypatch):
 
         return recording_conv
 
-    for name in ("conv2d", "upsample_conv2d"):
+    for name in ("conv2d", "upsample_conv2d", "upsample"):
         monkeypatch.setattr(networks, name, recording(getattr(networks, name)))
     z = encoder_forward(reg, pairs)
     outputs = [z, reg.forward(pairs), eps.forward(z.values, 3), mot.forward(z)]
     assert [o.values.dtype for o in outputs] == [np.float64] * 4
-    # encoder 6, encoder and head 9, noise predictor 6, motion decoder 5, each of the
-    # last two with two upsampling convolutions
-    assert len(conv_dtypes) == 6 + 9 + 6 + 5
+    # encoder 6; encoder and head 9 and the head's interpolation; noise predictor 6, two
+    # of them upsampling convolutions; motion decoder 3 and its interpolation
+    assert len(conv_dtypes) == 6 + 10 + 6 + 4
     assert set(conv_dtypes) == {np.dtype(np.float32)}
-    # the backward pass through the convolutions is float32 as well
+    # the backward pass through the convolutions and interpolations is float32 as well
     rng = np.random.default_rng(20)
     add(add(*[_weighted_sum(o, rng) for o in outputs[1:3]]),
         _weighted_sum(outputs[3], rng)).backward()
-    assert len(grad_dtypes) > 9 + 6 + 5
+    assert len(grad_dtypes) > 10 + 6 + 4
     assert set(grad_dtypes) == {np.dtype(np.float32)}
 
 
