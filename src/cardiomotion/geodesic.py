@@ -38,21 +38,14 @@ float32, while ``shoot`` and the direct registration path shoot in
 float64.
 
 The fields of a (T, 2, H, W) stack are independent geodesics, and every
-operation of the two nodes acts on one field at a time.  So both nodes,
-forward and backward, run their step loops over contiguous chunks of the
-stack's axis 0, one chunk per CPU the process may run on (its affinity
-mask, which ``taskset`` restricts), each chunk on a thread of one
-module-level pool.  The pool is created with the module and starts its
-threads on the first stack it shoots; they then persist.  The output is
-bit-identical at any chunk count.  A single (2, H, W) field, or a stack
-of one, runs inline.
+operation of the two nodes acts on one field at a time.  Both nodes run
+their step loops inline over the whole stack; registration-net training
+shoots its stacks in groups of pairs on worker processes
+(``registration``).
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,59 +59,6 @@ from .nn.tensor import Tensor, _as_tensor, _make
 
 # one component of a (..., 2, H, W) stack, kept as a (..., 1, H, W) axis
 _X, _Y = np.s_[..., 0:1, :, :], np.s_[..., 1:2, :, :]
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _pair_chunks(shape: tuple[int, ...]) -> list[slice]:
-    """Contiguous slices of axis 0 of a (T, ..., 2, H, W) shape, one per CPU and at most T.
-
-    A single (2, H, W) field is one chunk, the whole field.
-    """
-    if len(shape) <= 3:
-        return [slice(None)]
-    pairs = shape[0]
-    count = min(pairs, _cpu_count())
-    return [slice(pairs * i // count, pairs * (i + 1) // count) for i in range(count)]
-
-
-def _new_pool():
-    """Give this process a pool of its own; a forked child has none of its parent's threads."""
-    global _pool
-    _pool = ThreadPoolExecutor(thread_name_prefix="cardiomotion-pairs")
-
-
-_new_pool()
-os.register_at_fork(after_in_child=_new_pool)
-
-
-def _run_chunks(fn, chunks: list[slice], *per_chunk) -> list:
-    """[fn(chunk, *items) for each chunk], one call per thread of the module's pool.
-
-    ``per_chunk`` holds lists with one item per chunk.  One chunk runs
-    inline.  Each call runs in its own copy of the caller's context, so the
-    caller's ``np.errstate`` holds in it.  Every call finishes before this
-    returns or raises.  A failure other than divergence is raised as is;
-    otherwise, if chunks diverged, the error of the earliest step is
-    raised, as the loop over the whole stack would raise it.
-    """
-    calls = list(zip(chunks, *per_chunk))
-    if len(calls) == 1:
-        return [fn(*calls[0])]
-    futures = [_pool.submit(contextvars.copy_context().run, fn, *args) for args in calls]
-    errors = [e for e in (f.exception() for f in futures) if e is not None]
-    for e in errors:
-        if not isinstance(e, IntegrationDivergedError):
-            raise e
-    if errors:
-        raise min(errors, key=lambda e: e.step)
-    return [f.result() for f in futures]
 
 
 MAX_STEPS = 10_000  # the shooting nodes keep every step's velocity and momentum
@@ -210,33 +150,24 @@ def integrate_epdiff(cfg: ShootingConfig, v, m) -> Tensor:
     vs = np.empty((n,) + v.shape, dtype)
     ms = np.empty((n - 1,) + v.shape, dtype)  # m_0 .. m_{N-2}: the last momentum drives no step
     vs[0] = v.values
-    chunks = _pair_chunks(v.shape)
-
-    def steps(p):
-        m_k = m.values[p]
-        for k in range(n - 1):
-            ms[k, p] = m_k
-            f = epdiff_force_values(vs[k, p], ms[k, p])
-            vs[k + 1, p] = vs[k, p] - op.multiply(f, inverse=True) * dt
-            if not np.all(np.isfinite(vs[k + 1, p])):
-                raise IntegrationDivergedError(k + 1, "EPDiff integration")
-            m_k = m_k - f * dt
-
-    _run_chunks(steps, chunks)
+    m_k = m.values
+    for k in range(n - 1):
+        ms[k] = m_k
+        f = epdiff_force_values(vs[k], ms[k])
+        vs[k + 1] = vs[k] - op.multiply(f, inverse=True) * dt
+        if not np.all(np.isfinite(vs[k + 1])):
+            raise IntegrationDivergedError(k + 1, "EPDiff integration")
+        m_k = m_k - f * dt
 
     def vjp(g):
         a_v = g[n - 1].copy()
         a_m = np.zeros(v.shape, dtype)
-
-        def adjoint_steps(p):
-            for k in range(n - 2, -1, -1):
-                g_f = (op.multiply(a_v[p], inverse=True) + a_m[p]) * -dt
-                g_v, g_m = epdiff_force_adjoint(vs[k, p], ms[k, p], g_f)
-                a_v[p] += g_v
-                a_v[p] += g[k, p]
-                a_m[p] += g_m
-
-        _run_chunks(adjoint_steps, chunks)
+        for k in range(n - 2, -1, -1):
+            g_f = (op.multiply(a_v, inverse=True) + a_m) * -dt
+            g_v, g_m = epdiff_force_adjoint(vs[k], ms[k], g_f)
+            a_v += g_v
+            a_v += g[k]
+            a_m += g_m
         return (a_v, a_m)
 
     return _make(vs, (v, m), vjp)
@@ -265,39 +196,25 @@ def integrate_inverse_flow(cfg: ShootingConfig, velocities) -> Tensor:
     ident = _identity(cfg, velocities)
     vs = velocities.values
     dt = 1.0 / cfg.num_steps
-    phi = np.empty(ident.shape, ident.dtype)
-    chunks = _pair_chunks(ident.shape)
-
-    def steps(p):
-        start = ident[p]
-        maps, samples = [], []
-        phi_k = start
-        for w in vs[:, p]:
-            q = w * -dt + start
-            prep = bilinear_prepare(start.shape, q[_X], q[_Y])
-            maps.append(phi_k)
-            samples.append(prep)
-            phi_k = bilinear_apply(phi_k, *prep[:3])
-        phi[p] = phi_k
-        return maps, samples
-
-    kept = _run_chunks(steps, chunks)
+    maps, samples = [], []
+    phi = ident
+    for w in vs:
+        q = w * -dt + ident
+        prep = bilinear_prepare(ident.shape, q[_X], q[_Y])
+        maps.append(phi)
+        samples.append(prep)
+        phi = bilinear_apply(phi, *prep[:3])
 
     def vjp(g):
         grad = np.empty(vs.shape, vs.dtype)
-
-        def adjoint_steps(p, state):
-            maps, samples = state
-            g_k = g[p]
-            for k in range(len(vs) - 1, -1, -1):
-                out = grad[k, p]
-                for axis, d in zip((_X, _Y), bilinear_coord_derivatives(maps[k], *samples[k])):
-                    out[axis] = (d * g_k).sum(axis=-3, keepdims=True)
-                out *= -dt
-                if k:  # phi_0 is the identity, a constant
-                    g_k = bilinear_adjoint_field(maps[k].shape, *samples[k][:3], g_k)
-
-        _run_chunks(adjoint_steps, chunks, kept)
+        g_k = g
+        for k in range(len(vs) - 1, -1, -1):
+            out = grad[k]
+            for axis, d in zip((_X, _Y), bilinear_coord_derivatives(maps[k], *samples[k])):
+                out[axis] = (d * g_k).sum(axis=-3, keepdims=True)
+            out *= -dt
+            if k:  # phi_0 is the identity, a constant
+                g_k = bilinear_adjoint_field(maps[k].shape, *samples[k][:3], g_k)
         return (grad,)
 
     return _make(phi, (velocities,), vjp)

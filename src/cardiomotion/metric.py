@@ -53,6 +53,7 @@ class MetricOperator:
         if power < 1:
             raise ValueError("power must be a positive integer")
         self.grid = grid
+        self.alpha, self.gamma, self.power = alpha, gamma, power
         h, w = grid.shape
         k1 = np.arange(w)[None, :]
         k2 = np.arange(h)[:, None]
@@ -76,6 +77,10 @@ class MetricOperator:
         self._factors64 = (qh, np.ascontiguousarray(qw.T), np.ascontiguousarray(qh.T), qw, lam,
                            1.0 / lam)
         self._factors32 = tuple(f.astype(np.float32) for f in self._factors64)
+
+    def __reduce__(self):
+        # by the parameters: the factors are rebuilt rather than shipped to a worker
+        return type(self), (self.grid, self.alpha, self.gamma, self.power)
 
     def multiply(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Apply the multiplier (or its reciprocal) to an (..., H, W) array.

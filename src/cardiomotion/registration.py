@@ -17,17 +17,28 @@ number of steps.  The momentum L v0 of the regulariser is the one EPDiff
 starts from, so the energy multiplies by L once and by K once per Euler
 step, and its gradient as often again.  v0 is a (2, H, W) Tensor, or
 (T, 2, H, W) for T pairs, with the (x, y) components on axis -3.  The
-two shooting nodes shoot T pairs as one chunk of pairs per CPU in the
-process's affinity mask, each on its own thread, with bit-identical
-output at any CPU count; a single pair (``register_pair``, ``energy``,
-``energy_gradient``) runs inline.  The graph computes in the dtype of
-v0: registration-net training passes the decoder's float32 output, so
-its energy and gradients are float32, while the single-pair functions
-take float64 fields and stay float64.
+graph computes in the dtype of v0: registration-net training passes the
+decoder's float32 output, so its energy and gradients are float32, while
+the single-pair functions take float64 fields and stay float64.
+
+A step of registration-net training splits its (T, 2, H, W) stack into
+groups of ``PAIRS_PER_GROUP`` pairs, a split that depends on T alone.
+Each group's forward and backward pass runs on a worker process of a
+persistent pool, one worker per CPU in the process's affinity mask,
+given the float64 master parameters; the groups' losses and parameter
+gradients are summed in group order before the one Adam update, as
+synchronous data-parallel training does.  With one CPU, or one group,
+the groups run inline, so a step gives the same bytes at any CPU count.
+Everything else, a single pair (``register_pair``, ``energy``,
+``energy_gradient``) included, runs inline.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,11 +177,14 @@ def pair_stack(seq: FieldSequence) -> np.ndarray:
     return np.stack(np.broadcast_arrays(frames[:1], frames[1:]), axis=1)
 
 
-def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.ndarray) -> Tensor:
+def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.ndarray,
+                              mean_over: int | None = None) -> Tensor:
     """Mean per-pair energy over a batch; a scalar graph node.
 
     All pairs share one energy graph over (T, 2, H, W) stacks, whose
-    total is the sum of the per-pair energies.
+    total is the sum of the per-pair energies, divided by ``mean_over``:
+    T by default; a group of a stack's pairs passes the stack's T, so that
+    the groups' losses add up to the stack's.
 
     v0_batch: (T, 2, H, W) tensor (typically a decoder output, so the
     loss is differentiable with respect to the network parameters).
@@ -189,7 +203,115 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.
     if pairs.shape[2:] != grid.shape:
         raise ValueError("pair batch grid does not match the registration operator")
     total, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v0_t, pairs[:, 0], pairs[:, 1])
-    return smul(total, 1.0 / pairs.shape[0])
+    return smul(total, 1.0 / (pairs.shape[0] if mean_over is None else mean_over))
+
+
+# A training step splits its stack into groups of this many pairs, the last
+# one possibly smaller.  At T=8 on two CPUs, 4 pairs per group beat 1 and 2
+# (NumPy's per-call overhead grows as a group shrinks) and 8 (one group).
+PAIRS_PER_GROUP = 4
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), started on first use
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The module's pool of ``workers`` processes; a pool of another size is shut down first.
+
+    The workers come from a forkserver, which imports this module once:
+    forking the calling process is unsafe while its BLAS runs threads.
+    Each worker keeps its heap mapped, as the training loop does.
+    """
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([__name__])
+        _pool = workers, ProcessPoolExecutor(workers, mp_context=context,
+                                             initializer=_keep_heap_mapped)
+    return _pool[1]
+
+
+def _group_gradients(cfg: RegistrationConfig, net, group: np.ndarray,
+                     pair_count: int) -> tuple[float, dict | None]:
+    """(loss, {parameter name: gradient}) of one group of a stack of ``pair_count`` pairs.
+
+    The gradients are taken from ``net``'s store, which is left without
+    any; a non-finite loss has none.
+    """
+    loss = registration_network_loss(cfg, net.decode(net.encode(group)), group, pair_count)
+    value = loss.item()
+    if not np.isfinite(value):
+        return value, None
+    loss.backward()
+    grads = {}
+    for name, p in net.store.params.items():
+        grads[name], p.grad = p.grad, None
+    return value, grads
+
+
+_worker_nets: dict = {}  # in a worker: a net per (class, config), whose values each task sets
+
+
+def _worker_group_gradients(cfg: RegistrationConfig, net_key: tuple, params: dict,
+                            group: np.ndarray, pair_count: int, errstate: dict):
+    """``_group_gradients`` on a worker, at the given master parameters and NumPy errstate."""
+    net = _worker_nets.get(net_key)
+    if net is None:
+        net_class, config = net_key
+        net = _worker_nets[net_key] = net_class(config, seed=None)
+    for name, p in net.store.params.items():
+        p.values = params[name]
+    with np.errstate(**errstate):
+        return _group_gradients(cfg, net, group, pair_count)
+
+
+def _step_gradients(cfg: RegistrationConfig, net, pairs: np.ndarray) -> float:
+    """The loss of one training step on a (T, 2, H, W) stack, with its gradients in ``net``.
+
+    The stack's groups of ``PAIRS_PER_GROUP`` pairs run on the pool, one
+    worker per CPU in the process's affinity mask, each with a copy of the
+    master parameters; with one CPU or one group they run inline.  The
+    groups' losses and gradients are summed in group order either way, so
+    a step gives the same bytes at any CPU count.  Every group runs to the
+    end; if some diverged, the error of the earliest step is raised, and
+    a non-finite loss leaves no gradient.
+    """
+    groups = [pairs[i:i + PAIRS_PER_GROUP] for i in range(0, len(pairs), PAIRS_PER_GROUP)]
+    workers = _cpu_count()
+    if workers == 1 or len(groups) == 1:
+        outcomes = []
+        for group in groups:
+            try:
+                outcomes.append(_group_gradients(cfg, net, group, len(pairs)))
+            except IntegrationDivergedError as e:
+                outcomes.append(e)
+    else:
+        pool = _worker_pool(workers)
+        params = {name: p.values for name, p in net.store.params.items()}
+        futures = [pool.submit(_worker_group_gradients, cfg, (type(net), net.config), params,
+                               group, len(pairs), np.geterr()) for group in groups]
+        outcomes = [f.exception() or f.result() for f in futures]
+    errors = [o for o in outcomes if isinstance(o, BaseException)]
+    for e in errors:
+        if not isinstance(e, IntegrationDivergedError):
+            raise e
+    if errors:
+        raise min(errors, key=lambda e: e.step)
+    value = sum(loss for loss, _ in outcomes)
+    if np.isfinite(value):
+        for name, p in net.store.params.items():
+            p.grad = functools.reduce(np.add, [grads[name] for _, grads in outcomes])
+    return value
 
 
 def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epochs: int,
@@ -199,7 +321,9 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
     sequences: list of (T, 2, H, W) pair stacks.  Returns the per-epoch
     mean training loss.  The energy takes the decoder's float32 output
     as is, so a step runs in float32 up to the float64 master parameters.
-    Each step's graph is freed before the next one is built.
+    Each step's pairs run in groups (``_step_gradients``), whose summed
+    gradients make one Adam update; each group's graph is freed before
+    the next step.
     """
     if not sequences:
         raise ValueError("no training sequences")
@@ -211,15 +335,11 @@ def train_registration_network(net, sequences, cfg: RegistrationConfig, *, epoch
         order = rng.permutation(len(sequences))
         total = 0.0
         for position, idx in enumerate(order):
-            pairs = sequences[idx]
-            loss = registration_network_loss(cfg, net.decode(net.encode(pairs)), pairs)
-            value = loss.item()
+            value = _step_gradients(cfg, net, sequences[idx])
             if not np.isfinite(value):
                 raise IntegrationDivergedError(epoch * len(sequences) + position,
                                                "registration network training")
-            loss.backward()
             adam_step(net.store, lr)
-            del loss
             total += value
         history.append(total / len(sequences))
     return history

@@ -9,6 +9,7 @@ import weakref
 
 import numpy as np
 
+from cardiomotion import registration
 from cardiomotion.geodesic import epdiff_force_adjoint, epdiff_force_values
 from cardiomotion.nn.tensor import Tensor, _as_tensor, _make, no_grad
 
@@ -136,16 +137,34 @@ def graph_lifetimes(module, name, scalar=lambda out: out):
             gc.enable()
 
 
-class MinorFaults:
-    """Minor page faults of this process, every thread counted, inside a ``with`` block.
+def _minor_faults(pid: int) -> int:
+    """The minor page faults of a live process so far, from its /proc stat line."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[7])
 
-    ``count`` holds the number once the block has exited.
+
+class MinorFaults:
+    """Minor page faults inside a ``with`` block, every thread counted: those of this
+    process and of the registration-training workers alive at its end.
+
+    ``count`` holds the number once the block has exited, and ``workers`` the
+    number of workers counted.  A worker started inside the block counts every
+    fault of its life.
     """
 
+    @staticmethod
+    def _workers() -> dict:
+        pool = registration._pool
+        return {pid: _minor_faults(pid) for pid in pool[1]._processes} if pool else {}
+
     def __enter__(self):
-        self.count = None
-        self._start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        self.count = self.workers = None
+        self._start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, self._workers()
         return self
 
     def __exit__(self, *exc):
-        self.count = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - self._start
+        own, workers = self._start
+        end = self._workers()
+        self.count = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - own
+                      + sum(n - workers.get(pid, 0) for pid, n in end.items()))
+        self.workers = len(end)

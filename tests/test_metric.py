@@ -1,5 +1,7 @@
 """Spectral metric operator and the smoothed-noise kernel."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,18 @@ def test_k_inverts_l():
     w = op.multiply(op.multiply(v.values), inverse=True)
     assert np.max(np.abs(w[0] - v.x_component)) < 1e-8
     assert np.max(np.abs(w[1] - v.y_component)) < 1e-8
+
+
+def test_operator_pickles_by_its_parameters():
+    # a worker process rebuilds the Fourier factors rather than receiving them
+    op = MetricOperator(Grid2(64, 64), alpha=200.0, gamma=1.0, power=1)
+    blob = pickle.dumps(op)
+    assert len(blob) < 1024
+    copy = pickle.loads(blob)
+    v = _rand_field(op.grid, np.random.default_rng(2)).values
+    for a in (v, v.astype(np.float32)):
+        for inverse in (False, True):
+            assert copy.multiply(a, inverse).tobytes() == op.multiply(a, inverse).tobytes()
 
 
 def test_l_is_self_adjoint():

@@ -303,6 +303,8 @@ def test_network_training_divergence_names_the_optimisation_step(monkeypatch):
         calls.append(None)
         return Tensor(np.nan) if len(calls) == 4 else real_loss(*args)
 
+    # inline, where the patched loss is the one called
+    monkeypatch.setattr(registration, "_cpu_count", lambda: 1)
     monkeypatch.setattr(registration, "registration_network_loss", fourth_loss_is_nan)
     # two sequences per epoch: the 4th step is epoch 1's second, zero-based step 3
     with pytest.raises(IntegrationDivergedError, match=r"at step 3$"):
@@ -310,13 +312,14 @@ def test_network_training_divergence_names_the_optimisation_step(monkeypatch):
     assert len(calls) == 4
 
 
-def test_train_registration_network_frees_each_loss_graph_before_the_next():
+def test_train_registration_network_frees_each_loss_graph_before_the_next(monkeypatch):
     grid = Grid2(16, 16)
     cfg = _cfg(grid, num_steps=3, sigma=0.1)
     stacks = [pair_stack(_sequence(grid, [_blob(grid, 7.0 + s * t, 8.0) for t in range(3)]))
               for s in (0.4, 0.6)]
     net = RegistrationNet(UNetConfig(in_channels=2, base_channels=4, latent_channels=4,
                                      num_down=2, time_embed_dim=4), seed=0)
+    monkeypatch.setattr(registration, "_cpu_count", lambda: 1)  # inline, where the graphs are
     with graph_lifetimes(registration, "registration_network_loss") as alive:
         train_registration_network(net, stacks, cfg, epochs=2, learning_rate=1e-3, seed=0)
     assert alive == [False] * 3

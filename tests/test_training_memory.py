@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import cardiomotion
+from cardiomotion import registration
 from cardiomotion.nn import tensor
 
 
@@ -40,7 +41,8 @@ train_registration_network(net, stacks, cfg, epochs=2, seed=0)
 epochs = 5
 with MinorFaults() as faults:
     train_registration_network(net, stacks, cfg, epochs=epochs, seed=1)
-print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"), faults.count / (epochs * len(stacks)))
+print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"), faults.workers,
+      faults.count / (epochs * len(stacks)))
 """
 
 
@@ -52,8 +54,10 @@ def test_steady_state_registration_training_faults_no_pages_in():
     proc = subprocess.run([sys.executable, "-c", _STEADY_STATE_SCRIPT, src, tests],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    threads, per_step = proc.stdout.split()[-2:]
+    threads, workers, per_step = proc.stdout.split()[-3:]
     assert threads == os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    # each step's two groups of pairs run on workers unless this process has one CPU
+    assert (int(workers) > 0) == (registration._cpu_count() > 1)
     assert float(per_step) < 100, f"{float(per_step):.0f} minor page faults per step"
 
 
