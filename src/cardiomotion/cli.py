@@ -364,7 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run is reported by its one error line, not by numpy's
+        # warnings on the way; training workers inherit this errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, IntegrationDivergedError, OSError) as e:
         # a key or file name from the input may hold line breaks; the diagnostic is one line
         print("error: " + "\\n".join(str(e).splitlines()), file=sys.stderr)

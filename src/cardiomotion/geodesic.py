@@ -29,7 +29,13 @@ exact adjoint of the discrete steps above (discretize, then
 differentiate), run from the last step to the first over the states
 the forward pass kept; the forward flow, which only ``shoot`` needs,
 runs on the bilinear kernels and records no graph.  The registration
-energy records the EPDiff and inverse-flow nodes as its graph.
+energy records the EPDiff and inverse-flow nodes as its graph.  The
+nodes always keep the velocities, their output and the flows' input;
+the momenta, maps and sample sets that only the backward pass reads are
+kept only while the node records (``nn.tensor.recording``).  Without a
+graph (``shoot``, ``energy``, an evaluation under ``no_grad``) each loop
+holds only its current momentum, map and sample set, and returns the
+same bits.
 
 Every array the two nodes allocate (velocities, momenta, maps, their
 gradients and the identity coordinates) takes the dtype of the velocity,
@@ -55,13 +61,15 @@ from .grid import (MapField, VectorField, bilinear_adjoint_field, bilinear_apply
                    bilinear_coord_derivatives, bilinear_prepare, bilinear_sample,
                    coordinate_arrays, ddx, ddx_adjoint, ddy, ddy_adjoint)
 from .metric import MetricOperator
-from .nn.tensor import Tensor, _as_tensor, _make
+from .nn.tensor import Tensor, _as_tensor, _make, recording
 
 # one component of a (..., 2, H, W) stack, kept as a (..., 1, H, W) axis
 _X, _Y = np.s_[..., 0:1, :, :], np.s_[..., 1:2, :, :]
 
 
-MAX_STEPS = 10_000  # the shooting nodes keep every step's velocity and momentum
+# the shooting nodes keep every step's velocity, and while recording its
+# momentum, map and sample set too
+MAX_STEPS = 10_000
 
 
 @dataclass
@@ -136,24 +144,28 @@ def integrate_epdiff(cfg: ShootingConfig, v, m) -> Tensor:
 
     ``v`` is a (..., 2, H, W) Tensor and ``m`` its momentum L v, which is
     required: the registration energy passes the L v0 of its regulariser.
-    One graph node: it keeps every v_k and m_k, and its backward pass runs
-    the adjoint of the Euler steps from the last to the first.  With a_v
-    and a_m the gradients reaching v_{k+1} and m_{k+1}, the force f_k
-    receives g_f = -dt (K a_v + a_m); the force adjoint carries g_f to
-    (v_k, m_k), where it adds to a_v and a_m along with the gradient of
-    the output v_k itself.
+    One graph node: it keeps every v_k, and every m_k only while it
+    records; its backward pass runs the adjoint of the Euler steps from the
+    last to the first.  With a_v and a_m the gradients reaching v_{k+1}
+    and m_{k+1}, the force f_k receives g_f = -dt (K a_v + a_m); the force
+    adjoint carries g_f to (v_k, m_k), where it adds to a_v and a_m along
+    with the gradient of the output v_k itself.  The momentum is carried
+    in v's dtype.
     """
     v, m = _as_tensor(v), _as_tensor(m)
     op = cfg.operator
     n, dt = cfg.num_steps, 1.0 / cfg.num_steps
     dtype = v.values.dtype
+    record = recording(v, m)
     vs = np.empty((n,) + v.shape, dtype)
-    ms = np.empty((n - 1,) + v.shape, dtype)  # m_0 .. m_{N-2}: the last momentum drives no step
+    # m_0 .. m_{N-2} while recording: the last momentum drives no step
+    ms = np.empty((n - 1,) + v.shape, dtype) if record else None
     vs[0] = v.values
-    m_k = m.values
+    m_k = m.values.astype(dtype, copy=False)
     for k in range(n - 1):
-        ms[k] = m_k
-        f = epdiff_force_values(vs[k], ms[k])
+        if record:
+            ms[k] = m_k
+        f = epdiff_force_values(vs[k], m_k)
         vs[k + 1] = vs[k] - op.multiply(f, inverse=True) * dt
         if not np.all(np.isfinite(vs[k + 1])):
             raise IntegrationDivergedError(k + 1, "EPDiff integration")
@@ -186,23 +198,26 @@ def integrate_inverse_flow(cfg: ShootingConfig, velocities) -> Tensor:
     """phi_1^-1 accumulated by semi-Lagrangian pullback, as (x, y) coordinates.
 
     ``velocities`` is the (N, ..., 2, H, W) stack of ``integrate_epdiff``.
-    One graph node: it keeps each step's sample coordinates (their
-    ``bilinear_prepare`` output) and the map phi_k they sample.  Its
-    backward pass runs from the last step to the first: the derivatives of
-    phi_k with respect to the coordinates give the gradient of v_k, and the
-    adjoint of the sampling carries the gradient on to phi_k.
+    One graph node: only while it records, it keeps each step's sample
+    coordinates (their ``bilinear_prepare`` output) and the map phi_k they
+    sample; otherwise it holds the current ones alone.  Its backward pass
+    runs from the last step to the first: the derivatives of phi_k with
+    respect to the coordinates give the gradient of v_k, and the adjoint
+    of the sampling carries the gradient on to phi_k.
     """
     velocities = _as_tensor(velocities)
     ident = _identity(cfg, velocities)
     vs = velocities.values
     dt = 1.0 / cfg.num_steps
+    record = recording(velocities)
     maps, samples = [], []
     phi = ident
     for w in vs:
         q = w * -dt + ident
         prep = bilinear_prepare(ident.shape, q[_X], q[_Y])
-        maps.append(phi)
-        samples.append(prep)
+        if record:
+            maps.append(phi)
+            samples.append(prep)
         phi = bilinear_apply(phi, *prep[:3])
 
     def vjp(g):

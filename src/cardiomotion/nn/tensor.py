@@ -130,9 +130,18 @@ def _keep_heap_mapped() -> None:
     libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
+def recording(*parents: Tensor) -> bool:
+    """Whether an operation on ``parents`` records a graph node.
+
+    It does when grad is enabled and some parent requires grad.  Nodes that
+    keep per-step state for their backward pass keep it only then.
+    """
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(values: np.ndarray, parents: tuple, vjp) -> Tensor:
     out = Tensor(values)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if recording(*parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp

@@ -774,6 +774,35 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     assert bad.stderr.startswith("error:")
 
 
+def _cli_env():
+    """This environment, with the source tree of the imported package on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cardiomotion.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_diverging_registration_training_is_one_error_line_in_a_process_of_its_own(tmp_path):
+    # a process of its own, so that the stderr of the training workers counts too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(RUN_CFG, phantom=dict(RUN_CFG["phantom"], num_frames=8))))
+    data = tmp_path / "data"
+    cli = [sys.executable, "-m", "cardiomotion.cli"]
+    env = _cli_env()
+    made = subprocess.run(cli + ["phantom", "--config", str(cfg), "--out", str(data), "--n", "3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert made.returncode == 0, made.stderr
+    proc = subprocess.run(cli + ["register", "--config", str(cfg), "--dataset", str(data),
+                                 "--mode", "train", "--out", str(tmp_path / "o"),
+                                 "--model-out", str(tmp_path / "reg.lmf1"), "--epochs", "3",
+                                 "--learning-rate", "1e4"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: EPDiff integration diverged (non-finite values) at step 4"], proc.stderr
+    assert not (tmp_path / "o").exists() and not (tmp_path / "reg.lmf1").exists()
+
+
 # one child process per BLAS thread count: BLAS reads its thread count when numpy loads
 _PIPELINE_SCRIPT = """
 import os, sys
@@ -797,10 +826,8 @@ print(os.environ["OPENBLAS_NUM_THREADS"])
 def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(RUN_CFG, diffusion=dict(RUN_CFG["diffusion"], max_epochs=2))))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cardiomotion.__file__)))
-    env = {k: v for k, v in os.environ.items()
+    env = {k: v for k, v in _cli_env().items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"

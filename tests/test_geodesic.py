@@ -1,5 +1,7 @@
 """Geodesic shooting: EPDiff integration and endpoint flow maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from cardiomotion.grid import (Grid2, VectorField, coordinate_arrays, jacobian_d
                                warp_vector)
 from cardiomotion.metric import MetricOperator
 from cardiomotion.nn.fieldops import bilinear_warp, spectral_multiply
-from cardiomotion.nn.tensor import (Tensor, _make, add, mul, smul, sum_all,
+from cardiomotion.nn.tensor import (Tensor, _make, add, mul, no_grad, smul, sum_all,
                                     take_index)
 from helpers import force_node, metric_norm
 
@@ -325,3 +327,59 @@ def test_forward_flow_is_the_step_formula(lead):
     # nothing differentiates the forward map, so it is a plain array
     assert isinstance(phi, np.ndarray) and phi.shape == lead + (2,) + grid.shape
     assert np.array_equal(phi, ref.values)
+
+
+# ---------------------------------------------------------------------------
+# per-step state: kept for the backward pass only while a node records
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak of one call of ``fn``, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shoot_keeps_only_the_velocities_of_its_steps():
+    # a step more adds one (2, H, W) velocity to the path; the momentum, map
+    # and sample set of a step are not kept, since shoot records no graph
+    grid = Grid2(32, 32)
+    op = MetricOperator(grid, alpha=3.0, gamma=1.0, power=3)
+    v0 = _smooth_field(grid, np.random.default_rng(71), scale=0.5)
+    peaks = {n: _traced_peak(lambda: shoot(ShootingConfig(n, op), v0)) for n in (10, 40)}
+    field = v0.values.nbytes
+    # slack of 4 fields for allocator and temporary-array noise; keeping a
+    # momentum, a map and a sample set per step as well adds over 90 fields
+    assert peaks[40] - peaks[10] <= (30 + 4) * field, (peaks, field)
+
+
+@pytest.mark.parametrize("shape, dtype", [((3, 2, 16, 16), np.float32),
+                                          ((2, 16, 16), np.float64)])
+def test_shooting_nodes_give_the_same_bits_with_and_without_a_graph(shape, dtype):
+    grid = Grid2(*shape[-2:])
+    op = MetricOperator(grid, alpha=3.0, gamma=1.0, power=3)
+    cfg = ShootingConfig(6, op)
+    raw = np.random.default_rng(72).standard_normal(shape)
+    v0 = op.multiply(raw, inverse=True)
+    v0 = (1.5 * v0 / np.abs(v0).max()).astype(dtype)
+    m0 = op.multiply(v0)
+
+    def run(requires_grad):
+        v, m = (Tensor(a, requires_grad=requires_grad) for a in (v0, m0))
+        vs = integrate_epdiff(cfg, v, m)
+        w = Tensor(vs.values, requires_grad=requires_grad)
+        return vs, integrate_inverse_flow(cfg, w)
+
+    recorded = run(True)
+    assert all(out.requires_grad and out.values.dtype == dtype for out in recorded)
+    with no_grad():
+        detached = run(True)
+    for outs in (detached, run(False)):
+        for out, ref in zip(outs, recorded):
+            assert not out.requires_grad
+            assert out.values.dtype == dtype and out.values.tobytes() == ref.values.tobytes()
