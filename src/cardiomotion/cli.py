@@ -12,6 +12,8 @@ file and renamed, so a crash never leaves partial files behind.
 import argparse
 import csv
 import dataclasses
+import functools
+import inspect
 import io
 import json
 import os
@@ -361,13 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once per process; each call reuses it
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # by name, so that a cmd_* function replaced (wrapped) before or after the parser was
+    # built is the one that runs
+    command = globals()[inspect.unwrap(args.func).__name__]
     try:
         # a diverging run is reported by its one error line, not by numpy's
         # warnings on the way; training workers inherit this errstate
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return command(args)
     except (ValueError, IntegrationDivergedError, OSError) as e:
         # a key or file name from the input may hold line breaks; the diagnostic is one line
         print("error: " + "\\n".join(str(e).splitlines()), file=sys.stderr)

@@ -8,11 +8,11 @@ image pair is
             endpoint inverse map and the target,
 
 where the endpoint map comes from Euler EPDiff integration of v0.  The
-energy graph calls the shooting functions of ``geodesic`` with recording
-on: EPDiff integration and the inverse flow are one node each, whose
+energy graph calls ``geodesic.integrate_geodesic`` with recording on:
+EPDiff integration and the inverse flow are one node, whose
 hand-derived adjoints make the reverse-mode gradient the exact
 derivative of the discrete objective (discretize-then-optimize), and
-``shoot`` computes the same values.  The whole graph is 13 nodes at any
+``shoot`` computes the same values.  The whole graph is 12 nodes at any
 number of steps.  The momentum L v0 of the regulariser is the one EPDiff
 starts from, so the energy multiplies by L once and by K once per Euler
 step, and its gradient as often again.  v0 is a (2, H, W) Tensor, or
@@ -29,8 +29,15 @@ given the float64 master parameters; the groups' losses and parameter
 gradients are summed in group order before the one Adam update, as
 synchronous data-parallel training does.  With one CPU, or one group,
 the groups run inline, so a step gives the same bytes at any CPU count.
-Everything else, a single pair (``register_pair``, ``energy``,
-``energy_gradient``) included, runs inline.
+
+Every energy evaluated outside the pool's workers, a single pair
+(``register_pair``, ``energy``, ``energy_gradient``) included, runs its
+shooting as two stages on two processes when this process may run on
+two CPUs or more: EPDiff here, and the inverse flow one Euler step behind
+it on a helper process (``geodesic.FlowHelper``), started on first use
+from the pool's forkserver.  On one CPU, and inside the workers, both
+stages run inline.  The bytes are the same either way, and only the CPU
+count and whether the process is a worker decide.
 """
 
 from __future__ import annotations
@@ -44,9 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .geodesic import (GeodesicPath, ShootingConfig, integrate_epdiff, integrate_inverse_flow,
-                       shoot)
-from .grid import FieldSequence, Grid2, ScalarField, VectorField
+from .geodesic import (FlowHelper, GeodesicPath, ShootingConfig, integrate_forward_flow,
+                       integrate_geodesic)
+from .grid import FieldSequence, Grid2, MapField, ScalarField, VectorField
 from .nn.fieldops import bilinear_warp, spectral_multiply
 from .nn.params import ParameterStore, adam_step, check_learning_rate
 from .nn.tensor import (Tensor, _as_tensor, _keep_heap_mapped, add, mul, smul, squared_error_sum,
@@ -84,20 +91,23 @@ class RegistrationResult:
 
 def _energy_terms(shooting: ShootingConfig, sigma: float, v0,
                   source_values: np.ndarray, target_values: np.ndarray):
-    """Build the energy graph; returns (total, dist, reg) tensors.
+    """Build the energy graph; returns (total, dist, reg, velocities, inverse map).
 
     v0 (a Tensor or an array) is (2, H, W) and the images (H, W) for one
     pair, or (T, 2, H, W) and (T, H, W) for T pairs, whose energies then
-    add up in ``total``.
+    add up in ``total``.  The first three are tensors; the (N, ..., 2, H, W)
+    velocities and the (..., 2, H, W) inverse map of the shooting are
+    arrays.  The shooting runs on this process's flow helper, if it has
+    one (``_flow_helper``).
     """
     m0 = spectral_multiply(shooting.operator, v0)
     reg = sum_all(mul(m0, v0))
 
-    phi = integrate_inverse_flow(shooting, integrate_epdiff(shooting, v0, m0))
+    velocities, phi = integrate_geodesic(shooting, v0, m0, _flow_helper())
     warped = bilinear_warp(source_values, take_index(phi, _X), take_index(phi, _Y))
     dist = squared_error_sum(warped, target_values)
     total = add(smul(dist, 0.5 / (sigma * sigma)), reg)
-    return total, dist, reg
+    return total, dist, reg, velocities, phi.values
 
 
 def _check_pair(cfg: RegistrationConfig, source: ScalarField, target: ScalarField,
@@ -115,8 +125,8 @@ def energy(cfg: RegistrationConfig, v0: VectorField, source: ScalarField,
            target: ScalarField) -> tuple[float, float, float]:
     """(total, dist, reg) of the registration energy at v0."""
     _check_pair(cfg, source, target, v0)
-    total, dist, reg = _energy_terms(cfg.shooting, cfg.sigma, v0.values,
-                                     source.values, target.values)
+    total, dist, reg, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v0.values,
+                                           source.values, target.values)
     return total.item(), dist.item(), reg.item()
 
 
@@ -125,7 +135,7 @@ def energy_gradient(cfg: RegistrationConfig, v0: VectorField, source: ScalarFiel
     """Exact gradient of the discrete energy with respect to v0."""
     _check_pair(cfg, source, target, v0)
     v = Tensor(v0.values, requires_grad=True)
-    total, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)
+    total = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)[0]
     total.backward()
     if not np.all(np.isfinite(v.grad)):
         raise IntegrationDivergedError(cfg.shooting.num_steps, "energy gradient")
@@ -140,6 +150,9 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
     consecutive iterations falls below convergence_tol (increases do not
     trigger the stop; the optimizer is allowed to recover from them).
     Each iteration's energy graph is freed before the next one is built.
+    The last evaluation was at the final v0, so the path takes its
+    velocities and inverse map, and integrates only the forward map: the
+    same bits as ``shoot`` at v0.
     """
     grid = _check_pair(cfg, source, target)
     store = ParameterStore()
@@ -148,7 +161,8 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
     _keep_heap_mapped()
     trace: list[float] = []
     for it in range(cfg.max_iterations + 1):
-        total = _energy_terms(cfg.shooting, cfg.sigma, v, source.values, target.values)[0]
+        total, _, _, velocities, inverse = _energy_terms(cfg.shooting, cfg.sigma, v,
+                                                         source.values, target.values)
         e = total.item()
         if not np.isfinite(e):
             raise IntegrationDivergedError(it, "registration energy")
@@ -159,14 +173,11 @@ def register_pair(cfg: RegistrationConfig, source: ScalarField,
             break
         total.backward()
         adam_step(store, cfg.learning_rate)
-        del total
+        del total, velocities, inverse
 
-    v0 = VectorField(grid, *v.values)
-    return RegistrationResult(
-        v0=v0,
-        path=shoot(cfg.shooting, v0),
-        energy_trace=trace,
-    )
+    path = GeodesicPath(velocities, MapField(grid, *inverse),
+                        MapField(grid, *integrate_forward_flow(cfg.shooting, velocities)))
+    return RegistrationResult(v0=VectorField(grid, *v.values), path=path, energy_trace=trace)
 
 
 def pair_stack(seq: FieldSequence) -> np.ndarray:
@@ -202,7 +213,7 @@ def registration_network_loss(cfg: RegistrationConfig, v0_batch, pair_batch: np.
     grid = cfg.shooting.operator.grid
     if pairs.shape[2:] != grid.shape:
         raise ValueError("pair batch grid does not match the registration operator")
-    total, _, _ = _energy_terms(cfg.shooting, cfg.sigma, v0_t, pairs[:, 0], pairs[:, 1])
+    total = _energy_terms(cfg.shooting, cfg.sigma, v0_t, pairs[:, 0], pairs[:, 1])[0]
     return smul(total, 1.0 / (pairs.shape[0] if mean_over is None else mean_over))
 
 
@@ -220,25 +231,57 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _forkserver():
+    """The context of the pool's workers and of the flow helper.
+
+    They come from a forkserver, which imports this module once: forking
+    the calling process is unsafe while its BLAS runs threads.
+    """
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    return context
+
+
 _pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), started on first use
+_in_pool = False  # whether this process is one of the pool's workers
+
+
+def _start_worker() -> None:
+    global _in_pool
+    _in_pool = True
+    _keep_heap_mapped()
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """The module's pool of ``workers`` processes; a pool of another size is shut down first.
 
-    The workers come from a forkserver, which imports this module once:
-    forking the calling process is unsafe while its BLAS runs threads.
     Each worker keeps its heap mapped, as the training loop does.
     """
     global _pool
     if _pool is None or _pool[0] != workers:
         if _pool is not None:
             _pool[1].shutdown()
-        context = multiprocessing.get_context("forkserver")
-        context.set_forkserver_preload([__name__])
-        _pool = workers, ProcessPoolExecutor(workers, mp_context=context,
-                                             initializer=_keep_heap_mapped)
+        _pool = workers, ProcessPoolExecutor(workers, mp_context=_forkserver(),
+                                             initializer=_start_worker)
     return _pool[1]
+
+
+_helper: FlowHelper | None = None  # this process's flow helper, started on first use
+
+
+def _flow_helper() -> FlowHelper | None:
+    """The helper process on which this process's energy runs its inverse flow.
+
+    None where the energy shoots inline: on one CPU, and in the pool's
+    workers, where the CPUs are already taken.  A helper that an exception
+    closed is replaced by a fresh one.
+    """
+    global _helper
+    if _in_pool or _cpu_count() == 1:
+        return None
+    if _helper is None or _helper.closed:
+        _helper = FlowHelper.start(_forkserver())
+    return _helper
 
 
 def _group_gradients(cfg: RegistrationConfig, net, group: np.ndarray,

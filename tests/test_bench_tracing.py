@@ -24,8 +24,8 @@ def test_tracer_installs_over_every_traced_name():
     try:
         assert tracer.installed
         assert geodesic.shoot is not shoot
-        assert registration.integrate_epdiff is geodesic.integrate_epdiff
+        assert registration.integrate_forward_flow is geodesic.integrate_forward_flow
     finally:
         tracer.uninstall()
     assert geodesic.shoot is shoot
-    assert not hasattr(registration.integrate_epdiff, "__wrapped__")
+    assert not hasattr(registration.integrate_forward_flow, "__wrapped__")

@@ -143,7 +143,8 @@ def test_a_group_with_a_non_finite_loss_names_the_optimisation_step(workers):
         assert net.store.step_count == 1
 
 
-def test_a_single_pair_registers_inline_with_the_same_bytes(workers, monkeypatch):
+def test_a_single_pair_registers_outside_the_pool_with_the_same_bytes(workers, monkeypatch):
+    # one CPU shoots inline, two or more on the flow helper
     op = MetricOperator(GRID, alpha=3.0, gamma=1.0, power=3)
     cfg = RegistrationConfig(ShootingConfig(5, op), sigma=0.1, learning_rate=0.01,
                              max_iterations=20)
